@@ -5,8 +5,17 @@ open Packet
    RXDID / i40e flex words), which is what prefix-sharded NFs need: hashing
    a full field and cancelling its tail out of the key is not equivalent —
    the zero-windows would confine all hash variability to the top hash bits,
-   which the low-bit-indexed indirection table never sees. *)
-type t = { ordered : (Field.t * int) list }
+   which the low-bit-indexed indirection table never sees.
+
+   What a packet must carry for the set to match is worked out once, at
+   construction: [matches] runs per packet on the RSS hash path, so it
+   reads three booleans instead of scanning the field list. *)
+type t = {
+  ordered : (Field.t * int) list;
+  ports : bool;  (** hashes an outer L4 port: needs TCP or UDP *)
+  inner : bool;  (** hashes an inner field: needs an encapsulated packet *)
+  inner_ports : bool;  (** hashes an inner L4 port: needs inner TCP or UDP *)
+}
 
 (* Canonical Microsoft concatenation order; inner (encapsulated) headers
    follow the outer ones in the same address/port/proto order — the
@@ -25,6 +34,12 @@ let canonical_order =
     Field.Inner_ip_proto;
   ]
 
+let is_inner_field = function
+  | Field.Inner_ip_src | Field.Inner_ip_dst | Field.Inner_ip_proto | Field.Inner_src_port
+  | Field.Inner_dst_port ->
+      true
+  | _ -> false
+
 let make_sliced slices =
   List.iter
     (fun (f, bits) ->
@@ -42,7 +57,13 @@ let make_sliced slices =
   in
   if List.length sorted <> List.length slices then
     invalid_arg "Field_set.make: duplicate or unsupported field";
-  { ordered = sorted }
+  let has p = List.exists (fun (f, _) -> p f) sorted in
+  {
+    ordered = sorted;
+    ports = has (function Field.Src_port | Field.Dst_port -> true | _ -> false);
+    inner = has is_inner_field;
+    inner_ports = has (function Field.Inner_src_port | Field.Inner_dst_port -> true | _ -> false);
+  }
 
 let make fields = make_sliced (List.map (fun f -> (f, Field.width f)) fields)
 
@@ -72,30 +93,11 @@ let offset t f =
 
 let slice_bits t f = List.assoc_opt f t.ordered
 
-let needs_ports t =
-  List.exists
-    (fun (f, _) -> Field.equal f Field.Src_port || Field.equal f Field.Dst_port)
-    t.ordered
-
-let is_inner_field = function
-  | Field.Inner_ip_src | Field.Inner_ip_dst | Field.Inner_ip_proto | Field.Inner_src_port
-  | Field.Inner_dst_port ->
-      true
-  | _ -> false
-
-let needs_inner t = List.exists (fun (f, _) -> is_inner_field f) t.ordered
-
-let needs_inner_ports t =
-  List.exists
-    (fun (f, _) -> Field.equal f Field.Inner_src_port || Field.equal f Field.Inner_dst_port)
-    t.ordered
-
 let matches t (p : Pkt.t) =
   p.Pkt.eth_type = Pkt.ipv4_ethertype
-  && ((not (needs_ports t))
-     || match p.Pkt.proto with Pkt.Tcp | Pkt.Udp -> true | Pkt.Other _ -> false)
-  && ((not (needs_inner t)) || p.Pkt.encap <> None)
-  && ((not (needs_inner_ports t))
+  && ((not t.ports) || match p.Pkt.proto with Pkt.Tcp | Pkt.Udp -> true | Pkt.Other _ -> false)
+  && ((not t.inner) || match p.Pkt.encap with Some _ -> true | None -> false)
+  && ((not t.inner_ports)
      ||
      match p.Pkt.encap with
      | Some { Pkt.in_proto = Pkt.Tcp | Pkt.Udp; _ } -> true
@@ -110,22 +112,18 @@ let hash_input t p =
             (fun (f, bits) -> Bitvec.sub (Pkt.get_field p f) ~pos:0 ~len:bits)
             t.ordered))
 
-(* Byte-aligned extraction plan for the per-packet fast path: entry [i]
-   is [(f, shift)] such that byte [i] of the concatenated hash input is
-   [(field_int p f lsr (8 * shift)) land 0xff].  Only exists when every
-   slice is a full, byte-multiple field width — a sliced set's input is
-   not byte-aligned, so it keeps the Bitvec path. *)
-let byte_plan t =
-  if List.exists (fun (f, bits) -> bits <> Field.width f || bits mod 8 <> 0) t.ordered
-  then None
+(* Field-wise extraction plan for the per-packet fast path: the hash input
+   is, piece after piece, the [bytes] big-endian bytes of
+   [field_int p f lsr drop] — a slice's leading bits are its field value
+   shifted right by the bits it leaves out.  Only exists when every slice
+   is a whole number of bytes, so every piece starts on a byte boundary;
+   other sets keep the Bitvec path. *)
+let field_plan t =
+  if List.exists (fun (_, bits) -> bits mod 8 <> 0) t.ordered then None
   else
     Some
       (Array.of_list
-         (List.concat_map
-            (fun (f, bits) ->
-              let nb = bits / 8 in
-              List.init nb (fun i -> (f, nb - 1 - i)))
-            t.ordered))
+         (List.map (fun (f, bits) -> (f, bits / 8, Field.width f - bits)) t.ordered))
 
 let applies_to_proto _t = function Pkt.Tcp | Pkt.Udp -> true | Pkt.Other _ -> false
 

@@ -60,11 +60,11 @@ val matches : t -> Packet.Pkt.t -> bool
     require TCP or UDP; inner-header sets require an encapsulated packet,
     inner-port-bearing ones an inner TCP/UDP). *)
 
-val byte_plan : t -> (Packet.Field.t * int) array option
-(** Byte-aligned extraction plan for {!Rss}'s allocation-free hash path:
-    entry [i] is [(f, shift)] such that byte [i] of the concatenated hash
-    input equals [(Pkt.field_int p f lsr (8 * shift)) land 0xff].  [None]
-    when the set is sliced (or otherwise not byte-aligned), in which case
+val field_plan : t -> (Packet.Field.t * int * int) array option
+(** Extraction plan for {!Rss}'s allocation-free hash path: the hash input
+    is the concatenation, entry after entry, of the [bytes] big-endian
+    bytes of [Pkt.field_int p f lsr drop] for each [(f, bytes, drop)].
+    [None] when some slice is not a whole number of bytes, in which case
     callers must serialize through {!hash_input}. *)
 
 val hash_input : t -> Packet.Pkt.t -> Bitvec.t option

@@ -12,39 +12,40 @@ type t = {
   ckey : Toeplitz.Key.t Lazy.t;
   compiled : bool;
   sets : Field_set.t list;
-  hashers : (Packet.Pkt.t -> int option) list Lazy.t;
-      (* one per field set, in order; each returns the hash when the set
-         matches the packet.  Built lazily so engines configured but never
-         used for software dispatch pay nothing. *)
+  hash : (Packet.Pkt.t -> int) Lazy.t;
+      (* the hash of the first set that matches the packet, or -1.  Built
+         on first use, so engines configured but never used for software
+         dispatch pay nothing; [with_reta] copies share it. *)
   reta : Reta.t;
 }
 
-(* Per-set hasher.  Compiled engines with a byte-aligned field set take the
-   allocation-free path: field bytes feed the Toeplitz tables directly,
+(* Per-set hasher, returning -1 when the set does not match.  Compiled
+   engines whose slices are whole bytes take the allocation-free path: each
+   field is read once and its bytes feed the Toeplitz tables directly,
    skipping the per-packet Bitvec serialization of [Field_set.hash_input]
-   (which dominated software dispatch cost).  Sliced sets and reference
+   (which dominated software dispatch cost).  Other sets and reference
    (uncompiled) engines keep the Bitvec path, which the property tests use
    as the oracle. *)
 let hasher ~compiled ~key ~ckey s =
-  match if compiled then Field_set.byte_plan s else None with
+  match if compiled then Field_set.field_plan s else None with
   | Some plan ->
       let ck = Lazy.force ckey in
-      let nbytes = Array.length plan in
-      fun p ->
-        if Field_set.matches s p then
-          Some
-            (Toeplitz.Key.hash_bytes_int ck ~nbytes (fun i ->
-                 let f, shift = Array.unsafe_get plan i in
-                 Packet.Pkt.field_int p f lsr (8 * shift)))
-        else None
+      let widths = Array.map (fun (_, w, _) -> w) plan in
+      let get =
+        Array.map
+          (fun (f, _, drop) ->
+            let read = Packet.Pkt.field_reader f in
+            if drop = 0 then read else fun p -> read p lsr drop)
+          plan
+      in
+      fun p -> if Field_set.matches s p then Toeplitz.Key.hash_pieces ck ~widths get p else -1
   | None -> (
       fun p ->
         match Field_set.hash_input s p with
         | Some d ->
-            Some
-              (if compiled then Toeplitz.Key.hash_int (Lazy.force ckey) d
-               else Toeplitz.hash_int ~key d)
-        | None -> None)
+            if compiled then Toeplitz.Key.hash_int (Lazy.force ckey) d
+            else Toeplitz.hash_int ~key d
+        | None -> -1)
 
 let configure ?(nic = Model.E810) ?reta ?compiled ~key ~sets ~queues () =
   if Bitvec.length key <> 8 * Model.key_bytes nic then
@@ -68,8 +69,21 @@ let configure ?(nic = Model.E810) ?reta ?compiled ~key ~sets ~queues () =
   in
   let compiled = Option.value ~default:!compile_default compiled in
   let ckey = lazy (Toeplitz.Key.compile key) in
-  let hashers = lazy (List.map (hasher ~compiled ~key ~ckey) sets) in
-  { nic; key; ckey; compiled; sets; hashers; reta }
+  let hash =
+    lazy
+      (match List.map (hasher ~compiled ~key ~ckey) sets with
+      | [ h ] -> h
+      | hs ->
+          let hs = Array.of_list hs in
+          let rec first p i =
+            if i = Array.length hs then -1
+            else
+              let h = hs.(i) p in
+              if h >= 0 then h else first p (i + 1)
+          in
+          fun p -> first p 0)
+  in
+  { nic; key; ckey; compiled; sets; hash; reta }
 
 let random_key rng nic = Bitvec.random rng (8 * Model.key_bytes nic)
 
@@ -81,14 +95,15 @@ let sets t = t.sets
 let reta t = t.reta
 let with_reta t reta = { t with reta }
 
-let hash_of t p =
-  let rec go = function
-    | [] -> None
-    | h :: rest -> ( match h p with Some _ as r -> r | None -> go rest)
-  in
-  go (Lazy.force t.hashers)
+let hash t = Lazy.force t.hash
 
-let dispatch t p = match hash_of t p with Some h -> Reta.lookup t.reta h | None -> 0
+let hash_of t p =
+  let h = hash t p in
+  if h < 0 then None else Some h
+
+let dispatch t p =
+  let h = hash t p in
+  if h < 0 then 0 else Reta.lookup t.reta h
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>nic: %s@ key: %s@ sets: %a@ %a@]" (Model.name t.nic)

@@ -40,7 +40,7 @@ val compiled_key : t -> Toeplitz.Key.t
     if it has not happened yet). *)
 
 val uses_compiled : t -> bool
-(** Whether {!hash_of} and {!dispatch} take the table-driven fast path. *)
+(** Whether {!hash} and {!dispatch} take the table-driven fast path. *)
 
 val nic : t -> Model.t
 
@@ -50,9 +50,15 @@ val reta : t -> Reta.t
 
 val with_reta : t -> Reta.t -> t
 
+val hash : t -> Packet.Pkt.t -> int
+(** [hash t p] is the 32-bit Toeplitz hash the NIC computes, or [-1] when
+    no configured field set matches the packet (it then goes to the
+    default queue).  On the fast path it allocates nothing and makes no
+    polymorphic comparison.  The engine's tables are compiled on the first
+    call. *)
+
 val hash_of : t -> Packet.Pkt.t -> int option
-(** The 32-bit Toeplitz hash the NIC computes, or [None] when no configured
-    field set matches the packet (it then goes to the default queue). *)
+(** {!hash} as an option: [None] when no configured field set matches. *)
 
 val dispatch : t -> Packet.Pkt.t -> int
 (** The queue (= core) this packet is steered to; unmatched packets go to

@@ -31,7 +31,7 @@ module Key = struct
   type t = {
     key : Bitvec.t;
     max_input_bits : int; (* largest input this key can hash *)
-    tables : int array array; (* tables.(i).(b): partial hash of byte value b at byte i *)
+    tables : int array; (* tables.(256 * i + b): partial hash of byte value b at byte i *)
   }
 
   let compile key =
@@ -52,21 +52,19 @@ module Key = struct
     (* positions past [max_input_bits] keep window 0: they are only ever
        indexed by the zero padding bits of a ragged last byte, which never
        select an entry *)
-    let tables =
-      Array.init nbytes (fun i ->
-          let t = Array.make 256 0 in
-          (* t.(v) = t.(v with lowest set bit cleared) xor window of that bit;
-             bit (1 lsl k) of the byte value is input bit 8i + (7-k) *)
-          for v = 1 to 255 do
-            let low = v land -v in
-            let k = ref 0 in
-            while low lsr !k <> 1 do
-              incr k
-            done;
-            t.(v) <- t.(v land (v - 1)) lxor windows.((8 * i) + (7 - !k))
-          done;
-          t)
-    in
+    let tables = Array.make (256 * nbytes) 0 in
+    for i = 0 to nbytes - 1 do
+      let t = 256 * i in
+      (* bit (1 lsl k) of the byte value is input bit 8i + (7-k); every
+         other value is its lowest set bit xor the rest *)
+      for k = 0 to 7 do
+        tables.(t + (1 lsl k)) <- windows.((8 * i) + (7 - k))
+      done;
+      for v = 1 to 255 do
+        let low = v land -v in
+        if low <> v then tables.(t + v) <- tables.(t + low) lxor tables.(t + (v - low))
+      done
+    done;
     { key; max_input_bits; tables }
 
   let key t = t.key
@@ -78,23 +76,51 @@ module Key = struct
     if dn > t.max_input_bits then invalid_arg "Toeplitz.Key.hash: key too short for input";
     let acc = ref 0 in
     for i = 0 to Bitvec.bytes_length d - 1 do
-      acc := !acc lxor Array.unsafe_get t.tables.(i) (Bitvec.byte d i)
+      acc := !acc lxor Array.unsafe_get t.tables ((256 * i) + Bitvec.byte d i)
     done;
     Int32.of_int !acc
 
   let hash_int t d = Int32.to_int (hash t d) land 0xffffffff
 
-  (* Allocation-free variant for the per-packet fast path: the caller
-     supplies the input bytes through [get] instead of materializing a
-     Bitvec.  Byte [i] must equal [Bitvec.byte input i] of the equivalent
-     big-endian serialization, so results stay bit-exact with {!hash}. *)
-  let hash_bytes_int t ~nbytes get =
+  (* Allocation-free variant for the per-packet fast path: the input is
+     given as pieces, piece [j] being the [widths.(j)] big-endian low bytes
+     of [get.(j) x], instead of a materialized Bitvec.  The readers are
+     built once per field set and [x] is the packet, so nothing is
+     allocated per hash.  The common 1-, 2- and 4-byte pieces are
+     unrolled.  The width check precedes every piece's lookups, so the
+     unsafe reads stay inside the tables. *)
+  let hash_pieces t ~widths get x =
     Telemetry.Counter.incr c_hashes;
-    if nbytes * 8 > t.max_input_bits then
-      invalid_arg "Toeplitz.Key.hash_bytes_int: key too short for input";
-    let acc = ref 0 in
-    for i = 0 to nbytes - 1 do
-      acc := !acc lxor Array.unsafe_get t.tables.(i) (get i land 0xff)
+    if Array.length get <> Array.length widths then
+      invalid_arg "Toeplitz.Key.hash_pieces: one reader per piece";
+    let tb = t.tables in
+    let acc = ref 0 and pos = ref 0 in
+    for j = 0 to Array.length widths - 1 do
+      let w = widths.(j) in
+      if (!pos + w) * 8 > t.max_input_bits then
+        invalid_arg "Toeplitz.Key.hash_pieces: key too short for input";
+      let v = (Array.unsafe_get get j) x and b = 256 * !pos in
+      let part =
+        match w with
+        | 4 ->
+            Array.unsafe_get tb (b + ((v lsr 24) land 0xff))
+            lxor Array.unsafe_get tb (b + 256 + ((v lsr 16) land 0xff))
+            lxor Array.unsafe_get tb (b + 512 + ((v lsr 8) land 0xff))
+            lxor Array.unsafe_get tb (b + 768 + (v land 0xff))
+        | 2 ->
+            Array.unsafe_get tb (b + ((v lsr 8) land 0xff))
+            lxor Array.unsafe_get tb (b + 256 + (v land 0xff))
+        | 1 -> Array.unsafe_get tb (b + (v land 0xff))
+        | _ ->
+            let p = ref 0 in
+            for k = 0 to w - 1 do
+              let byte = (v lsr (8 * (w - 1 - k))) land 0xff in
+              p := !p lxor Array.unsafe_get tb (b + (256 * k) + byte)
+            done;
+            !p
+      in
+      acc := !acc lxor part;
+      pos := !pos + w
     done;
     !acc land 0xffffffff
 end

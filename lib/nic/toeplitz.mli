@@ -47,14 +47,14 @@ module Key : sig
   val hash_int : t -> Bitvec.t -> int
   (** Same as {!hash} with the result as a non-negative int. *)
 
-  val hash_bytes_int : t -> nbytes:int -> (int -> int) -> int
-  (** [hash_bytes_int t ~nbytes get] hashes the [nbytes]-byte input whose
-      byte [i] is [get i] (masked to 8 bits) without building a {!Bitvec}
-      — the allocation-free inner loop of {!Rss.hash_of}'s fast path.
-      Byte [i] must match [Bitvec.byte input i] of the equivalent
-      big-endian serialization; the result is then bit-exact with {!hash}.
-      Raises [Invalid_argument] when the input exceeds
-      [max_input_bits]. *)
+  val hash_pieces : t -> widths:int array -> ('a -> int) array -> 'a -> int
+  (** [hash_pieces t ~widths get x] hashes, without building a {!Bitvec},
+      the input made of pieces [j = 0, 1, ...], piece [j] being the
+      [widths.(j)] big-endian low-order bytes of [get.(j) x] — the
+      allocation-free inner loop of {!Rss.hash}'s fast path.  The result is
+      bit-exact with {!hash_int} on the equivalent big-endian
+      serialization.  Raises [Invalid_argument] when the input exceeds
+      [max_input_bits] or when [get] and [widths] differ in length. *)
 end
 
 val microsoft_test_key : Bitvec.t

@@ -83,9 +83,12 @@ module Ring = struct
   (* One producer (the dispatching domain), one consumer (the worker).
      [head] and [tail] are monotonically increasing; publication of the
      slot write is ordered by the subsequent [Atomic.set] of [tail]
-     (OCaml's memory model makes atomic writes release points). *)
+     (OCaml's memory model makes atomic writes release points).  Slots
+     hold the values themselves, so a push allocates nothing: the slot
+     array is made on the first push, filled with the value pushed, and a
+     popped slot keeps its value until it is overwritten. *)
   type 'a t = {
-    slots : 'a option array;
+    mutable slots : 'a array;
     mask : int;
     head : int Atomic.t; (* consumer position *)
     tail : int Atomic.t; (* producer position *)
@@ -97,7 +100,7 @@ module Ring = struct
     while !cap < capacity do
       cap := !cap * 2
     done;
-    { slots = Array.make !cap None; mask = !cap - 1; head = Atomic.make 0; tail = Atomic.make 0 }
+    { slots = [||]; mask = !cap - 1; head = Atomic.make 0; tail = Atomic.make 0 }
 
   let capacity t = t.mask + 1
   let length t = Atomic.get t.tail - Atomic.get t.head
@@ -107,28 +110,23 @@ module Ring = struct
     let tail = Atomic.get t.tail in
     if tail - Atomic.get t.head > t.mask then false
     else begin
-      t.slots.(tail land t.mask) <- Some x;
+      if Array.length t.slots = 0 then t.slots <- Array.make (t.mask + 1) x;
+      t.slots.(tail land t.mask) <- x;
       Atomic.set t.tail (tail + 1);
       true
     end
 
-  let pop t =
+  (* Consumer side, on a ring known to be non-empty. *)
+  let take t =
     let head = Atomic.get t.head in
-    if Atomic.get t.tail = head then None
-    else begin
-      let i = head land t.mask in
-      let x = t.slots.(i) in
-      t.slots.(i) <- None;
-      Atomic.set t.head (head + 1);
-      x
-    end
+    let x = t.slots.(head land t.mask) in
+    Atomic.set t.head (head + 1);
+    x
+
+  let pop t = if is_empty t then None else Some (take t)
 end
 
-(* --- tasks and backpressure ------------------------------------------------- *)
-
-(* A ring entry: the closure plus its packet count, so drops and inline
-   replays can be accounted in packets as well as batches. *)
-type task = { run : unit -> unit; npkts : int }
+(* --- backpressure ----------------------------------------------------------- *)
 
 type backpressure =
   | Block  (** spin until there is room (checking worker liveness while spinning) *)
@@ -144,22 +142,44 @@ let default_drop_spins = 4096
 
 (* --- workers ---------------------------------------------------------------- *)
 
+(* A ring entry is an int token, not a closure: each run installs on every
+   worker an executor that reads its tokens — the end of a batch in the
+   worker's index lane, or an SCR log index — so a batch handoff allocates
+   nothing. *)
 type worker = {
   core : int;
-  ring : task Ring.t;
+  ring : int Ring.t;
   mutex : Mutex.t;
   cond : Condition.t;
   stop : bool Atomic.t;
+  parked : bool Atomic.t;  (* blocked on [cond]: the only time a push signals *)
   alive : bool Atomic.t;  (* cleared by the exception barrier on crash *)
   failed : bool Atomic.t;  (* permanent: restart budget exhausted *)
-  heartbeat : int Atomic.t;  (* batches completed; read by the producer *)
+  retired : int Atomic.t;
+      (* batches completed: the heartbeat the producer reads, and this
+         worker's own completion counter — no counter is shared between
+         workers *)
+  mutable pushed : int;  (* batches handed to [ring]; producer only *)
   batches_started : int Atomic.t;  (* monotonic attempt index for fault hooks *)
-  mutable in_flight : task option;
-      (* the batch being executed; left set on crash and replayed inline
-         by the producer.  Published by the release store to [alive]. *)
+  mutable exec : int -> unit;
+      (* runs one token of the current run.  Installed by the producer
+         only when nothing is in flight; the [tail] store of the next push
+         publishes it. *)
+  mutable in_flight : int;
+      (* the token being executed, or -1; left set on crash and replayed
+         inline by the producer.  Published by the release store to
+         [alive]. *)
+  mutable lane : int array;
+      (* indices of the packets dispatched to this core, position [k] at
+         [k land (length - 1)] *)
+  mutable lane_fill : int;  (* producer: positions filled *)
+  mutable lane_sent : int;  (* producer: positions handed over *)
+  mutable lane_done : int;  (* executor: positions executed *)
   mutable last_exn : string;
   mutable domain : unit Domain.t option;
 }
+
+let no_exec (_ : int) = ()
 
 type stats = {
   runs : int;  (** plans executed since the pool was created *)
@@ -231,32 +251,35 @@ type t = {
          and before the crashed batch is replayed inline. *)
 }
 
+let park w =
+  Mutex.lock w.mutex;
+  Atomic.set w.parked true;
+  while Ring.is_empty w.ring && not (Atomic.get w.stop) do
+    Condition.wait w.cond w.mutex
+  done;
+  Atomic.set w.parked false;
+  Mutex.unlock w.mutex
+
 let worker_loop w () =
   let rec go () =
-    match Ring.pop w.ring with
-    | Some task ->
-        w.in_flight <- Some task;
-        let b = Atomic.fetch_and_add w.batches_started 1 in
-        Faults.worker_batch ~core:w.core ~batch:b;
-        task.run ();
-        w.in_flight <- None;
-        Atomic.incr w.heartbeat;
-        go ()
-    | None ->
-        if not (Atomic.get w.stop) then begin
-          (* brief spin keeps latency low while a run is in flight... *)
-          let rec spin n = if n > 0 && Ring.is_empty w.ring then (Domain.cpu_relax (); spin (n - 1)) in
-          spin 64;
-          (* ...then block so an idle pool costs nothing between runs *)
-          if Ring.is_empty w.ring then begin
-            Mutex.lock w.mutex;
-            while Ring.is_empty w.ring && not (Atomic.get w.stop) do
-              Condition.wait w.cond w.mutex
-            done;
-            Mutex.unlock w.mutex
-          end;
-          go ()
-        end
+    if not (Ring.is_empty w.ring) then begin
+      let tok = Ring.take w.ring in
+      w.in_flight <- tok;
+      let b = Atomic.fetch_and_add w.batches_started 1 in
+      Faults.worker_batch ~core:w.core ~batch:b;
+      w.exec tok;
+      w.in_flight <- -1;
+      Atomic.incr w.retired;
+      go ()
+    end
+    else if not (Atomic.get w.stop) then begin
+      (* brief spin keeps latency low while a run is in flight... *)
+      let rec spin n = if n > 0 && Ring.is_empty w.ring then (Domain.cpu_relax (); spin (n - 1)) in
+      spin 64;
+      (* ...then park so an idle pool costs nothing between runs *)
+      if Ring.is_empty w.ring then park w;
+      go ()
+    end
   in
   (* The exception barrier: any exception — injected or real — marks the
      worker dead instead of silently killing the domain.  The [alive]
@@ -288,11 +311,18 @@ let create ?(batch_size = default_batch_size) ?(ring_capacity = default_ring_cap
           mutex = Mutex.create ();
           cond = Condition.create ();
           stop = Atomic.make false;
+          parked = Atomic.make false;
           alive = Atomic.make false;
           failed = Atomic.make false;
-          heartbeat = Atomic.make 0;
+          retired = Atomic.make 0;
+          pushed = 0;
           batches_started = Atomic.make 0;
-          in_flight = None;
+          exec = no_exec;
+          in_flight = -1;
+          lane = [||];
+          lane_fill = 0;
+          lane_sent = 0;
+          lane_done = 0;
           last_exn = "";
           domain = None;
         })
@@ -390,23 +420,24 @@ let stats t =
 
 (* --- supervision (producer side) -------------------------------------------- *)
 
-let run_inline t task =
+let run_inline t w tok =
   t.inline_batches <- t.inline_batches + 1;
   Telemetry.Counter.incr c_inline;
-  task.run ()
+  w.exec tok
+
+(* Complete, on the producer, a token that was pushed to [w] but that its
+   dead domain will not complete; retiring it keeps [w]'s completion count
+   equal to its pushes. *)
+let complete_inline t w tok =
+  run_inline t w tok;
+  Atomic.incr w.retired
 
 (* Drain a permanently failed worker's ring on the producer: the consumer
-   is gone, the batches are already accounted in [remaining], and FIFO
-   order preserves per-core arrival order. *)
+   is gone, and FIFO order preserves per-core arrival order. *)
 let drain_inline t w =
-  let rec go () =
-    match Ring.pop w.ring with
-    | Some task ->
-        run_inline t task;
-        go ()
-    | None -> ()
-  in
-  go ()
+  while not (Ring.is_empty w.ring) do
+    complete_inline t w (Ring.take w.ring)
+  done
 
 (* Bring [w] back to a usable state if its domain died.  Returns [`Ok]
    when the worker is (again) consuming its ring, [`Failed] when it is
@@ -423,7 +454,7 @@ let ensure_live t w =
         w.domain <- None
     | None -> ());
     let crashed = w.in_flight in
-    w.in_flight <- None;
+    w.in_flight <- -1;
     (* SCR: the dead core's replica may be stale (an injected crash fires
        before the batch mutates it); rebuild it from the retained digest
        stream BEFORE any inline replay touches it *)
@@ -433,7 +464,7 @@ let ensure_live t w =
         (* replay the crashed batch inline BEFORE respawning: re-queueing
            it would run it after later batches of this core and reorder
            the per-core packet stream *)
-        Option.iter (run_inline t) crashed;
+        if crashed >= 0 then complete_inline t w crashed;
         for _ = 1 to backoff do
           Domain.cpu_relax ()
         done;
@@ -441,146 +472,105 @@ let ensure_live t w =
         `Ok
     | `Give_up ->
         Atomic.set w.failed true;
-        Option.iter (run_inline t) crashed;
+        if crashed >= 0 then complete_inline t w crashed;
         drain_inline t w;
         `Failed
   end
 
-let signal w =
-  Mutex.lock w.mutex;
-  Condition.signal w.cond;
-  Mutex.unlock w.mutex
+(* Wake [w] if it is parked.  The worker sets [parked] before its last
+   emptiness check and the producer pushes before reading [parked]; both
+   are sequentially consistent atomics, so at least one of them sees the
+   other and no push goes unnoticed.  Taking the mutex orders the signal
+   after the worker's wait. *)
+let wake w =
+  if Atomic.get w.parked then begin
+    Mutex.lock w.mutex;
+    Condition.signal w.cond;
+    Mutex.unlock w.mutex
+  end
 
-(* Submit one task to [core], honoring the backpressure policy ([bp],
-   defaulting to the pool's own — SCR runs force [Block]: a dropped
-   digest batch would silently diverge a replica).  Returns how the task
-   was disposed of; [`Dropped] tasks never run. *)
-let submit ?bp t ~core task =
+(* The producer's answer to a full ring under policy [bp]: [true] once
+   [tok] is in the ring. *)
+let push_full t w bp tok =
+  t.stalls <- t.stalls + 1;
+  Telemetry.Counter.incr c_stalls;
+  match bp with
+  | Shed -> false
+  | Drop { max_spins } ->
+      let spins = ref 0 in
+      let ok = ref false in
+      while (not !ok) && !spins < max_spins do
+        Domain.cpu_relax ();
+        incr spins;
+        ok := Ring.try_push w.ring tok
+      done;
+      !ok
+  | Block ->
+      (* spin, but recheck liveness: a full ring with a dead consumer must
+         fail over, not livelock the producer *)
+      let ok = ref false in
+      let gone = ref false in
+      let spins = ref 0 in
+      while (not !ok) && not !gone do
+        Domain.cpu_relax ();
+        incr spins;
+        if !spins land 63 = 0 then begin
+          match ensure_live t w with
+          | `Failed -> gone := true
+          | `Ok -> ok := Ring.try_push w.ring tok
+        end
+        else ok := Ring.try_push w.ring tok
+      done;
+      !ok
+
+(* Hand token [tok], a batch of [npkts] packets, to [w], honoring the
+   backpressure policy ([bp], defaulting to the pool's own — SCR runs
+   force [Block]: a dropped digest batch would silently diverge a
+   replica).  Returns how the batch was disposed of; [`Dropped] batches
+   never run. *)
+let submit ?bp t w ~npkts tok =
   let bp = Option.value ~default:t.backpressure bp in
-  let w = t.workers.(core) in
   match ensure_live t w with
   | `Failed ->
-      run_inline t task;
+      run_inline t w tok;
       `Inline
-  | `Ok -> (
-      let note_stall stalled =
-        if not !stalled then begin
-          stalled := true;
-          t.stalls <- t.stalls + 1;
-          Telemetry.Counter.incr c_stalls
-        end
-      in
-      let pushed =
-        if Ring.try_push w.ring task then true
-        else begin
-          let stalled = ref false in
-          match bp with
-          | Shed ->
-              note_stall stalled;
-              false
-          | Drop { max_spins } ->
-              note_stall stalled;
-              let spins = ref 0 in
-              let ok = ref false in
-              while (not !ok) && !spins < max_spins do
-                Domain.cpu_relax ();
-                incr spins;
-                ok := Ring.try_push w.ring task
-              done;
-              !ok
-          | Block ->
-              (* spin, but recheck liveness: a full ring with a dead
-                 consumer must fail over, not livelock the producer *)
-              note_stall stalled;
-              let ok = ref false in
-              let gone = ref false in
-              let spins = ref 0 in
-              while (not !ok) && not !gone do
-                Domain.cpu_relax ();
-                incr spins;
-                if !spins land 63 = 0 then begin
-                  match ensure_live t w with
-                  | `Failed -> gone := true
-                  | `Ok -> ok := Ring.try_push w.ring task
-                end
-                else ok := Ring.try_push w.ring task
-              done;
-              !ok
-        end
-      in
+  | `Ok ->
+      let pushed = Ring.try_push w.ring tok || push_full t w bp tok in
       if pushed then begin
+        w.pushed <- w.pushed + 1;
         t.batches <- t.batches + 1;
         Telemetry.Counter.incr c_batches;
-        signal w;
+        wake w;
         `Pushed
       end
       else if Atomic.get w.failed then begin
         (* the blocking path failed over: the ring was drained inline,
-           so running this task inline keeps per-core order *)
-        run_inline t task;
+           so running this batch inline keeps per-core order *)
+        run_inline t w tok;
         `Inline
       end
       else begin
         t.dropped_batches <- t.dropped_batches + 1;
-        t.dropped_pkts <- t.dropped_pkts + task.npkts;
-        t.per_core_drops.(core) <- t.per_core_drops.(core) + 1;
+        t.dropped_pkts <- t.dropped_pkts + npkts;
+        t.per_core_drops.(w.core) <- t.per_core_drops.(w.core) + 1;
         Telemetry.Counter.incr c_dropped_batches;
-        Telemetry.Counter.add c_dropped_pkts task.npkts;
+        Telemetry.Counter.add c_dropped_pkts npkts;
         `Dropped
-      end)
+      end
 
-(* --- plan execution --------------------------------------------------------- *)
-
-(* Conservative static write classification, shared by the lock and TM
-   disciplines: OCaml has no transactional rollback, so a packet that *may*
-   write on any path takes the write lock up front.  The speculative
-   read→restart discipline is modeled deterministically in {!Parallel.run};
-   this runtime demonstrates race-free real-domain execution.  The
-   classification itself is {!Maestro.Scrspec}'s — the same walk that
-   derives the SCR write-slice. *)
-let nf_statically_writes = Maestro.Scrspec.nf_writes
-
-(* Chunk each core's index queue into batches and feed the rings;
-   [remaining] is incremented before each handoff and compensated on a
-   drop (a dropped task never runs, so nothing else will decrement for
-   it). *)
-let submit_queues t ~process_batch ~remaining queues =
-  Array.iteri
-    (fun core q ->
-      let n = Array.length q in
-      let nbatches = (n + t.batch_size - 1) / t.batch_size in
-      for b = 0 to nbatches - 1 do
-        let lo = b * t.batch_size in
-        let len = min t.batch_size (n - lo) in
-        Atomic.incr remaining;
-        match submit t ~core (process_batch core (Array.sub q lo len)) with
-        | `Pushed | `Inline -> ()
-        | `Dropped -> Atomic.decr remaining
-      done)
-    queues
-
-(* Per-core index queues, in arrival order, for [assignment.(lo..hi-1)]. *)
-let queues_of_assignment ~cores assignment ~lo ~hi =
-  let per = Array.make cores 0 in
-  for i = lo to hi - 1 do
-    per.(assignment.(i)) <- per.(assignment.(i)) + 1
-  done;
-  let queues = Array.init cores (fun c -> Array.make per.(c) 0) in
-  let fill = Array.make cores 0 in
-  for i = lo to hi - 1 do
-    let c = assignment.(i) in
-    queues.(c).(fill.(c)) <- i;
-    fill.(c) <- fill.(c) + 1
-  done;
-  queues
-
-(* Producer waits for the last batch; workers signal by decrementing.
-   Every 256 spins it plays supervisor: joins/restarts dead workers
-   (running their crashed batch and, on permanent failure, their whole
-   ring inline) and checks heartbeats of workers with queued work. *)
-let wait_quiesce t ~cores remaining =
+(* The producer waits until every batch handed over has retired.  Every
+   256 spins it plays supervisor: joins/restarts dead workers (running
+   their crashed batch and, on permanent failure, their whole ring
+   inline) and checks heartbeats of workers with queued work. *)
+let wait_quiesce t ~cores =
+  let rec busy c =
+    c < cores
+    &&
+    let w = t.workers.(c) in
+    Atomic.get w.retired <> w.pushed || busy (c + 1)
+  in
   let iters = ref 0 in
-  while Atomic.get remaining > 0 do
+  while busy 0 do
     incr iters;
     if !iters land 255 = 0 then begin
       Supervisor.tick t.supervisor;
@@ -591,11 +581,190 @@ let wait_quiesce t ~cores remaining =
         | `Ok ->
             ignore
               (Supervisor.note_heartbeat t.supervisor ~core
-                 ~heartbeat:(Atomic.get w.heartbeat) ~ring_len:(Ring.length w.ring))
+                 ~heartbeat:(Atomic.get w.retired) ~ring_len:(Ring.length w.ring))
       done
     end;
     Domain.cpu_relax ()
   done
+
+(* --- streamed dispatch ------------------------------------------------------ *)
+
+(* Conservative static write classification, shared by the lock and TM
+   disciplines: OCaml has no transactional rollback, so a packet that *may*
+   write on any path takes the write lock up front.  The speculative
+   read→restart discipline is modeled deterministically in {!Parallel.run};
+   this runtime demonstrates race-free real-domain execution.  The
+   classification itself is {!Maestro.Scrspec}'s — the same walk that
+   derives the SCR write-slice. *)
+let nf_statically_writes = Maestro.Scrspec.nf_writes
+
+(* Ready the plan cores' lanes for a run of [npkts] packets.  A lane only
+   holds positions that are being filled, queued or in flight — at most
+   ring-capacity + 2 batches, since the batch being filled and the one
+   executing sit outside the ring — and never more than the run's packets,
+   so a lane that long can wrap without overwriting a live position. *)
+let reset_lanes t ~cores ~npkts =
+  for c = 0 to cores - 1 do
+    let w = t.workers.(c) in
+    let need = max 1 (min npkts ((Ring.capacity w.ring + 2) * t.batch_size)) in
+    if Array.length w.lane < need then begin
+      let n = ref 1 in
+      while !n < need do
+        n := 2 * !n
+      done;
+      w.lane <- Array.make !n 0
+    end;
+    w.lane_fill <- 0;
+    w.lane_sent <- 0;
+    w.lane_done <- 0
+  done
+
+(* The executor of [w]'s lane: a token is the lane position its batch
+   ends at, and the batch starts where the previous one ended. *)
+let lane_exec w step upto =
+  let lane = w.lane in
+  let mask = Array.length lane - 1 in
+  for k = w.lane_done to upto - 1 do
+    step (Array.unsafe_get lane (k land mask))
+  done;
+  w.lane_done <- upto
+
+(* Hand [w]'s filled positions over as one batch.  A dropped batch never
+   runs, so its positions are filled again. *)
+let send t w =
+  let n = w.lane_fill - w.lane_sent in
+  if n > 0 then
+    match submit t w ~npkts:n w.lane_fill with
+    | `Pushed | `Inline -> w.lane_sent <- w.lane_fill
+    | `Dropped -> w.lane_fill <- w.lane_sent
+
+(* Dispatch packets [lo, hi) in arrival order, [core_of i] naming packet
+   [i]'s core.  A core's batch is handed over the moment it fills, so its
+   worker runs batch k while the producer is still hashing the packets of
+   batch k+1; partial batches go out at [hi].  Per core, the batches are
+   the same as cutting its whole packet sequence into [batch_size]
+   pieces. *)
+let stream t ~cores ~assignment ~per_core ~lo ~hi core_of =
+  for i = lo to hi - 1 do
+    let c = core_of i in
+    assignment.(i) <- c;
+    per_core.(c) <- per_core.(c) + 1;
+    let w = t.workers.(c) in
+    let n = w.lane_fill in
+    Array.unsafe_set w.lane (n land (Array.length w.lane - 1)) i;
+    w.lane_fill <- n + 1;
+    if n + 1 - w.lane_sent = t.batch_size then send t w
+  done;
+  for c = 0 to cores - 1 do
+    send t t.workers.(c)
+  done
+
+(* Per-packet steps of a core bound to runner [r]: bare, or under the
+   shared instance's reader-writer lock (the write lock when the NF may
+   write). *)
+let direct_step r ~verdicts ~pkts i = verdicts.(i) <- Dsl.Compile.run r pkts.(i)
+
+let unlock lock ~writes ~core =
+  if writes then Rwlock.write_unlock lock else Rwlock.read_unlock lock ~core
+
+let locked_step lock ~writes ~core r ~verdicts ~pkts i =
+  if writes then Rwlock.write_lock lock else Rwlock.read_lock lock ~core;
+  match Dsl.Compile.run r pkts.(i) with
+  | v ->
+      unlock lock ~writes ~core;
+      verdicts.(i) <- v
+  | exception e ->
+      unlock lock ~writes ~core;
+      raise e
+
+(* An SCR owner runs the whole NF over its batch.  The runner is looked up
+   per batch because a crash rebuild rebinds it. *)
+let run_range runners ~verdicts ~pkts core lo len =
+  let r = runners.(core) in
+  for i = lo to lo + len - 1 do
+    verdicts.(i) <- Dsl.Compile.run r pkts.(i)
+  done
+
+(* The digest log of an SCR stretch.  Batch [j] covers packets
+   [lo.(j), lo.(j) + len.(j)): core [owner.(j)] runs the NF on them and
+   every other live core replays [digest.(j)].  It is kept for the whole
+   stretch so that a respawned worker's replica can be rebuilt. *)
+type scr_log = {
+  mutable digest : int array array;
+  mutable lo : int array;
+  mutable len : int array;
+  mutable owner : int array;
+  mutable n : int;
+}
+
+let scr_log () =
+  {
+    digest = Array.make 64 [||];
+    lo = Array.make 64 0;
+    len = Array.make 64 0;
+    owner = Array.make 64 0;
+    n = 0;
+  }
+
+(* The log grows by copying, so a worker reading an older batch through
+   the old arrays still finds it. *)
+let scr_log_push log ~digest ~lo ~len ~owner =
+  if log.n = Array.length log.lo then begin
+    let grow a fill =
+      let b = Array.make (2 * log.n) fill in
+      Array.blit a 0 b 0 log.n;
+      b
+    in
+    log.digest <- grow log.digest [||];
+    log.lo <- grow log.lo 0;
+    log.len <- grow log.len 0;
+    log.owner <- grow log.owner 0
+  end;
+  let j = log.n in
+  log.digest.(j) <- digest;
+  log.lo.(j) <- lo;
+  log.len.(j) <- len;
+  log.owner.(j) <- owner;
+  log.n <- j + 1;
+  j
+
+(* The executor of an SCR core: token [j] is a log index; [applied]
+   counts the batches of the stretch the core has fully applied. *)
+let scr_exec log ~own ~replay ~applied core j =
+  if log.owner.(j) = core then own core log.lo.(j) log.len.(j)
+  else replay core log.digest.(j) log.len.(j);
+  applied.(core) <- applied.(core) + 1
+
+(* Dispatch packets [lo, hi) as SCR batches: ownership goes round-robin
+   over [lives] from [!rr]; each batch's digest is logged and its token
+   sent to every live core, losslessly. *)
+let scr_stream t prog log ~lives ~rr ~assignment ~per_core ~pkts ~lo ~hi =
+  let p = ref lo in
+  while !p < hi do
+    let blo = !p in
+    let len = min t.batch_size (hi - blo) in
+    let owner = lives.(!rr mod Array.length lives) in
+    incr rr;
+    Array.fill assignment blo len owner;
+    per_core.(owner) <- per_core.(owner) + len;
+    let digest = Scr.encode_batch prog pkts ~lo:blo ~len in
+    let j = scr_log_push log ~digest ~lo:blo ~len ~owner in
+    let bytes = len * Scr.digest_wire_bytes prog in
+    t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
+    Telemetry.Counter.add c_scr_digest_bytes bytes;
+    Array.iter
+      (fun core ->
+        if core <> owner then begin
+          t.scr_replays <- t.scr_replays + 1;
+          Telemetry.Counter.incr c_scr_replays
+        end;
+        (* a dropped digest batch would silently diverge a replica *)
+        ignore (submit ~bp:Block t t.workers.(core) ~npkts:len j))
+      lives;
+    p := blo + len
+  done
+
+(* --- plan execution --------------------------------------------------------- *)
 
 let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : Maestro.Plan.t)
     pkts =
@@ -624,11 +793,28 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
           Nic.Rss.with_reta e (Nic.Reta.remap (Nic.Rss.reta e) ~live)
         end)
   in
+  (* the engines share their hash functions with every [with_reta] copy *)
+  let hashes = Array.map Nic.Rss.hash engines in
+  let nports = Array.length engines in
   let npkts = Array.length pkts in
   let verdicts = Array.make npkts Dsl.Interp.Dropped in
-  let remaining = Atomic.make 0 in
+  (* a run that raised may have left batches in flight under its own
+     executors: let them finish before installing this run's *)
+  wait_quiesce t ~cores:t.cores;
+  reset_lanes t ~cores ~npkts;
+  let install exec =
+    for c = 0 to cores - 1 do
+      t.workers.(c).exec <- exec c
+    done
+  in
+  let lanes step = install (fun c -> lane_exec t.workers.(c) (step c)) in
+  let assignment = Array.make npkts 0 in
+  let per_core = Array.make cores 0 in
+  let lives () = Array.of_list (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id)) in
   let strategy = plan.Maestro.Plan.strategy in
-  let finish assignment points per_core =
+  let finish points =
+    (* idle workers keep no reference to this run's packets and state *)
+    install (fun _ -> no_exec);
     t.runs <- t.runs + 1;
     t.total_pkts <- t.total_pkts + npkts;
     t.last_per_core <- per_core;
@@ -668,7 +854,6 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       in
       set_table !table;
       let mask = size - 1 in
-      let nports = Array.length engines in
       let hash_pkt (pk : Packet.Pkt.t) =
         let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
         Nic.Rss.hash_of engines.(port) pk
@@ -708,30 +893,18 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       (* SCR support state, reset at every SCR entry: the pristine seeded
          replica and the digest log since entry, for crash rebuilds *)
       let snapshot = ref None in
-      let log = ref (Array.make 64 [||]) in
-      let log_npkts = ref (Array.make 64 0) in
-      let log_len = ref 0 in
+      let log = ref (scr_log ()) in
       let applied = Array.make cores 0 in
-      let push_log digest len =
-        if !log_len = Array.length !log then begin
-          let ncap = 2 * !log_len in
-          let nl = Array.make ncap [||] and nn = Array.make ncap 0 in
-          Array.blit !log 0 nl 0 !log_len;
-          Array.blit !log_npkts 0 nn 0 !log_len;
-          log := nl;
-          log_npkts := nn
-        end;
-        !log.(!log_len) <- digest;
-        !log_npkts.(!log_len) <- len;
-        incr log_len
-      in
       let first_live () =
         let rec go c = if c >= cores then 0 else if live.(c) then c else go (c + 1) in
         go 0
       in
-      (* (re)bind the execution frames for rung [r] over the current
-         [insts]; must run at a quiesce point (or, for one core, from the
-         crash hook after the dead domain was joined) *)
+      let replay core digest len =
+        match replayers.(core) with Some rp -> Scr.apply_batch rp digest ~npkts:len | None -> ()
+      in
+      (* (re)bind the execution frames and executors for rung [r] over the
+         current [insts]; must run at a quiesce point (or, for one core,
+         from the crash hook after the dead domain was joined) *)
       let enter r =
         Array.iteri (fun c inst -> runners.(c) <- Dsl.Compile.bind_runner staged inst) !insts;
         match r with
@@ -739,11 +912,15 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             let prog = Option.get scr_prog in
             Array.iteri (fun c inst -> replayers.(c) <- Some (Scr.bind prog inst)) !insts;
             snapshot := Some (Dsl.Instance.copy !insts.(first_live ()));
-            log_len := 0;
-            Array.fill applied 0 cores 0
-        | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial
-          ->
-            Array.fill replayers 0 cores None
+            log := scr_log ();
+            Array.fill applied 0 cores 0;
+            install (scr_exec !log ~own:(run_range runners ~verdicts ~pkts) ~replay ~applied)
+        | Maestro.Ladder.Lock_based ->
+            Array.fill replayers 0 cores None;
+            lanes (fun c -> locked_step lock ~writes ~core:c runners.(c) ~verdicts ~pkts)
+        | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Serial ->
+            Array.fill replayers 0 cores None;
+            lanes (fun c -> direct_step runners.(c) ~verdicts ~pkts)
       in
       let account (o : Balancer.outcome) =
         t.migrated_flows <- t.migrated_flows + o.Balancer.moved_flows;
@@ -806,46 +983,6 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
         | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial ->
             insts := Array.make cores (collapse from_r)
       in
-      let task_direct core lo len =
-        {
-          npkts = len;
-          run =
-            (fun () ->
-              let r = runners.(core) in
-              for i = lo to lo + len - 1 do
-                verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-              done;
-              Atomic.decr remaining);
-        }
-      in
-      let task_direct_ixs core indices =
-        {
-          npkts = Array.length indices;
-          run =
-            (fun () ->
-              let r = runners.(core) in
-              Array.iter (fun i -> verdicts.(i) <- Dsl.Compile.run r pkts.(i)) indices;
-              Atomic.decr remaining);
-        }
-      in
-      let task_locked core indices =
-        {
-          npkts = Array.length indices;
-          run =
-            (fun () ->
-              let r = runners.(core) in
-              Array.iter
-                (fun i ->
-                  if writes then
-                    Rwlock.with_write lock (fun () ->
-                        verdicts.(i) <- Dsl.Compile.run r pkts.(i))
-                  else
-                    Rwlock.with_read lock ~core (fun () ->
-                        verdicts.(i) <- Dsl.Compile.run r pkts.(i)))
-                indices;
-              Atomic.decr remaining);
-        }
-      in
       enter (Adaptive.rung ctl);
       t.scr_crash_hook <-
         Some
@@ -858,18 +995,28 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
               let base = match !snapshot with Some s -> s | None -> assert false in
               !insts.(core) <- Dsl.Instance.copy base;
               runners.(core) <- Dsl.Compile.bind_runner staged !insts.(core);
-              let prog = Option.get scr_prog in
-              replayers.(core) <- Some (Scr.bind prog !insts.(core));
-              let rp = Option.get replayers.(core) in
-              for b = 0 to applied.(core) - 1 do
-                Scr.apply_batch rp !log.(b) ~npkts:(!log_npkts).(b)
+              let rp = Scr.bind (Option.get scr_prog) !insts.(core) in
+              replayers.(core) <- Some rp;
+              let log = !log in
+              for j = 0 to applied.(core) - 1 do
+                Scr.apply_batch rp log.digest.(j) ~npkts:log.len.(j)
               done
             end)
       ;
       Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
       let rss_counts = Array.make cores 0 in
+      (* would-be RSS dispatch of packet [i], counted in EVERY rung: SCR's
+         round-robin spray and the serial funnel hide traffic skew from
+         the actual dispatch counts, but the controller must see the
+         imbalance the shared-nothing rung WOULD suffer *)
+      let rss_core i =
+        let pk = pkts.(i) in
+        let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
+        let h = hashes.(port) pk in
+        let q = if h < 0 then 0 else Nic.Reta.lookup !table h in
+        rss_counts.(q) <- rss_counts.(q) + 1;
+        q
+      in
       let points = ref [] in
       let rr = ref 0 in
       let pos = ref 0 in
@@ -879,108 +1026,23 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       while !pos < npkts do
         let lo = !pos in
         let hi = min (lo + acfg.Adaptive.epoch_pkts) npkts in
-        (* would-be RSS dispatch counts, computed in EVERY rung: SCR's
-           round-robin spray and the serial funnel hide traffic skew from
-           the actual dispatch counts, but the controller must see the
-           imbalance the shared-nothing rung WOULD suffer *)
         Array.fill rss_counts 0 cores 0;
-        for i = lo to hi - 1 do
-          let q =
-            match hash_pkt pkts.(i) with
-            | Some h -> Nic.Reta.lookup !table h
-            | None -> 0
-          in
-          rss_counts.(q) <- rss_counts.(q) + 1;
-          assignment.(i) <- q
-        done;
         (match Adaptive.rung ctl with
-        | Maestro.Ladder.Shared_nothing ->
-            for i = lo to hi - 1 do
-              per_core.(assignment.(i)) <- per_core.(assignment.(i)) + 1
-            done;
-            submit_queues t
-              ~process_batch:task_direct_ixs ~remaining
-              (queues_of_assignment ~cores assignment ~lo ~hi)
-        | Maestro.Ladder.Lock_based ->
-            for i = lo to hi - 1 do
-              per_core.(assignment.(i)) <- per_core.(assignment.(i)) + 1
-            done;
-            submit_queues t ~process_batch:task_locked ~remaining
-              (queues_of_assignment ~cores assignment ~lo ~hi)
+        | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based ->
+            stream t ~cores ~assignment ~per_core ~lo ~hi rss_core
         | Maestro.Ladder.Serial ->
             let core = first_live () in
-            Array.fill assignment lo (hi - lo) core;
-            per_core.(core) <- per_core.(core) + (hi - lo);
-            let p = ref lo in
-            while !p < hi do
-              let len = min t.batch_size (hi - !p) in
-              Atomic.incr remaining;
-              (match submit t ~core (task_direct core !p len) with
-              | `Pushed | `Inline -> ()
-              | `Dropped -> Atomic.decr remaining);
-              p := !p + len
-            done
+            stream t ~cores ~assignment ~per_core ~lo ~hi (fun i ->
+                ignore (rss_core i);
+                core)
         | Maestro.Ladder.Scr ->
-            let prog = Option.get scr_prog in
-            let lives =
-              Array.of_list
-                (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id))
-            in
-            let nlive = Array.length lives in
-            let p = ref lo in
-            while !p < hi do
-              let blo = !p in
-              let len = min t.batch_size (hi - blo) in
-              let owner = lives.(!rr mod nlive) in
-              incr rr;
-              Array.fill assignment blo len owner;
-              per_core.(owner) <- per_core.(owner) + len;
-              let digest = Scr.encode_batch prog pkts ~lo:blo ~len in
-              push_log digest len;
-              let bytes = len * Scr.digest_wire_bytes prog in
-              t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
-              Telemetry.Counter.add c_scr_digest_bytes bytes;
-              Array.iter
-                (fun core ->
-                  let task =
-                    if core = owner then
-                      {
-                        npkts = len;
-                        run =
-                          (fun () ->
-                            let r = runners.(core) in
-                            for i = blo to blo + len - 1 do
-                              verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-                            done;
-                            applied.(core) <- applied.(core) + 1;
-                            Atomic.decr remaining);
-                      }
-                    else begin
-                      t.scr_replays <- t.scr_replays + 1;
-                      Telemetry.Counter.incr c_scr_replays;
-                      {
-                        npkts = len;
-                        run =
-                          (fun () ->
-                            (match replayers.(core) with
-                            | Some rp -> Scr.apply_batch rp digest ~npkts:len
-                            | None -> ());
-                            applied.(core) <- applied.(core) + 1;
-                            Atomic.decr remaining);
-                      }
-                    end
-                  in
-                  Atomic.incr remaining;
-                  (* lossless backpressure: a dropped digest batch would
-                     silently diverge a replica *)
-                  match submit ~bp:Block t ~core task with
-                  | `Pushed | `Inline -> ()
-                  | `Dropped -> Atomic.decr remaining)
-                lives;
-              p := blo + len
-            done);
+            for i = lo to hi - 1 do
+              ignore (rss_core i)
+            done;
+            scr_stream t (Option.get scr_prog) !log ~lives:(lives ()) ~rr ~assignment ~per_core
+              ~pkts ~lo ~hi);
         (* the epoch barrier IS the quiesce point *)
-        wait_quiesce t ~cores remaining;
+        wait_quiesce t ~cores;
         pos := hi;
         (* join any dead domain NOW: crash recovery (inline replay, SCR
            replica rebuild) runs under the OLD rung before any switch is
@@ -1058,57 +1120,8 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       t.adaptive_flaps <- t.adaptive_flaps + Adaptive.flap_suppressed ctl;
       t.adaptive_switch_epochs <- Adaptive.switch_epochs ctl;
       t.adaptive_residency <- Adaptive.residency ctl;
-      finish assignment !points per_core
-  | Adaptive.Off ->
-  (* per-core state for shared-nothing (capacity-split), load-balance
-     (read-only replicas) and SCR (full replicas, state_divisor 1); one
-     shared locked instance otherwise.  The instance array is kept
-     visible so the balancer can migrate state between cores at a
-     quiesced epoch boundary. *)
-  let instances =
-    match strategy with
-    | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance | Maestro.Plan.Scr ->
-        Some
-          (Array.init cores (fun _ ->
-               Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf))
-    | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based -> None
-  in
-  let process_batch =
-    match instances with
-    | Some insts ->
-        let runners = Array.map (Dsl.Compile.bind_runner staged) insts in
-        fun core indices ->
-          let r = runners.(core) in
-          {
-            npkts = Array.length indices;
-            run =
-              (fun () ->
-                Array.iter (fun i -> verdicts.(i) <- Dsl.Compile.run r pkts.(i)) indices;
-                Atomic.decr remaining);
-          }
-    | None ->
-        let inst = Dsl.Instance.create nf in
-        let lock = Rwlock.create ~cores in
-        let writes = nf_statically_writes nf in
-        let runners = Array.init cores (fun _ -> Dsl.Compile.bind_runner staged inst) in
-        fun core indices ->
-          let r = runners.(core) in
-          {
-            npkts = Array.length indices;
-            run =
-              (fun () ->
-                Array.iter
-                  (fun i ->
-                    if writes then
-                      Rwlock.with_write lock (fun () ->
-                          verdicts.(i) <- Dsl.Compile.run r pkts.(i))
-                    else
-                      Rwlock.with_read lock ~core (fun () ->
-                          verdicts.(i) <- Dsl.Compile.run r pkts.(i)))
-                  indices;
-                Atomic.decr remaining);
-          }
-  in
+      finish !points
+  | Adaptive.Off -> (
   match strategy with
   | Maestro.Plan.Scr ->
       (* State-compute replication: every live core consumes the FULL
@@ -1121,7 +1134,6 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
          The digest stream is retained for the whole run so a respawned
          worker can rebuild its replica from scratch before rejoining
          (see [scr_crash_hook]). *)
-      let insts = match instances with Some i -> i | None -> assert false in
       let spec =
         match Maestro.Scrspec.admissible nf with
         | Ok spec -> spec
@@ -1129,23 +1141,21 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             invalid_arg
               (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e)
       in
+      let insts =
+        Array.init cores (fun _ ->
+            Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf)
+      in
       let prog = Scr.prepare spec in
       let runners = Array.map (Dsl.Compile.bind_runner staged) insts in
       let replayers = Array.map (Scr.bind prog) insts in
-      let lives =
-        Array.of_list
-          (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id))
-      in
-      let nlive = Array.length lives in
-      let nbatches = (npkts + t.batch_size - 1) / t.batch_size in
-      let log = Array.make (max 1 nbatches) [||] in
-      let log_npkts = Array.make (max 1 nbatches) 0 in
+      let log = scr_log () in
       (* batches of THIS run fully applied per core; written by whoever
-         executes the task (worker, or the producer inline), read by the
+         executes the batch (worker, or the producer inline), read by the
          producer only after joining the dead domain *)
       let applied = Array.make cores 0 in
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
+      install
+        (scr_exec log ~own:(run_range runners ~verdicts ~pkts) ~applied
+           ~replay:(fun core digest len -> Scr.apply_batch replayers.(core) digest ~npkts:len));
       t.scr_crash_hook <-
         Some
           (fun core ->
@@ -1158,196 +1168,168 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             Dsl.Instance.reset insts.(core) nf;
             runners.(core) <- Dsl.Compile.bind_runner staged insts.(core);
             replayers.(core) <- Scr.bind prog insts.(core);
-            for b = 0 to applied.(core) - 1 do
-              Scr.apply_batch replayers.(core) log.(b) ~npkts:log_npkts.(b)
+            for j = 0 to applied.(core) - 1 do
+              Scr.apply_batch replayers.(core) log.digest.(j) ~npkts:log.len.(j)
             done);
       Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      for b = 0 to nbatches - 1 do
-        let lo = b * t.batch_size in
-        let len = min t.batch_size (npkts - lo) in
-        let owner = lives.(b mod nlive) in
-        Array.fill assignment lo len owner;
-        per_core.(owner) <- per_core.(owner) + len;
-        let digest = Scr.encode_batch prog pkts ~lo ~len in
-        log.(b) <- digest;
-        log_npkts.(b) <- len;
-        let bytes = len * Scr.digest_wire_bytes prog in
-        t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
-        Telemetry.Counter.add c_scr_digest_bytes bytes;
-        Array.iter
-          (fun core ->
-            let task =
-              if core = owner then
-                {
-                  npkts = len;
-                  run =
-                    (fun () ->
-                      let r = runners.(core) in
-                      for i = lo to lo + len - 1 do
-                        verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-                      done;
-                      applied.(core) <- applied.(core) + 1;
-                      Atomic.decr remaining);
-                }
-              else begin
-                t.scr_replays <- t.scr_replays + 1;
-                Telemetry.Counter.incr c_scr_replays;
-                {
-                  npkts = len;
-                  run =
-                    (fun () ->
-                      Scr.apply_batch replayers.(core) digest ~npkts:len;
-                      applied.(core) <- applied.(core) + 1;
-                      Atomic.decr remaining);
-                }
-              end
-            in
-            Atomic.incr remaining;
-            (* a dropped digest batch would silently diverge a replica:
-               force lossless backpressure regardless of pool policy *)
-            match submit ~bp:Block t ~core task with
-            | `Pushed | `Inline -> ()
-            | `Dropped -> Atomic.decr remaining (* unreachable under Block *))
-          lives
-      done;
-      wait_quiesce t ~cores remaining;
-      finish assignment [] per_core
+      scr_stream t prog log ~lives:(lives ()) ~rr:(ref 0) ~assignment ~per_core ~pkts ~lo:0
+        ~hi:npkts;
+      wait_quiesce t ~cores;
+      finish []
   | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance | Maestro.Plan.Lock_based
   | Maestro.Plan.Tm_based -> (
-  match rebalance with
-  | Balancer.Off ->
-      (* dispatch on the producer, exactly what the NIC does in hardware *)
-      let assignment =
-        Array.map (fun p -> Nic.Rss.dispatch engines.(p.Packet.Pkt.port) p) pkts
-      in
-      let per_core = Array.make cores 0 in
-      Array.iter (fun c -> per_core.(c) <- per_core.(c) + 1) assignment;
-      submit_queues t ~process_batch ~remaining
-        (queues_of_assignment ~cores assignment ~lo:0 ~hi:npkts);
-      wait_quiesce t ~cores remaining;
-      finish assignment [] per_core
-  | Balancer.On cfg ->
-      let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
-      if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
-        invalid_arg "Pool.run: rebalancing requires equal-size port indirection tables";
-      (* ONE table shared by all ports: Maestro's symmetric per-port keys
-         give both directions of a flow the same hash, hence the same
-         bucket on every port, so a single rebalanced table keeps each
-         flow on exactly one core no matter the arrival port *)
-      let table = ref (Nic.Rss.reta engines.(0)) in
-      let set_table tab =
-        table := tab;
-        Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
-      in
-      set_table !table;
-      let mask = size - 1 in
-      let mplan = Balancer.migration_plan nf in
-      (* voluntary bucket moves need either no per-core flow state
-         (lock/TM share one instance, load-balance replicates read-only
-         state) or an exact migration; a partially-migratable
-         shared-nothing NF only moves buckets when a core write-off
-         forces it (state is then stranded exactly as in a plain remap) *)
-      let migrate_ok = strategy = Maestro.Plan.Shared_nothing && Balancer.exact mplan in
-      let voluntary_ok =
+      (* per-core state for shared-nothing (capacity-split) and
+         load-balance (read-only replicas); one shared locked instance
+         otherwise.  The instance array is kept visible so the balancer
+         can migrate state between cores at a quiesced epoch boundary. *)
+      let instances =
         match strategy with
-        | Maestro.Plan.Shared_nothing -> Balancer.exact mplan
-        | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based | Maestro.Plan.Load_balance -> true
-        | Maestro.Plan.Scr -> false (* SCR never reaches here: round-robin spray *)
+        | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based ->
+            let inst = Dsl.Instance.create nf in
+            let lock = Rwlock.create ~cores in
+            let writes = nf_statically_writes nf in
+            lanes (fun c ->
+                locked_step lock ~writes ~core:c (Dsl.Compile.bind_runner staged inst) ~verdicts
+                  ~pkts);
+            None
+        | _ ->
+            let insts =
+              Array.init cores (fun _ ->
+                  Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf)
+            in
+            lanes (fun c -> direct_step (Dsl.Compile.bind_runner staged insts.(c)) ~verdicts ~pkts);
+            Some insts
       in
-      let nports = Array.length engines in
-      let hash_pkt (pk : Packet.Pkt.t) =
-        let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-        Nic.Rss.hash_of engines.(port) pk
-      in
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
-      let bucket_loads = Array.make size 0.0 in
-      let epoch_counts = Array.make cores 0 in
-      let points = ref [] in
-      let pos = ref 0 in
-      while !pos < npkts do
-        let hi = min (!pos + cfg.Balancer.epoch_pkts) npkts in
-        (* per-bucket load accounting lives on the producer next to the
-           dispatch it already performs — zero worker-side cost, and
-           deterministic (a CI gate compares the resulting counters) *)
-        for i = !pos to hi - 1 do
-          let p = pkts.(i) in
-          let q =
-            match Nic.Rss.hash_of engines.(p.Packet.Pkt.port) p with
-            | Some h ->
+      match rebalance with
+      | Balancer.Off ->
+          (* dispatch on the producer, exactly what the NIC does in hardware *)
+          let retas = Array.map Nic.Rss.reta engines in
+          stream t ~cores ~assignment ~per_core ~lo:0 ~hi:npkts (fun i ->
+              let p = pkts.(i) in
+              let port = p.Packet.Pkt.port in
+              let h = hashes.(port) p in
+              if h < 0 then 0 else Nic.Reta.lookup retas.(port) h);
+          wait_quiesce t ~cores;
+          finish []
+      | Balancer.On cfg ->
+          let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
+          if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
+            invalid_arg "Pool.run: rebalancing requires equal-size port indirection tables";
+          (* ONE table shared by all ports: Maestro's symmetric per-port keys
+             give both directions of a flow the same hash, hence the same
+             bucket on every port, so a single rebalanced table keeps each
+             flow on exactly one core no matter the arrival port *)
+          let table = ref (Nic.Rss.reta engines.(0)) in
+          let set_table tab =
+            table := tab;
+            Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
+          in
+          set_table !table;
+          let mask = size - 1 in
+          let mplan = Balancer.migration_plan nf in
+          (* voluntary bucket moves need either no per-core flow state
+             (lock/TM share one instance, load-balance replicates read-only
+             state) or an exact migration; a partially-migratable
+             shared-nothing NF only moves buckets when a core write-off
+             forces it (state is then stranded exactly as in a plain remap) *)
+          let migrate_ok = strategy = Maestro.Plan.Shared_nothing && Balancer.exact mplan in
+          let voluntary_ok =
+            match strategy with
+            | Maestro.Plan.Shared_nothing -> Balancer.exact mplan
+            | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based | Maestro.Plan.Load_balance -> true
+            | Maestro.Plan.Scr -> false (* SCR never reaches here: round-robin spray *)
+          in
+          let hash_pkt (pk : Packet.Pkt.t) =
+            let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
+            Nic.Rss.hash_of engines.(port) pk
+          in
+          let bucket_loads = Array.make size 0.0 in
+          let epoch_counts = Array.make cores 0 in
+          (* per-bucket load accounting lives on the producer next to the
+             dispatch it already performs — zero worker-side cost, and
+             deterministic (a CI gate compares the resulting counters) *)
+          let core_of i =
+            let p = pkts.(i) in
+            let h = hashes.(p.Packet.Pkt.port) p in
+            let q =
+              if h < 0 then 0
+              else begin
                 let b = h land mask in
                 bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
                 Nic.Reta.lookup !table h
-            | None -> 0
+              end
+            in
+            epoch_counts.(q) <- epoch_counts.(q) + 1;
+            q
           in
-          assignment.(i) <- q;
-          epoch_counts.(q) <- epoch_counts.(q) + 1;
-          per_core.(q) <- per_core.(q) + 1
-        done;
-        submit_queues t ~process_batch ~remaining
-          (queues_of_assignment ~cores assignment ~lo:!pos ~hi);
-        (* the epoch barrier IS the quiesce point: nothing is in flight
-           when the table changes or state moves, so per-flow order is
-           preserved by construction (FIFO per core within an epoch) *)
-        wait_quiesce t ~cores remaining;
-        pos := hi;
-        if !pos < npkts then begin
-          (* supervisor integration: join any dead domain NOW, so a
-             rebalance can never race a restart, and treat a fresh
-             write-off as a forced rebalance *)
-          let newly_dead = ref false in
-          for core = 0 to cores - 1 do
-            match ensure_live t t.workers.(core) with
-            | `Failed ->
-                if live.(core) then begin
-                  live.(core) <- false;
-                  newly_dead := true
-                end
-            | `Ok -> ()
+          let points = ref [] in
+          let pos = ref 0 in
+          while !pos < npkts do
+            let hi = min (!pos + cfg.Balancer.epoch_pkts) npkts in
+            stream t ~cores ~assignment ~per_core ~lo:!pos ~hi core_of;
+            (* the epoch barrier IS the quiesce point: nothing is in flight
+               when the table changes or state moves, so per-flow order is
+               preserved by construction (FIFO per core within an epoch) *)
+            wait_quiesce t ~cores;
+            pos := hi;
+            if !pos < npkts then begin
+              (* supervisor integration: join any dead domain NOW, so a
+                 rebalance can never race a restart, and treat a fresh
+                 write-off as a forced rebalance *)
+              let newly_dead = ref false in
+              for core = 0 to cores - 1 do
+                match ensure_live t t.workers.(core) with
+                | `Failed ->
+                    if live.(core) then begin
+                      live.(core) <- false;
+                      newly_dead := true
+                    end
+                | `Ok -> ()
+              done;
+              let wanted =
+                voluntary_ok && Rebalance.imbalance_of epoch_counts > cfg.Balancer.threshold
+              in
+              if !newly_dead || wanted then begin
+                let candidate =
+                  if wanted then Nic.Reta.rebalance !table ~bucket_load:bucket_loads else !table
+                in
+                let candidate =
+                  if Array.for_all Fun.id live then candidate
+                  else Nic.Reta.remap candidate ~live
+                in
+                let moves = Nic.Reta.diff !table candidate in
+                if moves <> [] then
+                  Telemetry.Span.with_span "pool/rebalance" (fun () ->
+                      (match (instances, migrate_ok) with
+                      | Some insts, true ->
+                          let dentries = Nic.Reta.entries candidate in
+                          let outcome =
+                            Balancer.migrate mplan ~hash:hash_pkt ~mask
+                              ~dest:(fun b -> dentries.(b))
+                              ~instances:insts
+                          in
+                          t.migrated_flows <- t.migrated_flows + outcome.Balancer.moved_flows;
+                          t.migration_drops <- t.migration_drops + outcome.Balancer.dropped_flows;
+                          Telemetry.Counter.add c_moved_flows outcome.Balancer.moved_flows;
+                          Telemetry.Counter.add c_migration_drops outcome.Balancer.dropped_flows
+                      | _ -> ());
+                      set_table candidate;
+                      t.rebalances <- t.rebalances + 1;
+                      Telemetry.Counter.incr c_rebalances;
+                      if !newly_dead then begin
+                        t.forced_rebalances <- t.forced_rebalances + 1;
+                        Telemetry.Counter.incr c_rebalances_forced
+                      end;
+                      t.migrated_buckets <- t.migrated_buckets + List.length moves;
+                      Telemetry.Counter.add c_moved_buckets (List.length moves);
+                      points := !pos :: !points)
+              end;
+              Array.fill bucket_loads 0 size 0.0;
+              Array.fill epoch_counts 0 cores 0
+            end
           done;
-          let wanted =
-            voluntary_ok && Rebalance.imbalance_of epoch_counts > cfg.Balancer.threshold
-          in
-          if !newly_dead || wanted then begin
-            let candidate =
-              if wanted then Nic.Reta.rebalance !table ~bucket_load:bucket_loads else !table
-            in
-            let candidate =
-              if Array.for_all Fun.id live then candidate
-              else Nic.Reta.remap candidate ~live
-            in
-            let moves = Nic.Reta.diff !table candidate in
-            if moves <> [] then
-              Telemetry.Span.with_span "pool/rebalance" (fun () ->
-                  (match (instances, migrate_ok) with
-                  | Some insts, true ->
-                      let dentries = Nic.Reta.entries candidate in
-                      let outcome =
-                        Balancer.migrate mplan ~hash:hash_pkt ~mask
-                          ~dest:(fun b -> dentries.(b))
-                          ~instances:insts
-                      in
-                      t.migrated_flows <- t.migrated_flows + outcome.Balancer.moved_flows;
-                      t.migration_drops <- t.migration_drops + outcome.Balancer.dropped_flows;
-                      Telemetry.Counter.add c_moved_flows outcome.Balancer.moved_flows;
-                      Telemetry.Counter.add c_migration_drops outcome.Balancer.dropped_flows
-                  | _ -> ());
-                  set_table candidate;
-                  t.rebalances <- t.rebalances + 1;
-                  Telemetry.Counter.incr c_rebalances;
-                  if !newly_dead then begin
-                    t.forced_rebalances <- t.forced_rebalances + 1;
-                    Telemetry.Counter.incr c_rebalances_forced
-                  end;
-                  t.migrated_buckets <- t.migrated_buckets + List.length moves;
-                  Telemetry.Counter.add c_moved_buckets (List.length moves);
-                  points := !pos :: !points)
-          end;
-          Array.fill bucket_loads 0 size 0.0;
-          Array.fill epoch_counts 0 cores 0
-        end
-      done;
-      finish assignment !points per_core)
+          finish !points))
+
 
 (* --- the process-global pool ------------------------------------------------- *)
 

@@ -6,7 +6,23 @@
     them batches (default {!default_batch_size} packets, mirroring DPDK
     burst mode) through single-producer single-consumer rings, so
     repeated runs cost only enqueue/dequeue.  Idle workers block on a
-    condition variable — an idle pool burns no CPU.
+    condition variable — an idle pool burns no CPU — and the producer
+    signals a worker only when it is blocked.
+
+    {2 Streamed dispatch}
+
+    The producer (the domain calling {!run}) hashes each packet in arrival
+    order with the engine's software RSS ({!Nic.Rss.hash}) and appends the
+    packet's index to its core's {e lane}.  A core's batch is handed over
+    the moment it fills, so its worker runs batch k while the producer is
+    still hashing the packets of batch k+1, instead of waiting for the
+    whole trace to be dispatched.  Per core, the batches are those of
+    cutting the core's packet sequence into [batch_size] pieces.  Ring
+    entries are int tokens — a position in the lane, or an SCR log index —
+    read by an executor each run installs on its workers, so handing a
+    batch over allocates nothing; each worker counts the batches it
+    completes, and a run is quiesced when every worker's count has caught
+    up with its pushes.
 
     {2 Fault tolerance}
 
@@ -64,7 +80,9 @@ val default_batch_size : int
 
 (** Bounded single-producer single-consumer ring (lock-free; the
     producer's behavior on a full ring is the pool's backpressure
-    policy, and {!stats} counts the stall). *)
+    policy, and {!stats} counts the stall).  Slots hold the values
+    themselves, so a push allocates nothing; a popped slot keeps its value
+    until a later push overwrites it. *)
 module Ring : sig
   type 'a t
 

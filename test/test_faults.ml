@@ -110,27 +110,34 @@ let test_crash_restart_preserves_equivalence () =
   let trace = mixed_trace 71 1500 150 in
   let seq = Runtime.Parallel.run_sequential nf trace in
   let plan = plan_of ~cores:4 "fw" in
-  with_fault_plan "crash@1:2" @@ fun () ->
-  Telemetry.reset ();
-  Telemetry.enable ();
-  with_pool ~cores:4 @@ fun pool ->
-  let v = Runtime.Pool.run pool plan trace in
-  Telemetry.disable ();
-  let snap = Telemetry.snapshot () in
-  (* the crashed batch was replayed inline before the respawn, so the
-     per-core packet order — and therefore every verdict — is intact *)
-  Alcotest.(check bool) "verdicts == sequential across the crash" true (verdicts_equal seq v);
-  let s = Runtime.Pool.stats pool in
-  Alcotest.(check int) "one restart" 1 s.Runtime.Pool.restarts;
-  Alcotest.(check (list int)) "no permanent failure" [] s.Runtime.Pool.failed_cores;
-  Alcotest.(check bool) "crashed batch ran inline" true (s.Runtime.Pool.inline_batches >= 1);
-  Alcotest.(check bool) "restart event recorded" true
-    (List.exists
-       (function Runtime.Supervisor.Restarted { core = 1; _ } -> true | _ -> false)
-       (Runtime.Supervisor.events (Runtime.Pool.supervisor pool)));
-  Alcotest.(check bool) "injection counted" true (counter_value snap "faults.injected_crashes" >= 1);
-  Alcotest.(check bool) "crash counted" true (counter_value snap "pool.worker_crashes" >= 1);
-  Alcotest.(check bool) "restart counted" true (counter_value snap "supervisor.restarts" >= 1)
+  let check (ring_capacity, batch_size) =
+    with_fault_plan "crash@1:2" @@ fun () ->
+    Telemetry.reset ();
+    Telemetry.enable ();
+    with_pool ?ring_capacity ?batch_size ~cores:4 @@ fun pool ->
+    let v = Runtime.Pool.run pool plan trace in
+    Telemetry.disable ();
+    let snap = Telemetry.snapshot () in
+    (* the crashed batch was replayed inline before the respawn, so the
+       per-core packet order — and therefore every verdict — is intact *)
+    Alcotest.(check bool) "verdicts == sequential across the crash" true (verdicts_equal seq v);
+    let s = Runtime.Pool.stats pool in
+    Alcotest.(check int) "one restart" 1 s.Runtime.Pool.restarts;
+    Alcotest.(check (list int)) "no permanent failure" [] s.Runtime.Pool.failed_cores;
+    Alcotest.(check bool) "crashed batch ran inline" true (s.Runtime.Pool.inline_batches >= 1);
+    Alcotest.(check bool) "restart event recorded" true
+      (List.exists
+         (function Runtime.Supervisor.Restarted { core = 1; _ } -> true | _ -> false)
+         (Runtime.Supervisor.events (Runtime.Pool.supervisor pool)));
+    Alcotest.(check bool) "injection counted" true
+      (counter_value snap "faults.injected_crashes" >= 1);
+    Alcotest.(check bool) "crash counted" true (counter_value snap "pool.worker_crashes" >= 1);
+    Alcotest.(check bool) "restart counted" true (counter_value snap "supervisor.restarts" >= 1)
+  in
+  (* also on a two-slot ring with 4-packet batches: the producer keeps
+     filling the crashed core's lane up to the ring's bound while the dead
+     worker's batch waits to be replayed *)
+  List.iter check [ (None, None); (Some 2, Some 4) ]
 
 let test_repeated_crashes_exhaust_restart_budget () =
   let trace = mixed_trace 72 1200 120 in
@@ -227,6 +234,28 @@ let test_stalled_consumer_terminates () =
             (name ^ ": drop packets accounted")
             true
             (s.Runtime.Pool.dropped_pkts >= s.Runtime.Pool.dropped_batches))
+    backpressure_cases
+
+(* Under drop and shed, a dropped batch never runs: on nop, which forwards
+   everything it sees, the Dropped verdicts are exactly the dropped
+   packets. *)
+let test_dropped_batches_never_run () =
+  let trace = mixed_trace 78 800 100 in
+  let plan = plan_of ~cores:2 "nop" in
+  List.iter
+    (fun (name, bp) ->
+      if bp <> Runtime.Pool.Block then begin
+        with_fault_plan "stall@1:0:2000000" @@ fun () ->
+        with_pool ~cores:2 ~ring_capacity:2 ~batch_size:8 ~backpressure:bp @@ fun pool ->
+        let v = Runtime.Pool.run pool plan trace in
+        let s = Runtime.Pool.stats pool in
+        let dropped =
+          Array.fold_left (fun n a -> if a = Dsl.Interp.Dropped then n + 1 else n) 0 v
+        in
+        Alcotest.(check bool) (name ^ ": something dropped") true (s.Runtime.Pool.dropped_pkts > 0);
+        Alcotest.(check int) (name ^ ": dropped verdicts = dropped packets")
+          s.Runtime.Pool.dropped_pkts dropped
+      end)
     backpressure_cases
 
 let test_dead_consumer_terminates () =
@@ -346,6 +375,7 @@ let suite =
     Alcotest.test_case "failed core's buckets migrate" `Quick test_failed_core_buckets_migrate;
     Alcotest.test_case "stalled consumer terminates (3 policies)" `Quick
       test_stalled_consumer_terminates;
+    Alcotest.test_case "dropped batches never run" `Quick test_dropped_batches_never_run;
     Alcotest.test_case "dead consumer terminates (3 policies)" `Quick
       test_dead_consumer_terminates;
     Alcotest.test_case "stuck worker detected" `Quick test_stuck_worker_detected;

@@ -261,7 +261,14 @@ let test_compiled_rejects_oversized_input () =
     (try
        ignore (Toeplitz.Key.compile (Bitvec.create 16));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* the piece-wise path checks widths before its unchecked table reads *)
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let pieces widths get () = Toeplitz.Key.hash_pieces ck ~widths get 7 in
+  Alcotest.(check bool) "pieces within the key" false
+    (raises (pieces [| 2; 2 |] [| Fun.id; Fun.id |]));
+  Alcotest.(check bool) "pieces past the key" true (raises (pieces [| 4; 1 |] [| Fun.id; Fun.id |]));
+  Alcotest.(check bool) "one reader per piece" true (raises (pieces [| 1; 1 |] [| Fun.id |]))
 
 (* ... and on ≥1000 random (key, input) pairs across every supported
    field-set width, byte-aligned and ragged (sliced prefix sets). *)
@@ -286,26 +293,64 @@ let test_compiled_equals_oracle_randomized () =
   done;
   Alcotest.(check bool) ">= 1000 pairs" true (!checked >= 1000)
 
+(* The compiled hash agrees with the bit-by-bit reference on every kind of
+   field set — whole fields, byte-multiple slices (1-, 2- and 3-byte
+   pieces), ragged slices (Bitvec path) and inner headers — returns -1
+   exactly when no set matches, and allocates nothing per packet. *)
 let test_rss_compiled_and_reference_dispatch_agree () =
   let rng = Random.State.make [| 0xd15 |] in
   let key = Rss.random_key rng Model.E810 in
-  let fast = Rss.configure ~compiled:true ~key ~sets:[ Field_set.ipv4_tcp; Field_set.ipv4 ] ~queues:8 () in
-  let slow = Rss.configure ~compiled:false ~key ~sets:[ Field_set.ipv4_tcp; Field_set.ipv4 ] ~queues:8 () in
-  Alcotest.(check bool) "fast path on" true (Rss.uses_compiled fast);
-  Alcotest.(check bool) "reference path on" false (Rss.uses_compiled slow);
-  for _ = 1 to 500 do
-    let p =
-      Pkt.make
-        ~proto:(if Random.State.bool rng then Pkt.Tcp else Pkt.Other 1)
-        ~ip_src:(Random.State.int rng 0x3fffffff)
-        ~ip_dst:(Random.State.int rng 0x3fffffff)
-        ~src_port:(Random.State.int rng 0x10000)
-        ~dst_port:(Random.State.int rng 0x10000)
-        ()
-    in
-    Alcotest.(check (option int)) "hash agrees" (Rss.hash_of slow p) (Rss.hash_of fast p);
-    Alcotest.(check int) "dispatch agrees" (Rss.dispatch slow p) (Rss.dispatch fast p)
-  done
+  let set_lists =
+    [
+      [ Field_set.ipv4_tcp; Field_set.ipv4 ];
+      [ Field_set.make_sliced [ (Field.Ip_src, 24); (Field.Ip_dst, 8); (Field.Dst_port, 16) ] ];
+      [ Field_set.make_sliced [ (Field.Ip_src, 20); (Field.Ip_dst, 12) ] ];
+      [ Field_set.inner_ipv4_tcp ];
+    ]
+  in
+  List.iter
+    (fun sets ->
+      let fast = Rss.configure ~compiled:true ~key ~sets ~queues:8 () in
+      let slow = Rss.configure ~compiled:false ~key ~sets ~queues:8 () in
+      Alcotest.(check bool) "fast path on" true (Rss.uses_compiled fast);
+      Alcotest.(check bool) "reference path on" false (Rss.uses_compiled slow);
+      let plain =
+        Array.init 300 (fun _ ->
+            Pkt.make
+              ~proto:(if Random.State.bool rng then Pkt.Tcp else Pkt.Other 1)
+              ~ip_src:(Random.State.int rng 0x3fffffff)
+              ~ip_dst:(Random.State.int rng 0x3fffffff)
+              ~src_port:(Random.State.int rng 0x10000)
+              ~dst_port:(Random.State.int rng 0x10000)
+              ())
+      in
+      let pkts =
+        Array.concat
+          [
+            plain;
+            Traffic.Gen.encapsulate Pkt.Vxlan (Array.sub plain 0 100);
+            Traffic.Gen.encapsulate Pkt.Gre (Array.sub plain 100 100);
+          ]
+      in
+      Array.iter
+        (fun p ->
+          Alcotest.(check int) "hash agrees" (Rss.hash slow p) (Rss.hash fast p);
+          Alcotest.(check (option int)) "hash_of agrees" (Rss.hash_of slow p) (Rss.hash_of fast p);
+          Alcotest.(check bool) "-1 iff no set matches"
+            (List.exists (fun s -> Field_set.matches s p) sets)
+            (Rss.hash fast p >= 0);
+          Alcotest.(check int) "dispatch agrees" (Rss.dispatch slow p) (Rss.dispatch fast p))
+        pkts;
+      if List.for_all (fun s -> Field_set.field_plan s <> None) sets then begin
+        let w0 = Gc.minor_words () in
+        let acc = ref 0 in
+        Array.iter (fun p -> acc := !acc lxor Rss.hash fast p) pkts;
+        let words = Gc.minor_words () -. w0 in
+        ignore (Sys.opaque_identity !acc);
+        (* the loop's own closure and counters cost a few words in all *)
+        Alcotest.(check bool) "no allocation per hash" true (words < 50.0)
+      end)
+    set_lists
 
 (* --- properties --------------------------------------------------------- *)
 

@@ -214,7 +214,15 @@ let test_pool_ring () =
     | None -> List.rev acc
   in
   Alcotest.(check (list int)) "fifo across wrap" [ 3; 4; 5; 6 ] (drain []);
-  Alcotest.(check bool) "drained empty" true (Runtime.Pool.Ring.is_empty r)
+  Alcotest.(check bool) "drained empty" true (Runtime.Pool.Ring.is_empty r);
+  (* slots hold the values themselves: pushes box nothing *)
+  let big = Runtime.Pool.Ring.create ~capacity:1024 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 999 do
+    ignore (Runtime.Pool.Ring.try_push big i : bool)
+  done;
+  Alcotest.(check bool) "pushes allocate nothing" true (Gc.minor_words () -. w0 < 10.0);
+  Alcotest.(check (option int)) "pushed values kept" (Some 0) (Runtime.Pool.Ring.pop big)
 
 let test_pool_ring_spsc_stress () =
   let r = Runtime.Pool.Ring.create ~capacity:8 in
@@ -296,19 +304,67 @@ let test_pool_tm_equivalence () =
 
 let test_pool_batch_sizes () =
   (* batch size must not change behavior: 1 (degenerate), 32 (default),
-     7 (odd, exercises the ragged final batch) *)
+     7 (odd, exercises the ragged final batch).  Under a one-slot ring the
+     producer stalls mid-stream and the index lanes wrap many times per
+     run.  Streaming cuts each core's packets into the same batches as
+     chunking its whole queue would: ceil(n / batch) per core. *)
   let nf = Nfs.Registry.find_exn "policer" in
   let trace = mixed_trace 44 900 120 in
   let plan = plan_of ~cores:3 "policer" in
   let seq = Runtime.Parallel.run_sequential nf trace in
   List.iter
-    (fun bs ->
-      let pool = Runtime.Pool.create ~batch_size:bs ~cores:3 () in
+    (fun (bs, ring_capacity) ->
+      let pool = Runtime.Pool.create ~batch_size:bs ~ring_capacity ~cores:3 () in
       Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
       let v = Runtime.Pool.run pool plan trace in
-      Alcotest.(check bool) (Printf.sprintf "batch=%d == sequential" bs) true
-        (verdicts_equal seq v))
-    [ 1; 32; 7 ]
+      let name = Printf.sprintf "batch=%d ring=%d" bs ring_capacity in
+      Alcotest.(check bool) (name ^ " == sequential") true (verdicts_equal seq v);
+      let s = Runtime.Pool.stats pool in
+      let batches n = (n + bs - 1) / bs in
+      Alcotest.(check int) (name ^ ": per-core batches")
+        (Array.fold_left (fun acc n -> acc + batches n) 0 s.Runtime.Pool.last_per_core_pkts)
+        s.Runtime.Pool.batches)
+    [ (1, 1024); (32, 1024); (7, 1024); (7, 1); (32, 1) ]
+
+(* Lanes are sized per run and reused across runs: a long run on a
+   one-slot ring (lanes wrap), a short one, a long one again, on both
+   lane executors (bare shared-nothing and the lock discipline). *)
+let test_pool_lanes_across_runs () =
+  List.iter
+    (fun (name, strategy) ->
+      let nf = Nfs.Registry.find_exn name in
+      let plan = plan_of ~cores:3 ?strategy name in
+      let pool = Runtime.Pool.create ~batch_size:4 ~ring_capacity:1 ~cores:3 () in
+      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+      List.iter
+        (fun (seed, npkts) ->
+          let trace = mixed_trace seed npkts 80 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %d pkts == sequential" name npkts)
+            true
+            (verdicts_equal (Runtime.Parallel.run_sequential nf trace)
+               (Runtime.Pool.run pool plan trace)))
+        [ (47, 2000); (48, 37); (49, 1500) ])
+    [ ("fw", None); ("sbridge", Some `Force_locks) ]
+
+(* The producer hashes and enqueues without allocating: what it allocates
+   on the minor heap per run does not grow with the trace. *)
+let test_pool_producer_allocation () =
+  let plan = plan_of ~cores:1 "nop" in
+  let pool = Runtime.Pool.create ~cores:1 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let words n =
+    let trace = mixed_trace 50 n 500 in
+    ignore (Runtime.Pool.run pool plan trace);
+    let w0 = Gc.minor_words () in
+    ignore (Runtime.Pool.run pool plan trace);
+    Gc.minor_words () -. w0
+  in
+  let small = words 2_000 and large = words 20_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 2k packets, %.0f for 20k" small large)
+    true
+    ((large -. small) /. 18_000. < 0.05)
 
 let test_pool_reuse_and_stats () =
   let nf = Nfs.Registry.find_exn "fw" in
@@ -493,6 +549,8 @@ let suite =
       test_pool_matches_spawning_lock_based;
     Alcotest.test_case "pool tm equivalence" `Quick test_pool_tm_equivalence;
     Alcotest.test_case "pool batch sizes 1/32/7" `Quick test_pool_batch_sizes;
+    Alcotest.test_case "pool lanes across runs" `Quick test_pool_lanes_across_runs;
+    Alcotest.test_case "pool producer allocation flat" `Quick test_pool_producer_allocation;
     Alcotest.test_case "pool reuse, stats, measured shares" `Quick test_pool_reuse_and_stats;
     Alcotest.test_case "pool rejects oversized plan" `Quick test_pool_rejects_oversized_plan;
     Alcotest.test_case "rwlock mutual exclusion" `Quick test_rwlock_mutual_exclusion;
