@@ -8,9 +8,10 @@ set -euo pipefail
 cli() { opam exec -- dune exec bin/maestro_cli.exe -- "$@"; }
 
 case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
-  bench | stress)
-    # No CLI surface of their own: bench gates telemetry documents, and
-    # the stress scale knob is exercised by the run step itself.
+  bench | stress | framebench)
+    # No CLI surface of their own: bench gates telemetry documents, the
+    # stress scale knob is exercised by the run step itself, and
+    # framebench checks itself.
     ;;
 
   codec)

@@ -11,6 +11,9 @@
        --include-timings   also compare machine-dependent counters
                            (_ns/_ms timings and speedup ratios)
 
+   A counter absent from CURRENT counted no work (telemetry snapshots
+   drop zero counters) and compares as 0.
+
    By default only deterministic work counters are compared (symbex paths,
    GF(2) equations, Toeplitz hashes, per-core packet counts, ...), so the
    gate is meaningful across machines; timing counters need a baseline
@@ -85,7 +88,7 @@ let () =
             List.iter
               (fun name ->
                 Printf.printf
-                  "::error title=bench gate: %s::counter %s is gated but missing from the run\n"
+                  "::error title=bench gate: %s::counter %s is gated but missing from the baseline\n"
                   name name)
               report.Benchdiff.missing;
             exit 1

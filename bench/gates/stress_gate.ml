@@ -8,10 +8,11 @@
    that only shows up there:
 
    - {e flow-table fill}: establish N concurrent flows through the
-     firewall and inspect the live {!State.Map_s} — open-addressing
-     probe lengths must stay short (the hybrid map's reason to exist)
-     and the backing table must stay within the rebuild law's bound
-     (slots <= smallest power of two >= 4*(size+1), so < 8*size).
+     firewall and inspect the live {!State.Map_s} — every flow's 12-byte
+     key must live in the packed int-pair table, open-addressing probe
+     lengths must stay short (the hybrid map's reason to exist) and the
+     backing table must stay within the rebuild law's bound (slots <=
+     smallest power of two >= 4*(size+1), so < 8*size).
    - {e tombstone churn}: a rotating insert/erase window over
      {!State.Intmap} must NOT grow the table — erase pressure is
      reclaimed by same-size rebuilds, not by doubling.  Before that fix
@@ -114,6 +115,8 @@ let run ?(out = "BENCH_stress.json") () =
   let peak = State.Dchain.allocated chain in
   let max_probe, mean_probe_x100, table_slots, tombs = State.Map_s.packed_stats fw_map in
   check "fill: every flow concurrently resident" (peak = nflows);
+  check "fill: every established flow is in the packed table"
+    (State.Map_s.packed_size fw_map = nflows);
   check "fill: packed-map max probe <= 64" (max_probe <= 64);
   check "fill: packed-map table within the rebuild bound (< 8x size)"
     (table_slots < 8 * max 1 (State.Map_s.size fw_map));
@@ -152,17 +155,19 @@ let run ?(out = "BENCH_stress.json") () =
   check "dchain: full-chain expire_before returns every flow"
     (List.length swept = nflows);
 
-  (* intmap tombstone churn: rotating window, table must not grow *)
+  (* intmap tombstone churn: rotating window of 12-byte keys sharing
+     their hi half, table must not grow *)
   let churn_ops = max (2 * nflows) 1_000_000 in
   let im = State.Intmap.create ~capacity:(churn_window + 1) in
+  let hi = State.Key.tag ~bytes:12 in
   for i = 0 to churn_window - 1 do
-    ignore (State.Intmap.put im i i)
+    ignore (State.Intmap.put im hi i i)
   done;
   let t0 = Unix.gettimeofday () in
   let churn_fail = ref 0 in
   for i = 0 to churn_ops - 1 do
-    if not (State.Intmap.erase im i) then incr churn_fail;
-    if not (State.Intmap.put im (i + churn_window) i) then incr churn_fail
+    if not (State.Intmap.erase im hi i) then incr churn_fail;
+    if not (State.Intmap.put im hi (i + churn_window) i) then incr churn_fail
   done;
   let churn_ms = ms_since t0 in
   let churn_slots = State.Intmap.table_slots im in

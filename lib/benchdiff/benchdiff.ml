@@ -301,20 +301,21 @@ let diff ?(threshold = 0.15) ?only ?(include_timings = false) ?(min_counters = [
   let missing = ref [] and added = ref [] in
   List.iter
     (fun (name, base) ->
-      if wanted name then
-        match counter cur_doc name with
-        | None -> missing := name :: !missing
-        | Some current ->
-            let ratio =
-              if base = 0 then if current = 0 then 1.0 else infinity
-              else float_of_int current /. float_of_int base
-            in
-            let ch = { counter_name = name; base; current; ratio } in
-            if ratio > 1.0 +. threshold then regressions := ch :: !regressions
-            else if ratio < 1.0 -. threshold then
-              if List.mem name min_counters then shrunk := ch :: !shrunk
-              else improvements := ch :: !improvements
-            else incr unchanged)
+      if wanted name then begin
+        (* Telemetry.snapshot drops zero-valued counters, so a counter
+           absent from the current run counted no work *)
+        let current = Option.value ~default:0 (counter cur_doc name) in
+        let ratio =
+          if base = 0 then if current = 0 then 1.0 else infinity
+          else float_of_int current /. float_of_int base
+        in
+        let ch = { counter_name = name; base; current; ratio } in
+        if ratio > 1.0 +. threshold then regressions := ch :: !regressions
+        else if ratio < 1.0 -. threshold then
+          if List.mem name min_counters then shrunk := ch :: !shrunk
+          else improvements := ch :: !improvements
+        else incr unchanged
+      end)
     base_doc.counters;
   List.iter
     (fun (name, _) ->
@@ -355,7 +356,7 @@ let pp_report fmt r =
     Format.fprintf fmt "improvements (> -%.0f%%):@," (100.0 *. r.threshold);
     List.iter (fun c -> Format.fprintf fmt "  %a@," pp_change c) r.improvements
   end;
-  List.iter (fun n -> Format.fprintf fmt "  missing in current run: %s@," n) r.missing;
+  List.iter (fun n -> Format.fprintf fmt "  missing from baseline: %s@," n) r.missing;
   List.iter (fun n -> Format.fprintf fmt "  new counter (no baseline): %s@," n) r.added;
   Format.fprintf fmt "%d compared within threshold, %d regressed, %d shrunk, %d improved@]"
     r.unchanged

@@ -91,7 +91,9 @@ type report = {
           applied, flow states migrated), so a collapse towards zero
           means the machinery silently stopped running *)
   unchanged : int;  (** compared counters within the threshold *)
-  missing : string list;  (** in baseline but not in current *)
+  missing : string list;
+      (** names given in [only] or [min_counters] that the baseline does
+          not have: a misconfigured gate *)
   added : string list;  (** in current but not in baseline *)
 }
 
@@ -103,19 +105,22 @@ val diff :
   doc ->
   doc ->
   report
-(** [diff baseline current] compares every counter present in both
-    documents.  [threshold] defaults to [0.15] (a counter regresses when
+(** [diff baseline current] compares every counter of the baseline.  A
+    counter absent from [current] reads as 0, since {!Telemetry.snapshot}
+    drops zero-valued counters: work that stopped is an improvement for a
+    growth-gated counter and {!report.shrunk} for a floor-gated one.
+    [threshold] defaults to [0.15] (a counter regresses when
     [current > base *. (1. +. threshold)]).  [only] restricts the
     comparison to the named counters ([missing] then lists requested
-    names absent from either side); names in [only] and [min_counters]
+    names absent from the baseline); names in [only] and [min_counters]
     may be ['*'] globs, expanded against the union of both documents'
     counter names ({!expand_patterns}).  [include_timings] (default
     [false]) also compares {!is_timing_counter} counters.
     [min_counters] names counters with a {e floor}: they are always
     compared (even under [only]), shrinking below
     [base *. (1. -. threshold)] lands them in {!report.shrunk} instead
-    of [improvements], and a name absent from either document is
-    reported [missing]. *)
+    of [improvements], and a name absent from the baseline is reported
+    [missing]. *)
 
 val ok : report -> bool
 (** [true] when the report carries no regressions, no shrunk

@@ -5,14 +5,15 @@
    packet is already resolved: variable and record bindings are fixed
    slots in a preallocated frame, expression widths are baked-in mask
    constants, record layouts are field indices, and container keys
-   narrow enough to pack ({!State.Key}) are built as tagged ints feeding
+   of up to 14 bytes are packed ({!State.Key}) into an int pair feeding
    the allocation-free [_packed] container operations.  [bind] then
    resolves the staged program against one {!Instance} and allocates the
    frame; the resulting [bound] value processes packets without touching
-   the minor heap on packed-key NFs (wide keys serialize into a per-site
-   scratch buffer aliased to the non-retaining map operations, paying a
-   string copy only on [put]; a [Fwd] verdict is itself a block — all
-   measured by [bench/nfpath.exe]).
+   the minor heap on packed-key NFs, which is every corpus NF (keys over
+   14 bytes serialize into a per-site key buffer aliased to the
+   non-retaining map operations, paying a string copy only on [put]; a
+   [Fwd] verdict is itself a block — all measured by
+   [bench/nfpath.exe]).
 
    The staging is semantics-preserving by construction and checked by
    the differential suite: every closure mirrors one [Interp] case,
@@ -27,12 +28,13 @@ let nop_op (_ : Interp.op_event) = ()
    [recs] one scratch array per record binding (records are snapshots in
    the interpreter, so overwriting the scratch on rebinding matches the
    assoc-shadowing semantics), [scratch] one reusable buffer per
-   wide-key site. *)
+   wide-key site.  A packed key's [hi] half travels through an [ints]
+   slot of its own. *)
 type ctx = {
   ints : int array;
   recs : int array array;
   maps : State.Map_s.t array;
-  vecs : Instance.record array array;
+  vecs : Instance.vector array;
   chains : State.Dchain.t array;
   sketches : State.Sketch.t array;
   scratch : Bytes.t array;
@@ -97,12 +99,12 @@ let stage (nf : Ast.t) info =
       r_scratch = [];
     }
   in
-  let var_slot x =
-    intern reg.r_vars x ~fresh:(fun () ->
-        let i = reg.r_n_vars in
-        reg.r_n_vars <- i + 1;
-        i)
+  let fresh_slot () =
+    let i = reg.r_n_vars in
+    reg.r_n_vars <- i + 1;
+    i
   in
+  let var_slot x = intern reg.r_vars x ~fresh:fresh_slot in
   let rec_slot r =
     intern reg.r_recs r ~fresh:(fun () ->
         let i = Hashtbl.length reg.r_recs in
@@ -166,10 +168,11 @@ let stage (nf : Ast.t) info =
         let m = mask_of w in
         fun c -> ga c land m
   in
-  (* A compiled key: packed keys are built by shifting parts into one
-     tagged int; wide keys serialize into the site's scratch buffer and
-     copy out one string.  Each part is truncated to its byte width,
-     exactly as [Ast.key_of_parts] truncates when serializing. *)
+  (* A compiled key.  A packed key writes its [hi] half into its own frame
+     slot and returns [lo]; callers read the slot after the call.  A wide
+     key (over 14 bytes) serializes into the site's key buffer.  Each
+     part is truncated to its byte width, exactly as [Ast.key_of_parts]
+     truncates when serializing. *)
   let ckey key =
     let parts =
       List.map
@@ -180,16 +183,27 @@ let stage (nf : Ast.t) info =
     in
     let total = List.fold_left (fun a (b, _) -> a + b) 0 parts in
     if total <= State.Key.max_packed_bytes then begin
-      let f =
-        List.fold_left
-          (fun acc (b, g) ->
-            let shift = 8 * b in
-            let pm = (1 lsl shift) - 1 in
-            fun c -> (acc c lsl shift) lor (g c land pm))
-          (fun _ -> 0)
+      let hs = fresh_slot () in
+      let tag = State.Key.tag ~bytes:total in
+      let kc =
+        List.fold_left2
+          (fun k (bytes, g) shift ->
+            let pm = State.Key.part_mask ~bytes in
+            if shift + (8 * bytes) <= State.Key.tag_shift then fun c ->
+              k c lor ((g c land pm) lsl shift)
+            else fun c ->
+              let lo = k c in
+              let v = g c land pm in
+              Array.unsafe_set c.ints hs
+                (Array.unsafe_get c.ints hs lor State.Key.hi_bits ~shift v);
+              lo lor State.Key.lo_bits ~shift v)
+          (fun c ->
+            Array.unsafe_set c.ints hs tag;
+            0)
           parts
+          (State.Key.part_shifts (List.map fst parts))
       in
-      `Packed (fun c -> State.Key.tag ~bytes:total (f c))
+      `Packed (hs, kc)
     end
     else begin
       let slot = scratch_slot total in
@@ -241,10 +255,14 @@ let stage (nf : Ast.t) info =
         let fs = var_slot found and vs = var_slot value in
         let kk = crun k in
         match ckey key with
-        | `Packed kc ->
+        | `Packed (hs, kc) ->
             fun c ->
               c.on_op ev;
-              let v = State.Map_s.find_packed (Array.unsafe_get c.maps ms) (kc c) ~absent:min_int in
+              let lo = kc c in
+              let v =
+                State.Map_s.find_packed (Array.unsafe_get c.maps ms) (Array.unsafe_get c.ints hs) lo
+                  ~absent:min_int
+              in
               if v = min_int then begin
                 Array.unsafe_set c.ints fs 0;
                 Array.unsafe_set c.ints vs 0
@@ -278,11 +296,13 @@ let stage (nf : Ast.t) info =
         let os = var_slot ok in
         let kk = crun k in
         match ckey key with
-        | `Packed kc ->
+        | `Packed (hs, kc) ->
             fun c ->
               c.on_op ev;
+              let lo = kc c in
               let r =
-                State.Map_s.put_packed (Array.unsafe_get c.maps ms) (kc c) (gv c)
+                State.Map_s.put_packed (Array.unsafe_get c.maps ms) (Array.unsafe_get c.ints hs) lo
+                  (gv c)
               in
               Array.unsafe_set c.ints os (Bool.to_int r);
               kk c
@@ -301,10 +321,12 @@ let stage (nf : Ast.t) info =
         let ms = obj_slot reg.r_maps obj in
         let kk = crun k in
         match ckey key with
-        | `Packed kc ->
+        | `Packed (hs, kc) ->
             fun c ->
               c.on_op ev;
-              ignore (State.Map_s.erase_packed (Array.unsafe_get c.maps ms) (kc c));
+              let lo = kc c in
+              let m = Array.unsafe_get c.maps ms in
+              ignore (State.Map_s.erase_packed m (Array.unsafe_get c.ints hs) lo);
               kk c
         | `Wide kc ->
             fun c ->
@@ -322,11 +344,11 @@ let stage (nf : Ast.t) info =
         let kk = crun k in
         fun c ->
           c.on_op ev;
-          let slots = Array.unsafe_get c.vecs vs in
+          let v = Array.unsafe_get c.vecs vs in
           let i = gi c in
-          if i < 0 || i >= Array.length slots then
+          if i < 0 || i >= v.Instance.capacity then
             fail "vec_get %s: index %d out of range" obj i;
-          Array.blit (Array.unsafe_get slots i) 0 (Array.unsafe_get c.recs rs) 0 len;
+          Array.blit v.Instance.slots (i * v.Instance.stride) (Array.unsafe_get c.recs rs) 0 len;
           kk c
     | Vec_set { obj; index; fields; k } ->
         let ev = event obj Interp.Op_vec_set in
@@ -340,14 +362,14 @@ let stage (nf : Ast.t) info =
         let kk = crun k in
         fun c ->
           c.on_op ev;
-          let slots = Array.unsafe_get c.vecs vs in
+          let v = Array.unsafe_get c.vecs vs in
           let i = gi c in
-          if i < 0 || i >= Array.length slots then
+          if i < 0 || i >= v.Instance.capacity then
             fail "vec_set %s: index %d out of range" obj i;
-          let s = Array.unsafe_get slots i in
+          let base = i * v.Instance.stride in
           for j = 0 to Array.length setters - 1 do
             let p, g = Array.unsafe_get setters j in
-            Array.unsafe_set s p (g c)
+            Array.unsafe_set v.Instance.slots (base + p) (g c)
           done;
           kk c
     | Chain_alloc { obj; index; k_ok; k_fail } ->
@@ -389,42 +411,44 @@ let stage (nf : Ast.t) info =
                  let ms = obj_slot reg.r_maps map in
                  let vs = obj_slot reg.r_vecs keyvec in
                  let layout = Check.layout_of_object info keyvec in
-                 let total =
-                   List.fold_left (fun a (_, w) -> a + ((w + 7) / 8)) 0 layout
-                 in
+                 let bytes = List.map (fun (_, w) -> (w + 7) / 8) layout in
+                 let total = List.fold_left ( + ) 0 bytes in
                  if total <= State.Key.max_packed_bytes then begin
-                   let shifts_masks =
-                     Array.of_list
-                       (List.map
-                          (fun (_, w) ->
-                            let b = (w + 7) / 8 in
-                            (8 * b, (1 lsl (8 * b)) - 1))
-                          layout)
+                   (* rebuild the (hi, lo) pair [ckey] built at put time *)
+                   let tag = State.Key.tag ~bytes:total in
+                   let shifts = Array.of_list (State.Key.part_shifts bytes) in
+                   let masks =
+                     Array.of_list (List.map (fun bytes -> State.Key.part_mask ~bytes) bytes)
                    in
                    fun c freed ->
                      let m = Array.unsafe_get c.maps ms in
-                     let slots = Array.unsafe_get c.vecs vs in
+                     let v = Array.unsafe_get c.vecs vs in
                      List.iter
                        (fun i ->
-                         let s = slots.(i) in
-                         let v = ref 0 in
-                         for j = 0 to Array.length shifts_masks - 1 do
-                           let shift, pm = Array.unsafe_get shifts_masks j in
-                           v := (!v lsl shift) lor (Array.unsafe_get s j land pm)
+                         let base = i * v.Instance.stride in
+                         let hi = ref tag and lo = ref 0 in
+                         for j = 0 to Array.length shifts - 1 do
+                           let x =
+                             Array.unsafe_get v.Instance.slots (base + j)
+                             land Array.unsafe_get masks j
+                           in
+                           let shift = Array.unsafe_get shifts j in
+                           hi := !hi lor State.Key.hi_bits ~shift x;
+                           lo := !lo lor State.Key.lo_bits ~shift x
                          done;
-                         ignore
-                           (State.Map_s.erase_packed m (State.Key.tag ~bytes:total !v)))
+                         ignore (State.Map_s.erase_packed m !hi !lo))
                        freed
                  end
                  else
                    fun c freed ->
                      let m = Array.unsafe_get c.maps ms in
-                     let slots = Array.unsafe_get c.vecs vs in
+                     let v = Array.unsafe_get c.vecs vs in
                      List.iter
                        (fun i ->
+                         let base = i * v.Instance.stride in
                          let key =
                            key_of_parts
-                             (List.mapi (fun j (_, w) -> (w, slots.(i).(j))) layout)
+                             (List.mapi (fun j (_, w) -> (w, v.Instance.slots.(base + j))) layout)
                          in
                          ignore (State.Map_s.erase m key))
                        freed)
@@ -454,10 +478,12 @@ let stage (nf : Ast.t) info =
         let ss = obj_slot reg.r_sketches obj in
         let kk = crun k in
         match ckey key with
-        | `Packed kc ->
+        | `Packed (hs, kc) ->
             fun c ->
               c.on_op ev;
-              State.Sketch.increment_packed (Array.unsafe_get c.sketches ss) (kc c);
+              let lo = kc c in
+              State.Sketch.increment_packed (Array.unsafe_get c.sketches ss)
+                (Array.unsafe_get c.ints hs) lo;
               kk c
         | `Wide kc ->
             fun c ->
@@ -471,11 +497,13 @@ let stage (nf : Ast.t) info =
         let ns = var_slot count in
         let kk = crun k in
         match ckey key with
-        | `Packed kc ->
+        | `Packed (hs, kc) ->
             fun c ->
               c.on_op ev;
+              let lo = kc c in
               Array.unsafe_set c.ints ns
-                (State.Sketch.count_packed (Array.unsafe_get c.sketches ss) (kc c));
+                (State.Sketch.count_packed (Array.unsafe_get c.sketches ss)
+                   (Array.unsafe_get c.ints hs) lo);
               kk c
         | `Wide kc ->
             fun c ->
@@ -539,7 +567,7 @@ let bind t instance =
       vecs =
         Array.map
           (fun n ->
-            resolve "vector" n (function Instance.O_vector (_, s) -> Some s | _ -> None))
+            resolve "vector" n (function Instance.O_vector v -> Some v | _ -> None))
           t.vec_names;
       chains =
         Array.map

@@ -4,10 +4,11 @@
     re-derives per packet: variable and record bindings become fixed
     slots in a preallocated frame, expression widths become baked-in
     mask constants, record layouts become field indices, and container
-    keys that fit {!State.Key.max_packed_bytes} are assembled as tagged
-    ints driving the allocation-free [_packed] operations of
-    {!State.Map_s} and {!State.Sketch} (wider keys keep the string
-    path, serialized through a per-site scratch buffer).
+    keys of up to {!State.Key.max_packed_bytes} bytes — the 12-byte flow
+    5-tuple included — are assembled as {!State.Key} int pairs driving
+    the allocation-free [_packed] operations of {!State.Map_s} and
+    {!State.Sketch} (wider keys keep the string path, serialized through
+    a per-site key buffer).
 
     The compiled closure is observationally identical to the
     interpreter — same verdicts, same [on_op] event stream, same
@@ -37,9 +38,11 @@ val bind : t -> Instance.t -> bound
 
 val process :
   ?on_op:(Interp.op_event -> unit) -> bound -> Packet.Pkt.t -> Interp.action
-(** Run one packet.  Same contract as {!Interp.process}; on NFs whose
-    keys all pack, the only per-packet allocation is the [Fwd] verdict
-    (plus one string per wide-key operation otherwise). *)
+(** Run one packet.  Same contract as {!Interp.process}.  On NFs whose
+    keys all pack, container operations allocate nothing; what remains
+    is the [Fwd] verdict, header rewrites, and the freed-index list and
+    op event of an expiry that retires flows (plus one string per
+    wide-key operation otherwise). *)
 
 (** {1 Execution-path dispatch}
 

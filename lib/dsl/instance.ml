@@ -1,8 +1,10 @@
 type record = int array
 
+type vector = { layout : (string * int) list; stride : int; capacity : int; slots : int array }
+
 type obj =
   | O_map of State.Map_s.t
-  | O_vector of (string * int) list * record array
+  | O_vector of vector
   | O_chain of State.Dchain.t
   | O_sketch of State.Sketch.t
 
@@ -17,10 +19,9 @@ let build divide objs (decl : Ast.state_decl) =
       List.iter (fun (k, v) -> ignore (State.Map_s.put m k v)) init;
       Hashtbl.replace objs name (O_map m)
   | Ast.Decl_vector { name; capacity; layout } ->
-      let slots =
-        Array.init (scaled divide capacity) (fun _ -> Array.make (List.length layout) 0)
-      in
-      Hashtbl.replace objs name (O_vector (layout, slots))
+      let capacity = scaled divide capacity and stride = List.length layout in
+      Hashtbl.replace objs name
+        (O_vector { layout; stride; capacity; slots = Array.make (capacity * stride) 0 })
   | Ast.Decl_chain { name; capacity } ->
       Hashtbl.replace objs name (O_chain (State.Dchain.create ~capacity:(scaled divide capacity)))
   | Ast.Decl_sketch { name; depth; width } ->
@@ -34,13 +35,15 @@ let create ?(divide = 1) (nf : Ast.t) =
 
 let find t name = Hashtbl.find t.objs name
 
+let record v i = Array.sub v.slots (i * v.stride) v.stride
+
 let record_bytes layout =
   (List.fold_left (fun acc (_, w) -> acc + w) 0 layout + 7) / 8
 
 let memory_bytes t name =
   match find t name with
-  | O_map m -> State.Map_s.capacity m * 24 (* bucket + key ref + value *)
-  | O_vector (layout, slots) -> Array.length slots * record_bytes layout
+  | O_map m -> State.Map_s.capacity m * 24 (* hi + lo + value *)
+  | O_vector v -> v.capacity * record_bytes v.layout
   | O_chain c -> State.Dchain.capacity c * 16
   | O_sketch s -> State.Sketch.memory_bytes s
 
@@ -53,7 +56,7 @@ let copy t =
       let dup =
         match obj with
         | O_map m -> O_map (State.Map_s.copy m)
-        | O_vector (layout, slots) -> O_vector (layout, Array.map Array.copy slots)
+        | O_vector v -> O_vector { v with slots = Array.copy v.slots }
         | O_chain c -> O_chain (State.Dchain.copy c)
         | O_sketch s -> O_sketch (State.Sketch.copy s)
       in

@@ -6,11 +6,21 @@
     one full-capacity instance between cores. *)
 
 type record = int array
-(** A vector slot, fields in layout order. *)
+(** A snapshot of one vector slot, fields in layout order. *)
+
+type vector = {
+  layout : (string * int) list;  (** field names and bit widths *)
+  stride : int;  (** ints per slot: the layout's length *)
+  capacity : int;  (** slots *)
+  slots : int array;
+      (** every slot in one flat array: field [j] of slot [i] is at
+          [i * stride + j], so creating a vector allocates one block, not
+          one per slot *)
+}
 
 type obj =
   | O_map of State.Map_s.t
-  | O_vector of (string * int) list * record array  (** layout, slots *)
+  | O_vector of vector
   | O_chain of State.Dchain.t
   | O_sketch of State.Sketch.t
 
@@ -26,6 +36,9 @@ val create : ?divide:int -> Ast.t -> t
 val find : t -> string -> obj
 (** Raises [Not_found] for undeclared objects (excluded by {!Check}). *)
 
+val record : vector -> int -> record
+(** [record v i] copies slot [i] out of [v]. *)
+
 val memory_bytes : t -> string -> int
 (** Approximate resident bytes of one object, for the cache model. *)
 
@@ -33,10 +46,10 @@ val total_memory_bytes : t -> int
 
 val copy : t -> t
 (** Deep, structurally-exact duplicate of every object: dchain free-list
-    and recency order, map probe layouts and sketch counters are all
-    preserved, so two copies driven by the same operation sequence evolve
-    in lockstep ({!State.Dchain.copy}).  Discipline switching uses this to
-    seed SCR replicas from migrated state and to clone a lock-rung
+    and recency order, map probe layouts, vector slots and sketch counters
+    are all preserved, so two copies driven by the same operation sequence
+    evolve in lockstep ({!State.Dchain.copy}).  Discipline switching uses
+    this to seed SCR replicas from migrated state and to clone a lock-rung
     instance into per-replica state. *)
 
 val reset : t -> Ast.t -> unit

@@ -91,9 +91,7 @@ let process ?(on_op = fun _ -> ()) (nf : Ast.t) info instance (pkt0 : Packet.Pkt
     match Instance.find instance obj with O_map m -> m | _ -> fail "%s is not a map" obj
   in
   let the_vector obj =
-    match Instance.find instance obj with
-    | O_vector (layout, slots) -> (layout, slots)
-    | _ -> fail "%s is not a vector" obj
+    match Instance.find instance obj with O_vector v -> v | _ -> fail "%s is not a vector" obj
   in
   let the_chain obj =
     match Instance.find instance obj with O_chain c -> c | _ -> fail "%s is not a chain" obj
@@ -129,22 +127,22 @@ let process ?(on_op = fun _ -> ()) (nf : Ast.t) info instance (pkt0 : Packet.Pkt
         run env pkt k
     | Vec_get { obj; index; record; k } ->
         emit obj Op_vec_get ();
-        let _, slots = the_vector obj in
+        let v = the_vector obj in
         let i = eval env pkt index in
-        if i < 0 || i >= Array.length slots then fail "vec_get %s: index %d out of range" obj i;
-        run { env with records = (record, Array.copy slots.(i)) :: env.records } pkt k
+        if i < 0 || i >= v.capacity then fail "vec_get %s: index %d out of range" obj i;
+        run { env with records = (record, Instance.record v i) :: env.records } pkt k
     | Vec_set { obj; index; fields; k } ->
         emit obj Op_vec_set ();
-        let layout, slots = the_vector obj in
+        let v = the_vector obj in
         let i = eval env pkt index in
-        if i < 0 || i >= Array.length slots then fail "vec_set %s: index %d out of range" obj i;
+        if i < 0 || i >= v.capacity then fail "vec_set %s: index %d out of range" obj i;
         List.iter
           (fun (f, e) ->
             let rec pos j = function
               | [] -> fail "vec_set %s: unknown field %s" obj f
               | (g, _) :: rest -> if String.equal f g then j else pos (j + 1) rest
             in
-            slots.(i).(pos 0 layout) <- eval env pkt e)
+            v.slots.((i * v.stride) + pos 0 v.layout) <- eval env pkt e)
           fields;
         run env pkt k
     | Chain_alloc { obj; index; k_ok; k_fail } -> (
@@ -164,11 +162,12 @@ let process ?(on_op = fun _ -> ()) (nf : Ast.t) info instance (pkt0 : Packet.Pkt
         List.iter
           (fun (map, keyvec) ->
             let m = the_map map in
-            let layout, slots = the_vector keyvec in
+            let v = the_vector keyvec in
             List.iter
               (fun i ->
                 let key =
-                  key_of_parts (List.mapi (fun j (_, w) -> (w, slots.(i).(j))) layout)
+                  key_of_parts
+                    (List.mapi (fun j (_, w) -> (w, v.slots.((i * v.stride) + j))) v.layout)
                 in
                 ignore (State.Map_s.erase m key))
               freed)

@@ -421,14 +421,18 @@ let find_chain inst name =
   | Dsl.Instance.O_chain c -> c
   | _ -> invalid_arg ("Balancer.migrate: " ^ name ^ " is not a chain")
 
-let find_slots inst name =
+let find_vector inst name =
   match Dsl.Instance.find inst name with
-  | Dsl.Instance.O_vector (layout, slots) -> (layout, slots)
+  | Dsl.Instance.O_vector v -> v
   | _ -> invalid_arg ("Balancer.migrate: " ^ name ^ " is not a vector")
 
 let rebuild_key inst keyvec i =
-  let layout, slots = find_slots inst keyvec in
-  Dsl.Ast.key_of_parts (List.mapi (fun j (_, w) -> (w, slots.(i).(j))) layout)
+  let v = find_vector inst keyvec in
+  let base = i * v.Dsl.Instance.stride in
+  Dsl.Ast.key_of_parts
+    (List.mapi (fun j (_, w) -> (w, v.Dsl.Instance.slots.(base + j))) v.Dsl.Instance.layout)
+
+let clear_slot (v : Dsl.Instance.vector) i = Array.fill v.slots (i * v.stride) v.stride 0
 
 let migrate_group plan g ~hash ~owner ~instances ~moved ~dropped =
   let primary_map = fst (List.hd g.purges) in
@@ -458,11 +462,7 @@ let migrate_group plan g ~hash ~owner ~instances ~moved ~dropped =
                       List.iter
                         (fun (m, key) -> ignore (State.Map_s.erase (find_map inst m) key))
                         purge_keys;
-                      List.iter
-                        (fun v ->
-                          let _, slots = find_slots inst v in
-                          slots.(i) <- Array.make (Array.length slots.(i)) 0)
-                        g.vectors;
+                      List.iter (fun v -> clear_slot (find_vector inst v) i) g.vectors;
                       ignore (State.Dchain.free chain i);
                       incr dropped
                     in
@@ -480,10 +480,11 @@ let migrate_group plan g ~hash ~owner ~instances ~moved ~dropped =
                       | Some j ->
                           List.iter
                             (fun v ->
-                              let _, src = find_slots inst v in
-                              let _, dst = find_slots tgt v in
-                              dst.(j) <- Array.copy src.(i);
-                              src.(i) <- Array.make (Array.length src.(i)) 0)
+                              let src = find_vector inst v and dst = find_vector tgt v in
+                              let stride = src.Dsl.Instance.stride in
+                              Array.blit src.Dsl.Instance.slots (i * stride) dst.Dsl.Instance.slots
+                                (j * stride) stride;
+                              clear_slot src i)
                             g.vectors;
                           List.iter
                             (fun (m, key) ->

@@ -166,7 +166,8 @@ let obj_equal a b =
   | Dsl.Instance.O_map ma, Dsl.Instance.O_map mb ->
       List.sort compare (State.Map_s.entries ma)
       = List.sort compare (State.Map_s.entries mb)
-  | Dsl.Instance.O_vector (_, sa), Dsl.Instance.O_vector (_, sb) -> sa = sb
+  | Dsl.Instance.O_vector va, Dsl.Instance.O_vector vb ->
+      va.Dsl.Instance.slots = vb.Dsl.Instance.slots
   | Dsl.Instance.O_chain ca, Dsl.Instance.O_chain cb -> chain_dump ca = chain_dump cb
   | Dsl.Instance.O_sketch sa, Dsl.Instance.O_sketch sb -> State.Sketch.equal sa sb
   | _ -> false

@@ -95,7 +95,8 @@ let allocate_idx t ~now =
 let rejuvenate t i ~now =
   if not (is_allocated t i) then false
   else begin
-    t.last_touch.(i) <- max t.last_touch.(i) now;
+    (* an int comparison: Stdlib's polymorphic [max] is a C call *)
+    if now > t.last_touch.(i) then t.last_touch.(i) <- now;
     unlink t i;
     push_back t i;
     true

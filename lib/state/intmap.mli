@@ -1,11 +1,13 @@
-(** Fixed-capacity int-keyed map with open addressing.
+(** Fixed-capacity map from packed key pairs to ints, with open addressing.
 
-    Backs the packed-key fast path of {!Map_s}: keys are {!Key}-packed
-    container keys, values are DSL integers, and every operation is
-    allocation-free.  The logical capacity is enforced the way the Vigor
-    containers do it — {!put} of an absent key on a full map returns
-    [false] — while the physical table grows on demand to keep probe
-    sequences short. *)
+    Backs the packed-key path of {!Map_s}: a key is a {!Key} [(hi, lo)]
+    pair, a value a DSL integer, and every operation is allocation-free.
+    One array holds the table, each slot's [hi], [lo] and value side by
+    side.  A negative [hi] marks an empty or deleted slot, so keys need a
+    non-negative [hi], as every {!Key} [hi] is.  The logical capacity is
+    enforced the way the Vigor containers do it — {!put} of an absent key
+    on a full map returns [false] — while the physical table grows on
+    demand to keep probe sequences short. *)
 
 type t
 
@@ -14,26 +16,31 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 val length : t -> int
-val mem : t -> int -> bool
 
-val find : t -> int -> absent:int -> int
-(** [find t k ~absent] is the value bound to [k], or [absent] when [k] is
-    unbound.  The caller picks a sentinel that cannot be a stored value
-    (DSL values are non-negative, so any negative int works). *)
+val mem : t -> int -> int -> bool
+(** [mem t hi lo]; [false] for any negative [hi]. *)
 
-val put : t -> int -> int -> bool
-(** Insert or replace; [false] iff the map is logically full and [k] is
-    absent. *)
+val find : t -> int -> int -> absent:int -> int
+(** [find t hi lo ~absent] is the value bound to the key, or [absent]
+    when it is unbound.  The caller picks a sentinel that cannot be a
+    stored value (DSL values are non-negative, so any negative int
+    works). *)
 
-val erase : t -> int -> bool
-(** [false] iff [k] was absent. *)
+val put : t -> int -> int -> int -> bool
+(** [put t hi lo v]: insert or replace; [false] iff the map is logically
+    full and the key absent.  Raises [Invalid_argument] if [hi < 0]. *)
+
+val erase : t -> int -> int -> bool
+(** [false] iff the key was absent. *)
 
 val copy : t -> t
 (** Field-exact duplicate: same physical table size, probe layout and
     tombstones, so a copy that sees the same operation sequence as the
     original stays structurally identical to it. *)
 
-val iter : t -> (int -> int -> unit) -> unit
+val iter : t -> (int -> int -> int -> unit) -> unit
+(** [iter t f] calls [f hi lo v] on every binding, in slot order. *)
+
 val clear : t -> unit
 
 (** {1 Introspection} — read-only physical-layout stats, used by the
@@ -41,7 +48,7 @@ val clear : t -> unit
     lengths and to prove tombstone churn keeps the table bounded. *)
 
 val table_slots : t -> int
-(** Current physical table size (a power of two). *)
+(** Current physical table size in slots (a power of two). *)
 
 val tombstones : t -> int
 

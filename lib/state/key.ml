@@ -1,37 +1,62 @@
 (* Packed map/sketch keys.  The stateful containers are logically keyed by
    byte strings (the Vigor encoding that Dsl.Ast.key_of_parts produces); a
-   key of at most [max_packed_bytes] bytes is represented instead as one
-   tagged OCaml int — the byte content in the low 56 bits plus the length
-   in the bits above — so the per-packet fast path never allocates a key.
-   The length tag keeps keys of different byte lengths distinct, exactly as
-   their string encodings are. *)
+   key of at most [max_packed_bytes] bytes is held instead as two immediate
+   OCaml ints, so the per-packet fast path never allocates a key.  Read the
+   key as one big-endian number: [lo] is its low [lo_bytes] bytes, and [hi]
+   the bytes above them plus the byte length at [tag_shift].  The length
+   tag keeps keys of different byte lengths distinct, exactly as their
+   string encodings are. *)
 
-let max_packed_bytes = 7
-let tag_shift = 8 * max_packed_bytes
-
-type t = Packed of int | Wide of string
+let lo_bytes = 7
+let max_packed_bytes = 2 * lo_bytes
+let tag_shift = 8 * lo_bytes
+let lo_mask = (1 lsl tag_shift) - 1
 
 let fits s = String.length s <= max_packed_bytes
 
-let tag ~bytes v = (bytes lsl tag_shift) lor v
+let tag ~bytes = bytes lsl tag_shift
 
-let byte_length k = k lsr tag_shift
+let byte_length hi = hi lsr tag_shift
 
-let pack_string s =
+(* The bits a [bytes]-wide part holding [v] contributes to each half when
+   its lowest bit sits [shift] bits up the key; a part below [tag_shift]
+   contributes nothing to [hi], one above it nothing to [lo]. *)
+let hi_bits ~shift v =
+  if shift >= tag_shift then v lsl (shift - tag_shift) else v lsr (tag_shift - shift)
+
+let lo_bits ~shift v = if shift >= tag_shift then 0 else (v lsl shift) land lo_mask
+
+let part_mask ~bytes = if bytes >= 8 then -1 else (1 lsl (8 * bytes)) - 1
+
+let part_shifts bytes =
+  snd (List.fold_right (fun b (shift, acc) -> (shift + (8 * b), shift :: acc)) bytes (0, []))
+
+let byte_at s n i = Char.code (String.unsafe_get s (n - 1 - i))
+
+let check s =
+  if not (fits s) then invalid_arg "Key: key too wide to pack"
+
+let lo_of_string s =
+  check s;
   let n = String.length s in
-  if n > max_packed_bytes then invalid_arg "Key.pack_string: key too wide";
   let v = ref 0 in
-  for i = 0 to n - 1 do
-    v := (!v lsl 8) lor Char.code (String.unsafe_get s i)
+  for i = min n lo_bytes - 1 downto 0 do
+    v := (!v lsl 8) lor byte_at s n i
   done;
-  tag ~bytes:n !v
+  !v
 
-let unpack_string k =
-  let n = byte_length k in
-  String.init n (fun i -> Char.chr ((k lsr (8 * (n - 1 - i))) land 0xff))
+let hi_of_string s =
+  check s;
+  let n = String.length s in
+  let v = ref 0 in
+  for i = n - 1 downto lo_bytes do
+    v := (!v lsl 8) lor byte_at s n i
+  done;
+  tag ~bytes:n lor !v
 
-let of_string s = if fits s then Packed (pack_string s) else Wide s
-
-let pp fmt = function
-  | Packed k -> Format.fprintf fmt "packed:%dB:%#x" (byte_length k) (k land ((1 lsl tag_shift) - 1))
-  | Wide s -> Format.fprintf fmt "wide:%dB" (String.length s)
+let to_string ~hi ~lo =
+  let n = byte_length hi in
+  String.init n (fun j ->
+      let i = n - 1 - j in
+      let b = if i < lo_bytes then lo lsr (8 * i) else hi lsr (8 * (i - lo_bytes)) in
+      Char.unsafe_chr (b land 0xff))

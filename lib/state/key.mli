@@ -1,38 +1,62 @@
-(** Packed representation of short container keys.
+(** Packed representation of container keys of up to 14 bytes.
 
     The stateful containers are logically keyed by byte strings (the
     encoding [Dsl.Ast.key_of_parts] produces).  Keys of at most
-    {!max_packed_bytes} bytes pack losslessly into one tagged, immediate
-    OCaml int — byte content in the low bits, byte length above them — so
-    the compiled per-packet path performs map and sketch operations
-    without allocating.  [pack_string] and [unpack_string] are exact
+    {!max_packed_bytes} bytes pack losslessly into two immediate OCaml
+    ints.  Read the key as one big-endian number: [lo] holds its last 7
+    bytes, and [hi] the bytes before them plus the byte length at bit
+    {!tag_shift}.  So a key of 7 bytes or less has [hi = tag
+    ~bytes:n], and the compiled per-packet path builds the pair from
+    header fields and performs map and sketch operations on it without
+    allocating.  [hi_of_string], [lo_of_string] and [to_string] are exact
     inverses on strings that {!fits}, which is what keeps the packed and
     string views of one container consistent. *)
 
 val max_packed_bytes : int
-(** 7: the widest key that packs into a 62-bit tagged int. *)
+(** 14: [lo] holds the last 7 bytes, [hi] the up to 7 before them. *)
 
 val tag_shift : int
-(** Bit position of the length tag ([8 * max_packed_bytes]). *)
+(** 56: the bit position of the length tag in [hi], and the width of
+    [lo]. *)
 
-type t = Packed of int | Wide of string
+val lo_mask : int
+(** [(1 lsl tag_shift) - 1]: the bits of [lo], and of the key bytes in
+    [hi]. *)
 
 val fits : string -> bool
 (** Whether a string key packs. *)
 
-val tag : bytes:int -> int -> int
-(** [tag ~bytes v] builds the packed form of a [bytes]-byte key whose
-    big-endian byte content, read as an integer, is [v]. *)
+val tag : bytes:int -> int
+(** The length tag of a [bytes]-byte key: its [hi] when [bytes <= 7]. *)
 
 val byte_length : int -> int
-(** Byte length of a packed key. *)
+(** Byte length of a packed key, read from its [hi]. *)
 
-val pack_string : string -> int
+val part_mask : bytes:int -> int
+(** The mask that truncates a part to [bytes] bytes, as [key_of_parts]
+    truncates it when serializing. *)
+
+val part_shifts : int list -> int list
+(** [part_shifts bytes]: where each part of a key built from parts
+    [bytes] wide, in key order, lands — the bit offset of the part's
+    lowest bit in the key read as one big-endian number.  The last part
+    sits at bit 0. *)
+
+val hi_bits : shift:int -> int -> int
+(** [hi_bits ~shift v]: the bits a truncated part [v] whose lowest bit
+    sits [shift] bits up the key contributes to [hi] (0 when the part lies
+    wholly in [lo]).  A key's [hi] is its {!tag} [lor] every part's
+    [hi_bits]; its [lo] is every part's {!lo_bits}. *)
+
+val lo_bits : shift:int -> int -> int
+(** The bits such a part contributes to [lo] (0 when it lies wholly in
+    [hi]). *)
+
+val hi_of_string : string -> int
 (** Raises [Invalid_argument] when the key does not {!fits}. *)
 
-val unpack_string : int -> string
-(** Exact inverse of {!pack_string}. *)
+val lo_of_string : string -> int
+(** Raises [Invalid_argument] when the key does not {!fits}. *)
 
-val of_string : string -> t
-
-val pp : Format.formatter -> t -> unit
+val to_string : hi:int -> lo:int -> string
+(** Exact inverse of the pair ({!hi_of_string}, {!lo_of_string}). *)

@@ -1,9 +1,10 @@
 (* Hybrid storage: every key short enough to pack ({!Key.fits}) lives in
-   an allocation-free open-addressing {!Intmap}; wider keys fall back to
-   the string-keyed Hashtbl.  Both the string API and the packed API
-   route through the same tables, so a map populated through one view
-   (e.g. DSL [init] entries loaded as strings) is visible through the
-   other.  The logical capacity bounds the two tables together. *)
+   the one allocation-free open-addressing {!Intmap}, keyed by its
+   (hi, lo) pair; wider keys fall back to the string-keyed Hashtbl.  Both
+   the string API and the packed API route through the same tables, so a
+   map populated through one view (e.g. DSL [init] entries loaded as
+   strings) is visible through the other.  The logical capacity bounds the
+   two tables together. *)
 
 type t = {
   capacity : int;
@@ -12,11 +13,11 @@ type t = {
 }
 
 let c_packed =
-  Telemetry.Counter.make ~doc:"map ops served by the packed int-key path"
+  Telemetry.Counter.make ~doc:"map ops served by the packed int-pair key path"
     "state.key_packed"
 
 let c_fallback =
-  Telemetry.Counter.make ~doc:"map ops using the wide string-key fallback"
+  Telemetry.Counter.make ~doc:"map ops on keys over 14 bytes, via the string-key fallback"
     "state.key_string_fallback"
 
 let create ~capacity =
@@ -24,7 +25,8 @@ let create ~capacity =
   {
     capacity;
     packed = Intmap.create ~capacity;
-    wide = Hashtbl.create (min capacity 4096);
+    (* grows on demand: no corpus NF has a key over 14 bytes *)
+    wide = Hashtbl.create 16;
   }
 
 let capacity t = t.capacity
@@ -32,30 +34,30 @@ let size t = Intmap.length t.packed + Hashtbl.length t.wide
 
 (* Packed view — the compiled per-packet path. *)
 
-let mem_packed t k =
+let mem_packed t hi lo =
   Telemetry.Counter.incr c_packed;
-  Intmap.mem t.packed k
+  Intmap.mem t.packed hi lo
 
-let find_packed t k ~absent =
+let find_packed t hi lo ~absent =
   Telemetry.Counter.incr c_packed;
-  Intmap.find t.packed k ~absent
+  Intmap.find t.packed hi lo ~absent
 
-let put_packed t k v =
+let put_packed t hi lo v =
   Telemetry.Counter.incr c_packed;
-  if Hashtbl.length t.wide = 0 then Intmap.put t.packed k v
-  else if Intmap.mem t.packed k then Intmap.put t.packed k v
+  if Hashtbl.length t.wide = 0 then Intmap.put t.packed hi lo v
+  else if Intmap.mem t.packed hi lo then Intmap.put t.packed hi lo v
   else if size t >= t.capacity then false
-  else Intmap.put t.packed k v
+  else Intmap.put t.packed hi lo v
 
-let erase_packed t k =
+let erase_packed t hi lo =
   Telemetry.Counter.incr c_packed;
-  Intmap.erase t.packed k
+  Intmap.erase t.packed hi lo
 
-(* Wide view — string keys that are known (or assumed) not to pack.  The
-   compiled path calls these with a [Bytes.unsafe_to_string] alias of its
-   per-site scratch buffer: that is sound for every operation here except
-   [put_wide], which stores the key and therefore must be given a string
-   the caller will not mutate. *)
+(* Wide view — string keys over 14 bytes.  The compiled path calls these
+   with a [Bytes.unsafe_to_string] alias of its per-site key buffer:
+   that is sound for every operation here except [put_wide], which stores
+   the key and therefore must be given a string the caller will not
+   mutate. *)
 
 let mem_wide t k =
   Telemetry.Counter.incr c_fallback;
@@ -80,28 +82,29 @@ let erase_wide t k =
   Hashtbl.remove t.wide k;
   Hashtbl.length t.wide < before
 
-(* String view — init loading, the interpreter oracle and wide keys. *)
+(* String view — init loading, the interpreter oracle, balancer
+   migration. *)
 
 let get t k =
-  if Key.fits k then begin
-    let v = find_packed t (Key.pack_string k) ~absent:min_int in
-    if v = min_int then None else Some v
-  end
-  else begin
-    let v = find_wide t k ~absent:min_int in
-    if v = min_int then None else Some v
-  end
+  let v =
+    if Key.fits k then find_packed t (Key.hi_of_string k) (Key.lo_of_string k) ~absent:min_int
+    else find_wide t k ~absent:min_int
+  in
+  if v = min_int then None else Some v
 
-let mem t k = if Key.fits k then mem_packed t (Key.pack_string k) else mem_wide t k
+let mem t k =
+  if Key.fits k then mem_packed t (Key.hi_of_string k) (Key.lo_of_string k) else mem_wide t k
 
 let put t k v =
-  if Key.fits k then put_packed t (Key.pack_string k) v else put_wide t k v
+  if Key.fits k then put_packed t (Key.hi_of_string k) (Key.lo_of_string k) v
+  else put_wide t k v
 
 let erase t k =
-  if Key.fits k then erase_packed t (Key.pack_string k) else erase_wide t k
+  if Key.fits k then erase_packed t (Key.hi_of_string k) (Key.lo_of_string k)
+  else erase_wide t k
 
 let iter t f =
-  Intmap.iter t.packed (fun k v -> f (Key.unpack_string k) v);
+  Intmap.iter t.packed (fun hi lo v -> f (Key.to_string ~hi ~lo) v);
   Hashtbl.iter f t.wide
 
 let entries t =
@@ -115,6 +118,8 @@ let clear t =
 
 let copy t =
   { capacity = t.capacity; packed = Intmap.copy t.packed; wide = Hashtbl.copy t.wide }
+
+let packed_size t = Intmap.length t.packed
 
 let packed_stats t =
   let max_probe, mean_probe_x100 = Intmap.probe_stats t.packed in

@@ -7,13 +7,15 @@
     sequential semantics that sharded per-core instances must reproduce
     locally, §4 "State sharding").
 
-    Storage is hybrid: keys of at most {!Key.max_packed_bytes} bytes live
-    in an allocation-free int-keyed table ({!Intmap}) and the [_packed]
-    operations below access them by their {!Key.pack_string} form without
+    Storage is hybrid.  Every key of at most {!Key.max_packed_bytes} bytes
+    (the 12-byte flow 5-tuple keys included) lives in one allocation-free
+    table ({!Intmap}) keyed by its {!Key} [(hi, lo)] pair, and the
+    [_packed] operations below access it by that pair without
     materializing the string — the compiled datapath's zero-allocation
-    path.  Wider keys fall back to a string-keyed table.  Both views are
-    consistent: [get t s] and [find_packed t (Key.pack_string s)] always
-    agree when [Key.fits s].
+    path.  The string view routes those keys to the same table, so [get t
+    s] and [find_packed t (Key.hi_of_string s) (Key.lo_of_string s)]
+    always agree.  Only keys over 14 bytes fall back to a string-keyed
+    table; no corpus NF has one.
 
     Values must be DSL integers (non-negative); [min_int] is reserved as
     the internal absence sentinel. *)
@@ -37,23 +39,26 @@ val put : t -> string -> int -> bool
 val erase : t -> string -> bool
 (** [true] iff the key was present. *)
 
-val mem_packed : t -> int -> bool
+val mem_packed : t -> int -> int -> bool
+(** [mem_packed t hi lo]: the packed view takes a key as its {!Key}
+    pair. *)
 
-val find_packed : t -> int -> absent:int -> int
+val find_packed : t -> int -> int -> absent:int -> int
 (** Allocation-free lookup by packed key; [absent] must be a value the
     map cannot hold (any negative int). *)
 
-val put_packed : t -> int -> int -> bool
+val put_packed : t -> int -> int -> int -> bool
+(** [put_packed t hi lo v]. *)
 
-val erase_packed : t -> int -> bool
+val erase_packed : t -> int -> int -> bool
 
 val mem_wide : t -> string -> bool
 (** Wide-view operations address the string-keyed fallback table directly,
     bypassing the [Key.fits] routing — the compiled datapath uses them for
-    keys it knows are too wide to pack.  [mem_wide], [find_wide] and
-    [erase_wide] do not retain the key, so a [Bytes.unsafe_to_string]
-    alias of a scratch buffer is a sound argument; [put_wide] stores the
-    key and must be given a string the caller never mutates. *)
+    keys over 14 bytes.  [mem_wide], [find_wide] and [erase_wide] do not
+    retain the key, so a [Bytes.unsafe_to_string] alias of a reused
+    buffer is a sound argument; [put_wide] stores the key and must be given
+    a string the caller never mutates. *)
 
 val find_wide : t -> string -> absent:int -> int
 (** Allocation-free wide lookup; [absent] as in {!find_packed}. *)
@@ -78,10 +83,14 @@ val copy : t -> t
     same operation sequence stay structurally identical — the property
     SCR replica seeding needs when a discipline switch clones state. *)
 
+val packed_size : t -> int
+(** Bindings held in the packed table; [size t - packed_size t] are keys
+    over 14 bytes. *)
+
 val packed_stats : t -> int * int * int * int
 (** [(max_probe, mean_probe_x100, table_slots, tombstones)] of the packed
-    int-keyed table (see {!Intmap.probe_stats}).  O(table) — used by the
-    stress harness to gate probe lengths and physical growth, not by the
+    table (see {!Intmap.probe_stats}).  O(table) — used by the stress
+    harness to gate probe lengths and physical growth, not by the
     datapath. *)
 
 val pp : Format.formatter -> t -> unit

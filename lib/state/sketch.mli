@@ -24,18 +24,19 @@ val count : t -> string -> int
 val over_limit : t -> string -> limit:int -> bool
 (** Whether all of the item's entries surpass [limit] — the CL's drop test. *)
 
-val increment_packed : t -> int -> unit
-(** Allocation-free variants keyed by a {!Key.pack_string}-packed key.
-    For any string [s] with [Key.fits s], [increment_packed t
-    (Key.pack_string s)] touches exactly the counters [increment t s]
-    touches — the packed form is the canonical hash input for short
-    keys. *)
+val increment_packed : t -> int -> int -> unit
+(** Allocation-free variants keyed by a {!Key} [(hi, lo)] pair.  For any
+    string [s] with [Key.fits s], [increment_packed t (Key.hi_of_string s)
+    (Key.lo_of_string s)] touches exactly the counters [increment t s]
+    touches — the packed pair is the canonical hash input for keys of 14
+    bytes or less. *)
 
-val add_packed : t -> int -> int -> unit
+val add_packed : t -> int -> int -> int -> unit
+(** [add_packed t hi lo n]. *)
 
-val count_packed : t -> int -> int
+val count_packed : t -> int -> int -> int
 
-val over_limit_packed : t -> int -> limit:int -> bool
+val over_limit_packed : t -> int -> int -> limit:int -> bool
 
 val clear : t -> unit
 (** Reset all counters (the periodic refresh of a time-framed limiter). *)

@@ -111,15 +111,34 @@ let test_diff_missing_and_only () =
   let base = doc [ ("a", 10); ("b", 20); ("t_ns", 500) ] in
   let cur = doc [ ("a", 10); ("new", 3) ] in
   let r = Benchdiff.diff base cur in
-  Alcotest.(check (list string)) "missing" [ "b" ] r.Benchdiff.missing;
+  Alcotest.(check (list string)) "nothing missing" [] r.Benchdiff.missing;
   Alcotest.(check (list string)) "added" [ "new" ] r.Benchdiff.added;
-  Alcotest.(check bool) "missing fails gate" false (Benchdiff.ok r);
+  let r_floor = Benchdiff.diff ~min_counters:[ "nope" ] base cur in
+  Alcotest.(check (list string)) "unknown floor counter missing" [ "nope" ]
+    r_floor.Benchdiff.missing;
+  Alcotest.(check bool) "missing fails gate" false (Benchdiff.ok r_floor);
   let r_only = Benchdiff.diff ~only:[ "a" ] base cur in
   Alcotest.(check bool) "only-a passes" true (Benchdiff.ok r_only);
   Alcotest.(check int) "only-a compared" 1 r_only.Benchdiff.unchanged;
   let r_unknown = Benchdiff.diff ~only:[ "nope" ] base cur in
   Alcotest.(check (list string)) "unknown only-counter missing" [ "nope" ]
     r_unknown.Benchdiff.missing
+
+(* Telemetry.snapshot drops zero counters: a counter whose work fell to
+   zero is absent from the run, and reads as 0, not as renamed *)
+let test_diff_absent_reads_zero () =
+  let base = doc [ ("a", 10); ("gone", 20) ] in
+  let cur = doc [ ("a", 10) ] in
+  let r = Benchdiff.diff base cur in
+  Alcotest.(check (list string)) "growth gate: an improvement" [ "gone" ]
+    (names r.Benchdiff.improvements);
+  Alcotest.(check int) "read as 0" 0 (List.hd r.Benchdiff.improvements).Benchdiff.current;
+  Alcotest.(check bool) "growth gate passes" true (Benchdiff.ok r);
+  let r_floor = Benchdiff.diff ~min_counters:[ "gone" ] base cur in
+  Alcotest.(check (list string)) "floor gate: shrunk" [ "gone" ]
+    (names r_floor.Benchdiff.shrunk);
+  Alcotest.(check (list string)) "floor gate: not missing" [] r_floor.Benchdiff.missing;
+  Alcotest.(check bool) "floor gate fails" false (Benchdiff.ok r_floor)
 
 let test_diff_timing_policy () =
   let base = doc [ ("work", 10); ("lat_ns", 100); ("phase_ms", 50); ("t_ns_x100", 70) ] in
@@ -154,6 +173,8 @@ let suite =
     Alcotest.test_case "foreign schema rejected" `Quick test_rejects_foreign_schema;
     Alcotest.test_case "diff thresholds" `Quick test_diff_thresholds;
     Alcotest.test_case "diff missing/added/only" `Quick test_diff_missing_and_only;
+    Alcotest.test_case "diff reads a counter absent from the run as 0" `Quick
+      test_diff_absent_reads_zero;
     Alcotest.test_case "diff timing policy" `Quick test_diff_timing_policy;
     Alcotest.test_case "timing-counter classification" `Quick test_is_timing_counter;
   ]

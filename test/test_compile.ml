@@ -8,7 +8,11 @@ let ops_pp fmt (e : Dsl.Interp.op_event) =
   Format.fprintf fmt "%s(%b,%d)" e.Dsl.Interp.obj e.Dsl.Interp.write e.Dsl.Interp.expired
 
 (* Run [trace] through a fresh interpreter instance and a fresh compiled
-   instance in lockstep; fail on the first divergence. *)
+   instance in lockstep; fail on the first divergence.  The interpreter
+   keys containers by the string encoding and the compiled path by the
+   packed pair it assembles from parts, so at the end every map must
+   hold the same bindings under the string view, and every vector the
+   same slots. *)
 let differential label nf trace =
   let info = Dsl.Check.check_exn nf in
   let i_inst = Dsl.Instance.create nf in
@@ -28,7 +32,19 @@ let differential label nf trace =
           (List.rev !i_ops)
           (Format.pp_print_list ops_pp)
           (List.rev !c_ops))
-    trace
+    trace;
+  List.iter
+    (fun decl ->
+      let name = Dsl.Ast.decl_name decl in
+      match (Dsl.Instance.find i_inst name, Dsl.Instance.find c_inst name) with
+      | Dsl.Instance.O_map a, Dsl.Instance.O_map b ->
+          if List.sort compare (State.Map_s.entries a) <> List.sort compare (State.Map_s.entries b)
+          then Alcotest.failf "%s: map %s holds different bindings" label name
+      | Dsl.Instance.O_vector a, Dsl.Instance.O_vector b ->
+          if a.Dsl.Instance.slots <> b.Dsl.Instance.slots then
+            Alcotest.failf "%s: vector %s holds different slots" label name
+      | _ -> ())
+    nf.Dsl.Ast.state
 
 (* An adversarial trace: a tiny address space forces key collisions,
    capacity-full puts, expiry storms and both traffic directions. *)

@@ -155,6 +155,29 @@ let test_instance_capacity_division () =
   Alcotest.(check bool) "memory shrinks" true
     (Dsl.Instance.total_memory_bytes sharded < Dsl.Instance.total_memory_bytes whole)
 
+(* [copy] is deep: a flow the original opens after the copy shows in
+   neither the copy's map nor its key vector *)
+let test_instance_copy_is_deep () =
+  let nf = Nfs.Fw.make ~capacity:64 () in
+  let info = Dsl.Check.check_exn nf in
+  let inst = Dsl.Instance.create nf in
+  ignore (Dsl.Interp.process nf info inst (pkt (ip 10 0 0 1) 1234 (ip 96 0 0 2) 80));
+  let dup = Dsl.Instance.copy inst in
+  ignore (Dsl.Interp.process nf info inst (pkt (ip 10 0 0 3) 1235 (ip 96 0 0 4) 80));
+  match
+    ( Dsl.Instance.find inst "fw_flows",
+      Dsl.Instance.find dup "fw_flows",
+      Dsl.Instance.find inst "fw_keys",
+      Dsl.Instance.find dup "fw_keys" )
+  with
+  | Dsl.Instance.O_map ma, Dsl.Instance.O_map mb, Dsl.Instance.O_vector va, Dsl.Instance.O_vector vb
+    ->
+      Alcotest.(check int) "original: two flows" 2 (State.Map_s.size ma);
+      Alcotest.(check int) "copy: one flow" 1 (State.Map_s.size mb);
+      Alcotest.(check bool) "key vectors diverged" true
+        (va.Dsl.Instance.slots <> vb.Dsl.Instance.slots)
+  | _ -> Alcotest.fail "fw_flows map and fw_keys vector expected"
+
 let test_cast_masks () =
   let nf =
     {
@@ -198,6 +221,7 @@ let suite =
     Alcotest.test_case "interp counter" `Quick test_interp_counter_counts;
     Alcotest.test_case "interp op events" `Quick test_interp_op_events;
     Alcotest.test_case "instance capacity division" `Quick test_instance_capacity_division;
+    Alcotest.test_case "instance copy is deep" `Quick test_instance_copy_is_deep;
     Alcotest.test_case "cast masks" `Quick test_cast_masks;
     Alcotest.test_case "div by zero" `Quick test_div_by_zero_is_zero;
   ]

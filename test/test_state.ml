@@ -37,48 +37,88 @@ let test_map_binary_keys () =
 
 (* --- Key / Intmap / hybrid packed path ------------------------------------- *)
 
+let hi = Key.hi_of_string
+let lo = Key.lo_of_string
+let unpack s = Key.to_string ~hi:(hi s) ~lo:(lo s)
+
 let prop_key_roundtrip =
   QCheck.Test.make ~name:"packed keys roundtrip to their strings" ~count:200
     QCheck.(string_of_size (Gen.int_range 0 Key.max_packed_bytes))
-    (fun s ->
-      Key.fits s
-      && String.equal s (Key.unpack_string (Key.pack_string s)))
+    (fun s -> Key.fits s && String.equal s (unpack s))
 
 let test_key_length_tag () =
   (* same bytes, different lengths: distinct packed forms, like strings *)
-  let a = Key.pack_string "\x00\x01" and b = Key.pack_string "\x00\x00\x01" in
-  Alcotest.(check bool) "distinct" true (a <> b);
-  Alcotest.(check int) "len a" 2 (Key.byte_length a);
-  Alcotest.(check int) "len b" 3 (Key.byte_length b);
+  let a = "\x00\x01" and b = "\x00\x00\x01" in
+  Alcotest.(check bool) "distinct" true ((hi a, lo a) <> (hi b, lo b));
+  Alcotest.(check int) "len a" 2 (Key.byte_length (hi a));
+  Alcotest.(check int) "len b" 3 (Key.byte_length (hi b));
   Alcotest.(check bool) "too wide rejected" true
     (try
-       ignore (Key.pack_string "12345678");
+       ignore (hi (String.make 15 'x'));
        false
      with Invalid_argument _ -> true)
 
+(* 7 bytes is the widest key held by [lo] alone, 14 the widest packed *)
+let test_key_boundaries () =
+  let key n = String.init n (fun i -> Char.chr (0xf0 + i)) in
+  List.iter
+    (fun n ->
+      let s = key n in
+      Alcotest.(check bool) (Printf.sprintf "%d bytes fit" n) true (Key.fits s);
+      Alcotest.(check string) (Printf.sprintf "%d bytes roundtrip" n) s (unpack s);
+      Alcotest.(check int) (Printf.sprintf "%d bytes length" n) n (Key.byte_length (hi s)))
+    [ 0; 1; 7; 8; 13; 14 ];
+  Alcotest.(check int) "7 bytes: hi is the bare tag" (Key.tag ~bytes:7) (hi (key 7));
+  Alcotest.(check int) "8 bytes: hi holds the leading byte" (Key.tag ~bytes:8 lor 0xf0)
+    (hi (key 8));
+  Alcotest.(check int) "14 bytes: lo holds the last 7" 0xf7f8f9fafbfcfd (lo (key 14));
+  Alcotest.(check bool) "15 bytes do not fit" false (Key.fits (key 15));
+  (* part bits assemble the same pair as the string: a 12-byte 4+4+2+2
+     tuple straddles the halves inside its second part *)
+  let parts = [ (4, 0x0a000001); (4, 0xc0a80102); (2, 0x1f90); (2, 0x0050) ] in
+  let s =
+    String.concat ""
+      (List.map
+         (fun (b, v) -> String.init b (fun i -> Char.chr ((v lsr (8 * (b - 1 - i))) land 0xff)))
+         parts)
+  in
+  let shifts = Key.part_shifts (List.map fst parts) in
+  Alcotest.(check (list int)) "shifts" [ 64; 32; 16; 0 ] shifts;
+  let hi_p, lo_p =
+    List.fold_left2
+      (fun (h, l) (_, v) shift -> (h lor Key.hi_bits ~shift v, l lor Key.lo_bits ~shift v))
+      (Key.tag ~bytes:12, 0) parts shifts
+  in
+  Alcotest.(check (pair int int)) "parts = string" (hi s, lo s) (hi_p, lo_p)
+
 let test_intmap_basics () =
   let m = Intmap.create ~capacity:3 in
-  Alcotest.(check int) "miss" (-1) (Intmap.find m 42 ~absent:(-1));
-  Alcotest.(check bool) "put" true (Intmap.put m 42 7);
-  Alcotest.(check int) "hit" 7 (Intmap.find m 42 ~absent:(-1));
-  Alcotest.(check bool) "overwrite" true (Intmap.put m 42 8);
-  Alcotest.(check int) "new value" 8 (Intmap.find m 42 ~absent:(-1));
+  let h = Key.tag ~bytes:12 in
+  Alcotest.(check int) "miss" (-1) (Intmap.find m h 42 ~absent:(-1));
+  Alcotest.(check bool) "put" true (Intmap.put m h 42 7);
+  Alcotest.(check int) "hit" 7 (Intmap.find m h 42 ~absent:(-1));
+  Alcotest.(check int) "other hi misses" (-1) (Intmap.find m (h + 1) 42 ~absent:(-1));
+  Alcotest.(check bool) "overwrite" true (Intmap.put m h 42 8);
+  Alcotest.(check int) "new value" 8 (Intmap.find m h 42 ~absent:(-1));
   Alcotest.(check int) "size" 1 (Intmap.length m);
-  Alcotest.(check bool) "erase" true (Intmap.erase m 42);
-  Alcotest.(check bool) "erase absent" false (Intmap.erase m 42)
+  Alcotest.(check bool) "negative hi misses" false (Intmap.mem m (-1) (-1));
+  Alcotest.(check bool) "erase" true (Intmap.erase m h 42);
+  Alcotest.(check bool) "erase absent" false (Intmap.erase m h 42)
 
 let test_intmap_capacity_and_growth () =
   let m = Intmap.create ~capacity:100 in
   (* push past the initial physical table so growth + rehash happen *)
   for i = 0 to 99 do
-    Alcotest.(check bool) (Printf.sprintf "put %d" i) true (Intmap.put m (i * 17) i)
+    Alcotest.(check bool) (Printf.sprintf "put %d" i) true (Intmap.put m (i mod 3) (i * 17) i)
   done;
-  Alcotest.(check bool) "logically full" false (Intmap.put m 9_999_999 0);
+  Alcotest.(check bool) "logically full" false (Intmap.put m 0 9_999_999 0);
   for i = 0 to 99 do
-    Alcotest.(check int) (Printf.sprintf "get %d" i) i (Intmap.find m (i * 17) ~absent:(-1))
+    Alcotest.(check int) (Printf.sprintf "get %d" i) i
+      (Intmap.find m (i mod 3) (i * 17) ~absent:(-1))
   done
 
-(* erase/insert churn exercises tombstone reuse without unbounded growth *)
+(* erase/insert churn exercises tombstone reuse without unbounded growth;
+   keys differ in either half *)
 let prop_intmap_vs_hashtbl =
   QCheck.Test.make ~name:"intmap agrees with Hashtbl under churn" ~count:50
     QCheck.(int_range 1 100_000)
@@ -88,63 +128,156 @@ let prop_intmap_vs_hashtbl =
       let h = Hashtbl.create 32 in
       let ok = ref true in
       for _ = 1 to 1000 do
-        let k = Random.State.int rng 64 in
+        let k = (Random.State.int rng 8, Random.State.int rng 8) in
+        let khi, klo = k in
         match Random.State.int rng 3 with
         | 0 ->
             let v = Random.State.int rng 1000 in
             let fits = Hashtbl.mem h k || Hashtbl.length h < 32 in
-            if Intmap.put m k v <> fits then ok := false
+            if Intmap.put m khi klo v <> fits then ok := false
             else if fits then Hashtbl.replace h k v
         | 1 ->
-            if Intmap.erase m k <> Hashtbl.mem h k then ok := false;
+            if Intmap.erase m khi klo <> Hashtbl.mem h k then ok := false;
             Hashtbl.remove h k
         | _ ->
             let expect = Option.value ~default:(-1) (Hashtbl.find_opt h k) in
-            if Intmap.find m k ~absent:(-1) <> expect then ok := false
+            if Intmap.find m khi klo ~absent:(-1) <> expect then ok := false
       done;
       !ok && Intmap.length m = Hashtbl.length h)
 
 let test_map_hybrid_views_agree () =
   (* entries written through the string API are visible packed and back *)
   let m = Map_s.create ~capacity:8 in
-  let k = "\x01\x02\x03\x04" in
+  let k = "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c" in
   Alcotest.(check bool) "string put" true (Map_s.put m k 5);
-  Alcotest.(check int) "packed view" 5
-    (Map_s.find_packed m (Key.pack_string k) ~absent:(-1));
-  Alcotest.(check bool) "packed put" true (Map_s.put_packed m (Key.pack_string "\xff\xee") 9);
+  Alcotest.(check int) "packed view" 5 (Map_s.find_packed m (hi k) (lo k) ~absent:(-1));
+  Alcotest.(check bool) "packed put" true (Map_s.put_packed m (hi "\xff\xee") (lo "\xff\xee") 9);
   Alcotest.(check (option int)) "string view" (Some 9) (Map_s.get m "\xff\xee");
   Alcotest.(check int) "size counts both" 2 (Map_s.size m);
+  Alcotest.(check int) "both packed" 2 (Map_s.packed_size m);
   (* iter reconstructs packed keys as strings *)
   let seen = ref [] in
   Map_s.iter m (fun key v -> seen := (key, v) :: !seen);
   Alcotest.(check bool) "iter sees string form" true
     (List.mem (k, 5) !seen && List.mem ("\xff\xee", 9) !seen);
-  Alcotest.(check bool) "packed erase" true (Map_s.erase_packed m (Key.pack_string k));
+  Alcotest.(check bool) "packed erase" true (Map_s.erase_packed m (hi k) (lo k));
   Alcotest.(check (option int)) "gone via string" None (Map_s.get m k)
 
 let test_map_capacity_spans_views () =
   (* the logical capacity bounds packed + wide entries together *)
   let m = Map_s.create ~capacity:2 in
-  let wide = String.make 12 'x' in
+  let wide = String.make 15 'x' in
   Alcotest.(check bool) "wide" true (Map_s.put m wide 1);
   Alcotest.(check bool) "packed" true (Map_s.put m "ab" 2);
+  Alcotest.(check int) "one packed" 1 (Map_s.packed_size m);
   Alcotest.(check bool) "full (packed)" false (Map_s.put m "cd" 3);
-  Alcotest.(check bool) "full (wide)" false (Map_s.put m (String.make 13 'y') 3);
+  Alcotest.(check bool) "full (wide)" false (Map_s.put m (String.make 16 'y') 3);
   Alcotest.(check bool) "overwrite wide ok" true (Map_s.put m wide 4);
   Alcotest.(check bool) "overwrite packed ok" true (Map_s.put m "ab" 5)
+
+(* A map driven through its string and packed views at random, over keys
+   of 0 to 20 bytes (packed and wide) and a small capacity so puts hit a
+   full map, agrees with a Hashtbl model on every answer. *)
+let prop_map_views_vs_model =
+  QCheck.Test.make ~name:"map string and packed views agree with a Hashtbl model" ~count:100
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let capacity = 1 + Random.State.int rng 12 in
+      let m = Map_s.create ~capacity in
+      let model = Hashtbl.create 16 in
+      (* a small key pool: repeats make overwrites, erases and hits *)
+      let pool =
+        Array.init 24 (fun _ ->
+            String.init (Random.State.int rng 21) (fun _ -> Char.chr (Random.State.int rng 4)))
+      in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        let k = pool.(Random.State.int rng (Array.length pool)) in
+        let packed = Key.fits k && Random.State.bool rng in
+        match Random.State.int rng 4 with
+        | 0 ->
+            let v = Random.State.int rng 1000 in
+            let room = Hashtbl.mem model k || Hashtbl.length model < capacity in
+            let r = if packed then Map_s.put_packed m (hi k) (lo k) v else Map_s.put m k v in
+            if r <> room then ok := false;
+            if room then Hashtbl.replace model k v
+        | 1 ->
+            let r = if packed then Map_s.erase_packed m (hi k) (lo k) else Map_s.erase m k in
+            if r <> Hashtbl.mem model k then ok := false;
+            Hashtbl.remove model k
+        | 2 ->
+            let r = if packed then Map_s.mem_packed m (hi k) (lo k) else Map_s.mem m k in
+            if r <> Hashtbl.mem model k then ok := false
+        | _ ->
+            let expect = Option.value ~default:(-1) (Hashtbl.find_opt model k) in
+            let r =
+              if packed then Map_s.find_packed m (hi k) (lo k) ~absent:(-1)
+              else Option.value ~default:(-1) (Map_s.get m k)
+            in
+            if r <> expect then ok := false
+      done;
+      !ok
+      && Map_s.size m = Hashtbl.length model
+      && List.sort compare (Map_s.entries m)
+         = List.sort compare (List.of_seq (Hashtbl.to_seq model)))
 
 let test_sketch_packed_consistency () =
   let s = Sketch.create ~depth:3 ~width:64 () in
   let k = "\x01\x02" in
   Sketch.increment s k;
-  Sketch.add_packed s (Key.pack_string k) 2;
+  Sketch.add_packed s (hi k) (lo k) 2;
   (* both APIs hit the same counters, so the estimate sums *)
   Alcotest.(check bool) "mixed count >= 3" true (Sketch.count s k >= 3);
   Alcotest.(check int) "packed = string estimate" (Sketch.count s k)
-    (Sketch.count_packed s (Key.pack_string k));
+    (Sketch.count_packed s (hi k) (lo k));
   Alcotest.(check bool) "over limit agrees" true
-    (Sketch.over_limit s k ~limit:2
-    = Sketch.over_limit_packed s (Key.pack_string k) ~limit:2)
+    (Sketch.over_limit s k ~limit:2 = Sketch.over_limit_packed s (hi k) (lo k) ~limit:2)
+
+(* every key of 14 bytes or less counts the same through either view *)
+let test_sketch_views_agree () =
+  let s = Sketch.create ~depth:4 ~width:128 () in
+  let rng = Random.State.make [| 14 |] in
+  let keys =
+    List.init 200 (fun _ ->
+        String.init (Random.State.int rng 15) (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  List.iteri
+    (fun i k ->
+      if i mod 2 = 0 then Sketch.increment s k else Sketch.increment_packed s (hi k) (lo k))
+    keys;
+  List.iter
+    (fun k ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d-byte key" (String.length k))
+        (Sketch.count s k)
+        (Sketch.count_packed s (hi k) (lo k)))
+    keys
+
+(* No corpus NF keys a container by more than 14 bytes, so on the
+   compiled path every map op of every registry NF, Fig. 2 scenario and
+   shipped chain takes the packed pair and none the string fallback. *)
+let test_corpus_keys_pack () =
+  let fallback = Telemetry.Counter.make "state.key_string_fallback" in
+  let packed = Telemetry.Counter.make "state.key_packed" in
+  let run (nf : Dsl.Ast.t) trace =
+    let staged = Dsl.Compile.stage nf (Dsl.Check.check_exn nf) in
+    let b = Dsl.Compile.bind staged (Dsl.Instance.create nf) in
+    Array.iter (fun p -> ignore (Dsl.Compile.process b p)) trace
+  in
+  let fw_trace = (Sim.Workload.read_heavy ~pkts:2_000 ~flows:200 "fw").Sim.Workload.trace in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      List.iter
+        (fun name ->
+          let w = Sim.Workload.read_heavy ~pkts:2_000 ~flows:200 name in
+          run w.Sim.Workload.nf w.Sim.Workload.trace)
+        Nfs.Registry.extended_names;
+      List.iter (fun nf -> run nf fw_trace) (Nfs.Scenarios.all ());
+      List.iter (fun ch -> run (Dsl.Chain.nf ch) fw_trace) (Nfs.Scenarios.chains ()));
+  Alcotest.(check int) "no string-fallback op" 0 (Telemetry.Counter.value fallback);
+  Alcotest.(check bool) "packed ops ran" true (Telemetry.Counter.value packed > 0)
 
 let test_dchain_allocate_idx () =
   let c = Dchain.create ~capacity:1 in
@@ -320,12 +453,13 @@ let next_pow2 n =
 let test_intmap_tombstone_bounded () =
   let window = 32 in
   let m = Intmap.create ~capacity:(window + 1) in
+  let h = Key.tag ~bytes:12 in
   for i = 0 to window - 1 do
-    Alcotest.(check bool) "seed" true (Intmap.put m i i)
+    Alcotest.(check bool) "seed" true (Intmap.put m h i i)
   done;
   for i = 0 to 9_999 do
-    Alcotest.(check bool) "erase" true (Intmap.erase m i);
-    Alcotest.(check bool) "insert" true (Intmap.put m (i + window) i)
+    Alcotest.(check bool) "erase" true (Intmap.erase m h i);
+    Alcotest.(check bool) "insert" true (Intmap.put m h (i + window) i)
   done;
   Alcotest.(check int) "window intact" window (Intmap.length m);
   Alcotest.(check bool)
@@ -336,7 +470,7 @@ let test_intmap_tombstone_bounded () =
   Alcotest.(check bool) "probes short" true (max_probe <= 64);
   for i = 10_000 to 10_000 + window - 1 do
     Alcotest.(check int) (Printf.sprintf "resident %d" i) (i - window)
-      (Intmap.find m i ~absent:(-1))
+      (Intmap.find m h i ~absent:(-1))
   done
 
 let prop_intmap_table_bound =
@@ -350,8 +484,8 @@ let prop_intmap_table_bound =
       for _ = 1 to 2_000 do
         let k = Random.State.int rng 400 in
         (match Random.State.int rng 2 with
-        | 0 -> ignore (Intmap.put m k k)
-        | _ -> ignore (Intmap.erase m k));
+        | 0 -> ignore (Intmap.put m (k land 3) k k)
+        | _ -> ignore (Intmap.erase m (k land 3) k));
         if Intmap.table_slots m > bound then ok := false
       done;
       !ok)
@@ -411,11 +545,15 @@ let suite =
     Alcotest.test_case "map erase absent" `Quick test_map_erase_absent;
     Alcotest.test_case "map binary keys" `Quick test_map_binary_keys;
     Alcotest.test_case "key length tag" `Quick test_key_length_tag;
+    Alcotest.test_case "key pack boundaries (7/8, 14/15 bytes)" `Quick test_key_boundaries;
     Alcotest.test_case "intmap basics" `Quick test_intmap_basics;
     Alcotest.test_case "intmap capacity and growth" `Quick test_intmap_capacity_and_growth;
     Alcotest.test_case "map hybrid views agree" `Quick test_map_hybrid_views_agree;
     Alcotest.test_case "map capacity spans views" `Quick test_map_capacity_spans_views;
     Alcotest.test_case "sketch packed consistency" `Quick test_sketch_packed_consistency;
+    Alcotest.test_case "sketch string and packed counts agree" `Quick test_sketch_views_agree;
+    QCheck_alcotest.to_alcotest prop_map_views_vs_model;
+    Alcotest.test_case "corpus keys all take the packed path" `Quick test_corpus_keys_pack;
     Alcotest.test_case "dchain allocate_idx" `Quick test_dchain_allocate_idx;
     QCheck_alcotest.to_alcotest prop_key_roundtrip;
     QCheck_alcotest.to_alcotest prop_intmap_vs_hashtbl;
