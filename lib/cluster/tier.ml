@@ -23,7 +23,7 @@ let default_config =
 type machine = {
   id : int;
   inst : Dsl.Instance.t;
-  mutable runner : Dsl.Compile.runner;
+  runner : Dsl.Compile.runner;
   mutable up : bool;
   mutable pkts : int;
   mutable churned : bool; (* joined late, left, or failed: excluded from imbalance *)
@@ -204,9 +204,8 @@ let migrate_all t =
     ~owner:(fun h -> Maglev.lookup t.table h)
     ~instances:(instances t)
 
-let reset_machine t m =
-  Dsl.Instance.reset m.inst t.nf;
-  m.runner <- Dsl.Compile.bind_runner t.staged m.inst
+(* The reset keeps the instance's containers, so [m.runner] stays bound. *)
+let reset_machine t m = Dsl.Instance.reset m.inst t.nf
 
 (* Rebuild a failed machine's replica from the digest log: replay, in
    arrival order, exactly the log entries whose pseudo-packet the dead

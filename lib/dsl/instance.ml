@@ -12,11 +12,13 @@ type t = { objs : (string, obj) Hashtbl.t; divide : int }
 
 let scaled divide capacity = max 1 (capacity / divide)
 
+let load_init m init = List.iter (fun (k, v) -> ignore (State.Map_s.put m k v)) init
+
 let build divide objs (decl : Ast.state_decl) =
   match decl with
   | Ast.Decl_map { name; capacity; init } ->
       let m = State.Map_s.create ~capacity:(max (scaled divide capacity) (List.length init)) in
-      List.iter (fun (k, v) -> ignore (State.Map_s.put m k v)) init;
+      load_init m init;
       Hashtbl.replace objs name (O_map m)
   | Ast.Decl_vector { name; capacity; layout } ->
       let capacity = scaled divide capacity and stride = List.length layout in
@@ -64,6 +66,17 @@ let copy t =
     t.objs;
   { objs; divide = t.divide }
 
+(* Every container is emptied where it lives, so whatever was bound to
+   it — compiled runners, SCR replayers — stays bound across the reset. *)
 let reset t (nf : Ast.t) =
-  Hashtbl.reset t.objs;
-  List.iter (build t.divide t.objs) nf.Ast.state
+  List.iter
+    (fun (decl : Ast.state_decl) ->
+      match (decl, find t (Ast.decl_name decl)) with
+      | Ast.Decl_map { init; _ }, O_map m ->
+          State.Map_s.clear m;
+          load_init m init
+      | Ast.Decl_vector _, O_vector v -> Array.fill v.slots 0 (Array.length v.slots) 0
+      | Ast.Decl_chain _, O_chain c -> State.Dchain.reset c
+      | Ast.Decl_sketch _, O_sketch s -> State.Sketch.clear s
+      | _ -> invalid_arg ("Instance.reset: object kind differs for " ^ Ast.decl_name decl))
+    nf.Ast.state

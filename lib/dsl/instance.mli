@@ -53,4 +53,11 @@ val copy : t -> t
     instance into per-replica state. *)
 
 val reset : t -> Ast.t -> unit
-(** Restore start-up state (map init entries included). *)
+(** [reset t nf] restores the start-up state of [t], an instance of [nf],
+    in place: maps are emptied back to their start-up table size and get
+    their [init] entries again, vector slots are zeroed, chains free every
+    index ({!State.Dchain.reset}) and sketches zero their counters.  The
+    result is structurally equal ([=]) to [create ~divide nf] for the
+    [divide] [t] was created with — table geometry included, since the
+    balancer's migration walks tables in slot order.  The containers are
+    the same ones, so runners and SCR replayers bound to [t] stay bound. *)

@@ -34,6 +34,10 @@ let imbalance s =
 
 type result = { verdicts : Dsl.Interp.action array; stats : stats }
 
+let port_error ~devices i port =
+  invalid_arg
+    (Printf.sprintf "packet %d arrived on port %d, but the NF has %d device(s)" i port devices)
+
 let c_pkts = Telemetry.Counter.make "runtime.pkts" ~doc:"packets pushed through parallel plans"
 let c_restarts = Telemetry.Counter.make "runtime.spec_restarts" ~doc:"speculative lock restarts"
 let c_expired = Telemetry.Counter.make "runtime.expired_flows" ~doc:"flows aged out during execution"
@@ -122,16 +126,21 @@ let run ?reta (plan : Maestro.Plan.t) pkts =
   let tm_rw_sets = ref [] in
   let tm = plan.Maestro.Plan.strategy = Maestro.Plan.Tm_based in
   let lock_based = plan.Maestro.Plan.strategy = Maestro.Plan.Lock_based in
+  let nports = Array.length engines in
   let verdicts =
-    Array.map
-      (fun pkt ->
+    Array.mapi
+      (fun i pkt ->
         let core =
           if scr then begin
             let c = !rr mod cores in
             incr rr;
             c
           end
-          else Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt
+          else begin
+            let port = pkt.Packet.Pkt.port in
+            if port < 0 || port >= nports then port_error ~devices:nports i port;
+            Nic.Rss.dispatch engines.(port) pkt
+          end
         in
         per_core_pkts.(core) <- per_core_pkts.(core) + 1;
         let runner = if per_core_state then runners.(core) else runners.(0) in

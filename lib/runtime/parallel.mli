@@ -43,7 +43,16 @@ val run_sequential : Dsl.Ast.t -> Packet.Pkt.t array -> Dsl.Interp.action array
 
 val run : ?reta:Nic.Reta.t array -> Maestro.Plan.t -> Packet.Pkt.t array -> result
 (** Execute the plan over the trace.  [reta] overrides the per-port
-    indirection tables (for RSS++-style rebalanced tables, Fig. 5). *)
+    indirection tables (for RSS++-style rebalanced tables, Fig. 5).  A
+    packet to be RSS-dispatched from a port outside the NF's devices
+    raises {!port_error}'s [Invalid_argument]. *)
+
+val port_error : devices:int -> int -> int -> 'a
+(** [port_error ~devices i port] raises the [Invalid_argument] for packet
+    [i] arriving on [port] of an NF with [devices] ports, naming all
+    three — the one error {!run} and [Pool.run] give for a packet whose
+    port has no RSS engine.  Each checks the port where it already reads
+    it, so the check costs two comparisons and no extra pass. *)
 
 val dispatch_counts : ?reta:Nic.Reta.t array -> Maestro.Plan.t -> Packet.Pkt.t array -> int array
 (** Per-core packet counts under the plan's RSS configuration, without

@@ -77,6 +77,10 @@ let c_scr_digest_bytes =
   Telemetry.Counter.make "pool.scr_digest_bytes"
     ~doc:"update-digest bytes broadcast by the SCR dispatcher"
 
+let c_lock_acquisitions =
+  Telemetry.Counter.make "pool.lock_acquisitions"
+    ~doc:"reader-writer lock acquisitions on the lock rung, one per batch executed"
+
 (* --- bounded SPSC ring ----------------------------------------------------- *)
 
 module Ring = struct
@@ -213,6 +217,27 @@ type stats = {
       (** epochs spent per rung in the last adaptive run *)
 }
 
+(* What the first run of a plan builds and every later run of the same
+   plan (the same [Plan.t] value) reuses, as Maestro's generated NFs
+   allocate their state once per core in [init()]: the checked and staged
+   NF bound to its state.  [insts] are the distinct instances — one per
+   plan core, or the one the lock/TM cores share — and a later run resets
+   them in place ({!Dsl.Instance.reset}), which keeps the runners and SCR
+   replayers bound to them valid. *)
+type binding = {
+  plan : Maestro.Plan.t;
+  engines : Nic.Rss.t array;  (* per port, over the plan's own tables *)
+  insts : Dsl.Instance.t array;
+  runners : Dsl.Compile.runner array;  (* per plan core, each with its own frame *)
+  discipline : discipline;
+}
+
+and discipline =
+  | Direct  (** shared-nothing and load-balance: per-core instances *)
+  | Locked of { lock : Rwlock.t; writes : bool }  (** lock/TM: one shared instance *)
+  | Replicated of { prog : Scr.t; replayers : Scr.replayer array }
+      (** SCR: a full replica per core *)
+
 type t = {
   cores : int;
   batch_size : int;
@@ -243,6 +268,7 @@ type t = {
   mutable adaptive_flaps : int;
   mutable adaptive_switch_epochs : (int * Maestro.Ladder.rung) list;
   mutable adaptive_residency : (Maestro.Ladder.rung * int) list;
+  mutable binding : binding option;  (* the one plan bound to this pool *)
   mutable scr_crash_hook : (int -> unit) option;
       (* set for the duration of an SCR run: rebuild [core]'s replica from
          the retained digest stream.  Called only by the producer, inside
@@ -358,6 +384,7 @@ let create ?(batch_size = default_batch_size) ?(ring_capacity = default_ring_cap
     adaptive_flaps = 0;
     adaptive_switch_epochs = [];
     adaptive_residency = [];
+    binding = None;
     scr_crash_hook = None;
   }
 
@@ -386,7 +413,8 @@ let shutdown t =
           Mutex.unlock w.mutex;
           Domain.join d;
           w.domain <- None)
-    t.workers
+    t.workers;
+  t.binding <- None
 
 let stats t =
   {
@@ -426,11 +454,10 @@ let run_inline t w tok =
   w.exec tok
 
 (* Complete, on the producer, a token that was pushed to [w] but that its
-   dead domain will not complete; retiring it keeps [w]'s completion count
-   equal to its pushes. *)
+   dead domain will not complete; retiring it, even when it raises, keeps
+   [w]'s completion count equal to its pushes. *)
 let complete_inline t w tok =
-  run_inline t w tok;
-  Atomic.incr w.retired
+  Fun.protect ~finally:(fun () -> Atomic.incr w.retired) (fun () -> run_inline t w tok)
 
 (* Drain a permanently failed worker's ring on the producer: the consumer
    is gone, and FIFO order preserves per-core arrival order. *)
@@ -463,12 +490,15 @@ let ensure_live t w =
     | `Restart backoff ->
         (* replay the crashed batch inline BEFORE respawning: re-queueing
            it would run it after later batches of this core and reorder
-           the per-core packet stream *)
-        if crashed >= 0 then complete_inline t w crashed;
-        for _ = 1 to backoff do
-          Domain.cpu_relax ()
-        done;
-        spawn_worker w;
+           the per-core packet stream.  A replay that raises (the NF fails
+           on a packet, not the worker) still respawns the worker. *)
+        Fun.protect
+          ~finally:(fun () ->
+            for _ = 1 to backoff do
+              Domain.cpu_relax ()
+            done;
+            spawn_worker w)
+          (fun () -> if crashed >= 0 then complete_inline t w crashed);
         `Ok
     | `Give_up ->
         Atomic.set w.failed true;
@@ -659,26 +689,29 @@ let stream t ~cores ~assignment ~per_core ~lo ~hi core_of =
     send t t.workers.(c)
   done
 
-(* Per-packet steps of a core bound to runner [r]: bare, or under the
-   shared instance's reader-writer lock (the write lock when the NF may
-   write). *)
+(* The per-packet step of a core bound to runner [r]. *)
 let direct_step r ~verdicts ~pkts i = verdicts.(i) <- Dsl.Compile.run r pkts.(i)
 
 let unlock lock ~writes ~core =
   if writes then Rwlock.write_unlock lock else Rwlock.read_unlock lock ~core
 
-let locked_step lock ~writes ~core r ~verdicts ~pkts i =
-  if writes then Rwlock.write_lock lock else Rwlock.read_lock lock ~core;
-  match Dsl.Compile.run r pkts.(i) with
-  | v ->
-      unlock lock ~writes ~core;
-      verdicts.(i) <- v
+(* The lane executor of a lock-rung core: the whole batch runs under one
+   acquisition of the shared instance's reader-writer lock — the write
+   lock when the NF may write — released on return or on exception.  The
+   generated C (and paper §3.6) lock once per packet; locking once per
+   batch keeps mutual exclusion and per-core order, and saves the lock's
+   atomic operations on every packet but one per batch. *)
+let locked_exec lock ~writes w step upto =
+  if writes then Rwlock.write_lock lock else Rwlock.read_lock lock ~core:w.core;
+  Telemetry.Counter.incr c_lock_acquisitions;
+  match lane_exec w step upto with
+  | () -> unlock lock ~writes ~core:w.core
   | exception e ->
-      unlock lock ~writes ~core;
+      unlock lock ~writes ~core:w.core;
       raise e
 
 (* An SCR owner runs the whole NF over its batch.  The runner is looked up
-   per batch because a crash rebuild rebinds it. *)
+   per batch because an adaptive run's crash rebuild rebinds it. *)
 let run_range runners ~verdicts ~pkts core lo len =
   let r = runners.(core) in
   for i = lo to lo + len - 1 do
@@ -766,25 +799,83 @@ let scr_stream t prog log ~lives ~rr ~assignment ~per_core ~pkts ~lo ~hi =
 
 (* --- plan execution --------------------------------------------------------- *)
 
-let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : Maestro.Plan.t)
-    pkts =
-  Telemetry.Span.with_span "pool/run" @@ fun () ->
+(* The engine of each of the plan's ports. *)
+let plan_engines (plan : Maestro.Plan.t) =
+  Array.init plan.Maestro.Plan.nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan)
+
+(* Check and stage [plan]'s NF and bind it to fresh state: per-core
+   instances (capacity-split for shared-nothing, read-only replicas for
+   load-balance, full replicas for SCR) or one instance the lock/TM cores
+   share.  Every core gets its own execution frame. *)
+let bind_plan (plan : Maestro.Plan.t) =
+  let nf = plan.Maestro.Plan.nf in
+  let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
+  let cores = plan.Maestro.Plan.cores in
+  let per_core () =
+    Array.init cores (fun _ -> Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf)
+  in
+  let insts, discipline =
+    match plan.Maestro.Plan.strategy with
+    | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance -> (per_core (), Direct)
+    | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based ->
+        ( [| Dsl.Instance.create nf |],
+          Locked { lock = Rwlock.create ~cores; writes = nf_statically_writes nf } )
+    | Maestro.Plan.Scr ->
+        let spec =
+          match Maestro.Scrspec.admissible nf with
+          | Ok spec -> spec
+          | Error e ->
+              invalid_arg
+                (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e)
+        in
+        let insts = per_core () in
+        let prog = Scr.prepare spec in
+        (insts, Replicated { prog; replayers = Array.map (Scr.bind prog) insts })
+  in
+  let inst_of c = match discipline with Locked _ -> insts.(0) | Direct | Replicated _ -> insts.(c) in
+  {
+    plan;
+    engines = plan_engines plan;
+    insts;
+    runners = Array.init cores (fun c -> Dsl.Compile.bind_runner staged (inst_of c));
+    discipline;
+  }
+
+(* The pool's binding of [plan]: the one it holds, its state reset in
+   place, when [plan] is the plan it was built for; otherwise a new one,
+   replacing it.  Called only at a quiesce point. *)
+let bind t (plan : Maestro.Plan.t) =
+  match t.binding with
+  | Some b when b.plan == plan ->
+      Array.iter (fun inst -> Dsl.Instance.reset inst plan.Maestro.Plan.nf) b.insts;
+      b
+  | Some _ | None ->
+      let b = bind_plan plan in
+      t.binding <- Some b;
+      b
+
+(* The rx port of packet [i], checked where the producer reads it to pick
+   the port's engine. *)
+let port_of pkts ~nports i =
+  let port = pkts.(i).Packet.Pkt.port in
+  if port < 0 || port >= nports then Parallel.port_error ~devices:nports i port;
+  port
+
+(* [run]'s body; its executors run a batch only while [running] holds. *)
+let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
   let cores = plan.Maestro.Plan.cores in
   if cores > t.cores then
     invalid_arg
       (Printf.sprintf "Pool.run: plan wants %d cores but the pool has %d" cores t.cores);
   let nf = plan.Maestro.Plan.nf in
-  let info = Dsl.Check.check_exn nf in
-  (* stage once per run, bind once per core: every worker gets its own
-     execution frame, over per-core state (shared-nothing) or the one
-     shared instance (lock/TM) *)
-  let staged = Dsl.Compile.stage_runner nf info in
   let live = Array.init cores (fun c -> not (Atomic.get t.workers.(c).failed)) in
   if not (Array.exists Fun.id live) then
     invalid_arg "Pool.run: every core of the plan has failed permanently";
-  let engines =
-    Array.init nf.Dsl.Ast.devices (fun port ->
-        let e = Maestro.Plan.rss_engine plan port in
+  (* this run's port engines, in an array of its own: the rebalance and
+     adaptive arms retarget them *)
+  let live_engines base =
+    Array.map
+      (fun e ->
         if Array.for_all Fun.id live then e
         else begin
           (* failover: migrate dead cores' RSS buckets to live cores so no
@@ -792,28 +883,35 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
           Telemetry.Counter.incr c_remaps;
           Nic.Rss.with_reta e (Nic.Reta.remap (Nic.Rss.reta e) ~live)
         end)
+      base
   in
-  (* the engines share their hash functions with every [with_reta] copy *)
-  let hashes = Array.map Nic.Rss.hash engines in
-  let nports = Array.length engines in
   let npkts = Array.length pkts in
   let verdicts = Array.make npkts Dsl.Interp.Dropped in
-  (* a run that raised may have left batches in flight under its own
-     executors: let them finish before installing this run's *)
+  (* state is reset and executors installed only at a quiesce point
+     (a run that raised quiesced before it did, with its leftovers
+     abandoned) *)
   wait_quiesce t ~cores:t.cores;
   reset_lanes t ~cores ~npkts;
   let install exec =
     for c = 0 to cores - 1 do
-      t.workers.(c).exec <- exec c
+      let exec = exec c in
+      t.workers.(c).exec <- (fun tok -> if Atomic.get running then exec tok)
     done
   in
-  let lanes step = install (fun c -> lane_exec t.workers.(c) (step c)) in
+  (* every plan core runs its lane through [step c]: bare, or on the lock
+     rung under the shared instance's lock *)
+  let lanes ?lock step =
+    install (fun c ->
+        match lock with
+        | None -> lane_exec t.workers.(c) (step c)
+        | Some (lock, writes) -> locked_exec lock ~writes t.workers.(c) (step c))
+  in
   let assignment = Array.make npkts 0 in
   let per_core = Array.make cores 0 in
   let lives () = Array.of_list (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id)) in
   let strategy = plan.Maestro.Plan.strategy in
   let finish points =
-    (* idle workers keep no reference to this run's packets and state *)
+    (* idle workers keep no reference to this run's packets *)
     install (fun _ -> no_exec);
     t.runs <- t.runs + 1;
     t.total_pkts <- t.total_pkts + npkts;
@@ -844,6 +942,11 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
          depends on the rung — per-core shards (shared-nothing), full
          replicas (SCR), or one shared instance aliased into every slot
          (lock-based and serial). *)
+      let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
+      let engines = live_engines (plan_engines plan) in
+      (* the engines share their hash functions with every [with_reta] copy *)
+      let hashes = Array.map Nic.Rss.hash engines in
+      let nports = Array.length engines in
       let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
       if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
         invalid_arg "Pool.run: adaptive switching requires equal-size port indirection tables";
@@ -917,7 +1020,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             install (scr_exec !log ~own:(run_range runners ~verdicts ~pkts) ~replay ~applied)
         | Maestro.Ladder.Lock_based ->
             Array.fill replayers 0 cores None;
-            lanes (fun c -> locked_step lock ~writes ~core:c runners.(c) ~verdicts ~pkts)
+            lanes ~lock:(lock, writes) (fun c -> direct_step runners.(c) ~verdicts ~pkts)
         | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Serial ->
             Array.fill replayers 0 cores None;
             lanes (fun c -> direct_step runners.(c) ~verdicts ~pkts)
@@ -1010,9 +1113,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
          the actual dispatch counts, but the controller must see the
          imbalance the shared-nothing rung WOULD suffer *)
       let rss_core i =
-        let pk = pkts.(i) in
-        let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-        let h = hashes.(port) pk in
+        let h = hashes.(port_of pkts ~nports i) pkts.(i) in
         let q = if h < 0 then 0 else Nic.Reta.lookup !table h in
         rss_counts.(q) <- rss_counts.(q) + 1;
         q
@@ -1122,8 +1223,12 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       t.adaptive_residency <- Adaptive.residency ctl;
       finish !points
   | Adaptive.Off -> (
-  match strategy with
-  | Maestro.Plan.Scr ->
+  let bound = bind t plan in
+  let engines = live_engines bound.engines in
+  let hashes = Array.map Nic.Rss.hash engines in
+  let nports = Array.length engines in
+  match bound.discipline with
+  | Replicated { prog; replayers } ->
       (* State-compute replication: every live core consumes the FULL
          global batch stream in arrival order over its own SPSC ring.
          The owning core (round-robin over the batches) runs the complete
@@ -1134,40 +1239,23 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
          The digest stream is retained for the whole run so a respawned
          worker can rebuild its replica from scratch before rejoining
          (see [scr_crash_hook]). *)
-      let spec =
-        match Maestro.Scrspec.admissible nf with
-        | Ok spec -> spec
-        | Error e ->
-            invalid_arg
-              (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e)
-      in
-      let insts =
-        Array.init cores (fun _ ->
-            Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf)
-      in
-      let prog = Scr.prepare spec in
-      let runners = Array.map (Dsl.Compile.bind_runner staged) insts in
-      let replayers = Array.map (Scr.bind prog) insts in
       let log = scr_log () in
       (* batches of THIS run fully applied per core; written by whoever
          executes the batch (worker, or the producer inline), read by the
          producer only after joining the dead domain *)
       let applied = Array.make cores 0 in
       install
-        (scr_exec log ~own:(run_range runners ~verdicts ~pkts) ~applied
+        (scr_exec log ~own:(run_range bound.runners ~verdicts ~pkts) ~applied
            ~replay:(fun core digest len -> Scr.apply_batch replayers.(core) digest ~npkts:len));
       t.scr_crash_hook <-
         Some
           (fun core ->
             t.scr_rebuilds <- t.scr_rebuilds + 1;
             Telemetry.Counter.incr c_scr_rebuilds;
-            (* compiled runners capture the state containers eagerly, and
-               [reset] replaces them — rebind both the full runner and
-               the replayer to the fresh containers before replaying, or
-               the rebuild would write into the orphaned pre-crash state *)
-            Dsl.Instance.reset insts.(core) nf;
-            runners.(core) <- Dsl.Compile.bind_runner staged insts.(core);
-            replayers.(core) <- Scr.bind prog insts.(core);
+            (* the run started from reset state, and the reset keeps the
+               replica's containers, so its runner and replayer stay bound
+               across it *)
+            Dsl.Instance.reset bound.insts.(core) nf;
             for j = 0 to applied.(core) - 1 do
               Scr.apply_batch replayers.(core) log.digest.(j) ~npkts:log.len.(j)
             done);
@@ -1176,38 +1264,20 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
         ~hi:npkts;
       wait_quiesce t ~cores;
       finish []
-  | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance | Maestro.Plan.Lock_based
-  | Maestro.Plan.Tm_based -> (
-      (* per-core state for shared-nothing (capacity-split) and
-         load-balance (read-only replicas); one shared locked instance
-         otherwise.  The instance array is kept visible so the balancer
-         can migrate state between cores at a quiesced epoch boundary. *)
-      let instances =
-        match strategy with
-        | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based ->
-            let inst = Dsl.Instance.create nf in
-            let lock = Rwlock.create ~cores in
-            let writes = nf_statically_writes nf in
-            lanes (fun c ->
-                locked_step lock ~writes ~core:c (Dsl.Compile.bind_runner staged inst) ~verdicts
-                  ~pkts);
-            None
-        | _ ->
-            let insts =
-              Array.init cores (fun _ ->
-                  Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf)
-            in
-            lanes (fun c -> direct_step (Dsl.Compile.bind_runner staged insts.(c)) ~verdicts ~pkts);
-            Some insts
+  | (Direct | Locked _) as discipline -> (
+      let lock =
+        match discipline with
+        | Locked { lock; writes } -> Some (lock, writes)
+        | Direct | Replicated _ -> None
       in
+      lanes ?lock (fun c -> direct_step bound.runners.(c) ~verdicts ~pkts);
       match rebalance with
       | Balancer.Off ->
           (* dispatch on the producer, exactly what the NIC does in hardware *)
           let retas = Array.map Nic.Rss.reta engines in
           stream t ~cores ~assignment ~per_core ~lo:0 ~hi:npkts (fun i ->
-              let p = pkts.(i) in
-              let port = p.Packet.Pkt.port in
-              let h = hashes.(port) p in
+              let port = port_of pkts ~nports i in
+              let h = hashes.(port) pkts.(i) in
               if h < 0 then 0 else Nic.Reta.lookup retas.(port) h);
           wait_quiesce t ~cores;
           finish []
@@ -1233,12 +1303,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
              shared-nothing NF only moves buckets when a core write-off
              forces it (state is then stranded exactly as in a plain remap) *)
           let migrate_ok = strategy = Maestro.Plan.Shared_nothing && Balancer.exact mplan in
-          let voluntary_ok =
-            match strategy with
-            | Maestro.Plan.Shared_nothing -> Balancer.exact mplan
-            | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based | Maestro.Plan.Load_balance -> true
-            | Maestro.Plan.Scr -> false (* SCR never reaches here: round-robin spray *)
-          in
+          let voluntary_ok = strategy <> Maestro.Plan.Shared_nothing || Balancer.exact mplan in
           let hash_pkt (pk : Packet.Pkt.t) =
             let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
             Nic.Rss.hash_of engines.(port) pk
@@ -1249,8 +1314,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
              dispatch it already performs — zero worker-side cost, and
              deterministic (a CI gate compares the resulting counters) *)
           let core_of i =
-            let p = pkts.(i) in
-            let h = hashes.(p.Packet.Pkt.port) p in
+            let h = hashes.(port_of pkts ~nports i) pkts.(i) in
             let q =
               if h < 0 then 0
               else begin
@@ -1300,19 +1364,18 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
                 let moves = Nic.Reta.diff !table candidate in
                 if moves <> [] then
                   Telemetry.Span.with_span "pool/rebalance" (fun () ->
-                      (match (instances, migrate_ok) with
-                      | Some insts, true ->
-                          let dentries = Nic.Reta.entries candidate in
-                          let outcome =
-                            Balancer.migrate mplan ~hash:hash_pkt ~mask
-                              ~dest:(fun b -> dentries.(b))
-                              ~instances:insts
-                          in
-                          t.migrated_flows <- t.migrated_flows + outcome.Balancer.moved_flows;
-                          t.migration_drops <- t.migration_drops + outcome.Balancer.dropped_flows;
-                          Telemetry.Counter.add c_moved_flows outcome.Balancer.moved_flows;
-                          Telemetry.Counter.add c_migration_drops outcome.Balancer.dropped_flows
-                      | _ -> ());
+                      if migrate_ok then begin
+                        let dentries = Nic.Reta.entries candidate in
+                        let outcome =
+                          Balancer.migrate mplan ~hash:hash_pkt ~mask
+                            ~dest:(fun b -> dentries.(b))
+                            ~instances:bound.insts
+                        in
+                        t.migrated_flows <- t.migrated_flows + outcome.Balancer.moved_flows;
+                        t.migration_drops <- t.migration_drops + outcome.Balancer.dropped_flows;
+                        Telemetry.Counter.add c_moved_flows outcome.Balancer.moved_flows;
+                        Telemetry.Counter.add c_migration_drops outcome.Balancer.dropped_flows
+                      end;
                       set_table candidate;
                       t.rebalances <- t.rebalances + 1;
                       Telemetry.Counter.incr c_rebalances;
@@ -1330,6 +1393,18 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
           done;
           finish !points))
 
+let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) t plan pkts =
+  Telemetry.Span.with_span "pool/run" @@ fun () ->
+  let running = Atomic.make true in
+  match execute ~running ~rebalance ~adaptive t plan pkts with
+  | verdicts -> verdicts
+  | exception e ->
+      (* the batches a raising run left queued retire without running,
+         so none of them — a batch holding the packet that raised, say —
+         runs again in the next run *)
+      Atomic.set running false;
+      wait_quiesce t ~cores:t.cores;
+      raise e
 
 (* --- the process-global pool ------------------------------------------------- *)
 

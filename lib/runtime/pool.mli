@@ -73,7 +73,49 @@
     the speculative/transactional behavior is modeled deterministically
     in {!Parallel.run}).  Verdicts are bit-identical to the spawn-per-run
     paths and, for shared-nothing and SCR plans, to sequential
-    execution. *)
+    execution.
+
+    {2 Plan binding}
+
+    As Maestro's generated NFs allocate their state once per core in
+    [init()], a pool builds a plan's state once.  The first {!run} of a
+    plan checks and stages its NF, configures its port engines, creates
+    its instances and binds one runner per core (and, for SCR, one
+    replayer per replica): the pool's {e binding}.  Every later run of the
+    {e same} plan — the same {!Maestro.Plan.t} value, compared by
+    physical equality — waits for the pool to quiesce and resets those
+    instances in place ({!Dsl.Instance.reset}: a reset instance is
+    structurally equal to a fresh one), so each run still starts from
+    start-up state and returns what a run on a fresh pool returns.  This
+    covers the static shared-nothing, load-balance, lock/TM and SCR arms,
+    with or without [rebalance]; an [adaptive] run builds instances of
+    its own, because its rung conversions replace them mid-run.  A pool
+    holds one binding: a run of another plan replaces it, and {!shutdown}
+    drops it.  Until then the binding keeps the plan's state alive between
+    runs (fw: a 65,536-slot chain and a 262,144-int key vector), and it
+    keeps the NF path (compiled or interpreted) and the RSS hash path that
+    the global defaults selected when it was built.
+
+    {2 Per-batch locking}
+
+    On the lock rung (static lock/TM plans and the adaptive arm's lock
+    rung alike) a core takes the shared instance's lock once per batch —
+    the write lock when the NF may write, the core's read lock otherwise —
+    and releases it when the batch returns or raises.  Mutual exclusion
+    and per-core arrival order are those of locking per packet, which is
+    what the generated C and paper §3.6 do; the [pool.lock_acquisitions]
+    counter counts one acquisition per executed batch, inline batches
+    included.
+
+    {2 Errors}
+
+    A packet whose rx port has no RSS engine (a port at or above the NF's
+    [devices]) raises {!Parallel.port_error}'s [Invalid_argument], naming
+    the packet, the port and the device count, on every dispatch path.
+    When {!run} raises — that error, an NF [Runtime_error] that its inline
+    replay raises again, or any other — the batches the run left queued
+    retire without running before the exception leaves {!run}, so the
+    pool and its binding stay usable. *)
 
 val default_batch_size : int
 (** 32 — the DPDK burst size. *)
@@ -220,14 +262,17 @@ val run :
   Maestro.Plan.t ->
   Packet.Pkt.t array ->
   Dsl.Interp.action array
-(** Execute a plan over a trace on the pool's persistent workers.
+(** Execute a plan over a trace on the pool's persistent workers, over
+    the pool's binding of the plan (built by the plan's first run, reset
+    in place by every later one; see {e Plan binding} above).
     Verdicts are returned in the original packet order; batches dropped
     by backpressure leave their packets' verdicts as [Dropped].  When
     cores have failed permanently, the RSS indirection tables are
     remapped so every packet lands on a live core.  Raises
     [Invalid_argument] when the plan wants more cores than the pool has
-    (plans with fewer cores use a prefix of the workers) or when every
-    plan core has failed.
+    (plans with fewer cores use a prefix of the workers), when every
+    plan core has failed, or when a packet to be RSS-dispatched arrived
+    on a port the NF does not have ({!Parallel.port_error}).
 
     [rebalance] (default [Off], which is the zero-cost single-pass path)
     turns on online RSS++ rebalancing: the trace is processed in epochs
@@ -263,8 +308,8 @@ val run :
 val stats : t -> stats
 
 val shutdown : t -> unit
-(** Stop and join every worker.  Idempotent; the pool must not be used
-    afterwards. *)
+(** Stop and join every worker and drop the pool's plan binding.
+    Idempotent; the pool must not be used afterwards. *)
 
 val with_global : ?batch_size:int -> ?backpressure:backpressure -> cores:int -> (t -> 'a) -> 'a
 (** Run [f] against the shared process-wide pool, growing it (respawn

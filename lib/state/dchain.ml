@@ -14,6 +14,22 @@ type t = {
 
 let nil = -1
 
+(* Stack every index on the free list in ascending order and empty the
+   allocated list.  With [prev], [last_touch] and [state] at their
+   start-up values, this is the start-up layout that [create] builds and
+   [reset] restores. *)
+let link_free t =
+  let cap = t.cap in
+  for i = 0 to cap - 2 do
+    t.next.(i) <- i + 1
+  done;
+  t.next.(cap - 1) <- nil;
+  (* sentinel: empty allocated list *)
+  t.next.(cap) <- cap;
+  t.prev.(cap) <- cap;
+  t.free_head <- 0;
+  t.n_alloc <- 0
+
 let create ~capacity =
   if capacity < 1 then invalid_arg "Dchain.create: capacity must be >= 1";
   let t =
@@ -27,14 +43,14 @@ let create ~capacity =
       n_alloc = 0;
     }
   in
-  for i = 0 to capacity - 2 do
-    t.next.(i) <- i + 1
-  done;
-  t.next.(capacity - 1) <- nil;
-  (* sentinel: empty allocated list *)
-  t.next.(capacity) <- capacity;
-  t.prev.(capacity) <- capacity;
+  link_free t;
   t
+
+let reset t =
+  Array.fill t.prev 0 t.cap nil;
+  Array.fill t.last_touch 0 t.cap 0;
+  Array.fill t.state 0 t.cap false;
+  link_free t
 
 let copy t =
   (* exact structural duplicate: the recency list, the free stack order

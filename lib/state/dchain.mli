@@ -12,6 +12,11 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
+val reset : t -> unit
+(** Free every index in place and restore the start-up free-stack order,
+    so the chain is structurally equal ([=]) to a fresh {!create} of the
+    same capacity and hands out indices in the same order. *)
+
 val copy : t -> t
 (** Exact structural duplicate — recency list, free-stack order and
     last-touch times all preserved — so a copy hands out the same indices

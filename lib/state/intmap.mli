@@ -42,6 +42,10 @@ val iter : t -> (int -> int -> int -> unit) -> unit
 (** [iter t f] calls [f hi lo v] on every binding, in slot order. *)
 
 val clear : t -> unit
+(** Drop every binding and return the table to its start-up 16 slots, so
+    the map is structurally equal to a fresh {!create} of the same
+    capacity.  Keeping a grown table would change the slot order {!iter}
+    walks. *)
 
 (** {1 Introspection} — read-only physical-layout stats, used by the
     capacity-boundary tests and the 1M-flow stress harness to gate probe

@@ -76,6 +76,9 @@ val entries : t -> (string * int) list
     state-migration path can walk while erasing from the live map. *)
 
 val clear : t -> unit
+(** Drop every binding; both tables return to their start-up size, so the
+    map is structurally equal to a fresh {!create} of the same capacity
+    ({!Intmap.clear}). *)
 
 val copy : t -> t
 (** Independent duplicate holding the same bindings.  The packed table is

@@ -18,6 +18,7 @@ let () =
       ("pipeline", Test_pipeline.suite);
       ("codegen", Test_codegen.suite);
       ("runtime", Test_runtime.suite);
+      ("binding", Test_binding.suite);
       ("rebalance", Test_rebalance.suite);
       ("adaptive", Test_adaptive.suite);
       ("faults", Test_faults.suite);

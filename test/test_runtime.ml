@@ -409,6 +409,46 @@ let test_pool_rejects_oversized_plan () =
        false
      with Invalid_argument _ -> true)
 
+(* A packet on a port the NF does not have is an error that names the
+   packet, the port and the device count, on every dispatch path; the pool
+   stays usable after it. *)
+let test_pool_rejects_unknown_port () =
+  let nf = Nfs.Registry.find_exn "fw" in
+  let plan = plan_of ~cores:2 "fw" in
+  (* LAN->WAN only: forwarded whatever rung the adaptive run is on *)
+  let trace =
+    let st = rng 51 in
+    let flows = Traffic.Gen.flows st 60 in
+    Traffic.Gen.uniform
+      ~spec:{ Traffic.Gen.default_spec with pkts = 600; reply_fraction = 0.0 }
+      st ~flows
+  in
+  let bad = Array.copy trace in
+  bad.(123) <- { bad.(123) with Packet.Pkt.port = 2 };
+  let error = Invalid_argument "packet 123 arrived on port 2, but the NF has 2 device(s)" in
+  Alcotest.check_raises "Parallel.run" error (fun () -> ignore (Runtime.Parallel.run plan bad));
+  let pool = Runtime.Pool.create ~cores:2 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let seq = Runtime.Parallel.run_sequential nf trace in
+  List.iter
+    (fun (label, run) ->
+      Alcotest.check_raises label error (fun () -> ignore (run bad));
+      Alcotest.(check bool) (label ^ ": a clean run after it == sequential") true
+        (verdicts_equal seq (run trace)))
+    [
+      ("static", Runtime.Pool.run pool plan);
+      ( "rebalance",
+        Runtime.Pool.run
+          ~rebalance:(Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 64; threshold = 0.0 })
+          pool plan );
+      ( "adaptive",
+        Runtime.Pool.run
+          ~adaptive:
+            (Runtime.Adaptive.On
+               { Runtime.Adaptive.epoch_pkts = 64; up = 2.0; down = 1.3; cooldown = 1 })
+          pool plan );
+    ]
+
 let test_rwlock_mutual_exclusion () =
   let lock = Runtime.Rwlock.create ~cores:4 in
   let counter = ref 0 in
@@ -553,6 +593,8 @@ let suite =
     Alcotest.test_case "pool producer allocation flat" `Quick test_pool_producer_allocation;
     Alcotest.test_case "pool reuse, stats, measured shares" `Quick test_pool_reuse_and_stats;
     Alcotest.test_case "pool rejects oversized plan" `Quick test_pool_rejects_oversized_plan;
+    Alcotest.test_case "pool rejects a packet on an unknown port" `Quick
+      test_pool_rejects_unknown_port;
     Alcotest.test_case "rwlock mutual exclusion" `Quick test_rwlock_mutual_exclusion;
     Alcotest.test_case "rwlock readers disjoint" `Quick test_rwlock_readers_disjoint;
     Alcotest.test_case "supervisor policy" `Quick test_supervisor_policy;

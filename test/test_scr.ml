@@ -124,22 +124,18 @@ let test_rebuild_from_digest_log () =
   let ref_rep = Runtime.Scr.bind prog reference in
   Runtime.Scr.apply_batch ref_rep log ~npkts:(Array.length trace);
   (* the victim applies half the stream, "crashes", is reset to initial
-     state and REBOUND (reset replaces the containers; stale bindings
-     would write into the orphaned state), then rebuilds from the
-     retained log before replaying the rest — the pool's crash hook *)
+     state in place (its replayer stays bound to the same containers),
+     then rebuilds from the retained log before replaying the rest — the
+     pool's crash hook *)
   let victim = Dsl.Instance.create nf in
-  let vic_rep = ref (Runtime.Scr.bind prog victim) in
+  let vic_rep = Runtime.Scr.bind prog victim in
   let half = Array.length trace / 2 in
   for i = 0 to half - 1 do
-    Runtime.Scr.apply !vic_rep log (i * stride)
+    Runtime.Scr.apply vic_rep log (i * stride)
   done;
   Dsl.Instance.reset victim nf;
-  vic_rep := Runtime.Scr.bind prog victim;
-  for i = 0 to half - 1 do
-    Runtime.Scr.apply !vic_rep log (i * stride)
-  done;
-  for i = half to Array.length trace - 1 do
-    Runtime.Scr.apply !vic_rep log (i * stride)
+  for i = 0 to Array.length trace - 1 do
+    Runtime.Scr.apply vic_rep log (i * stride)
   done;
   Alcotest.(check bool) "rebuilt replica matches the reference" true
     (Runtime.Scr.replica_equal spec reference victim)
