@@ -19,12 +19,23 @@
                              (floor-gated: dropping to 0 fails CI; the
                              binary also exits non-zero itself)
      codec.inner_alloc_free  same for the inner-header (VXLAN) path
+     codec.options_agreement staged parse = legacy parse on the frames
+                             with IPv4 options
+   Fixed-layout fallbacks (reported, self-checked by the binary):
+     codec.layout_fallback   frames that met no fixed layout.  One
+                             parse of every plain and VXLAN frame must
+                             add none (the binary exits non-zero
+                             otherwise); the IPv4-options trace adds
+                             one per frame, so the counter reads its
+                             frame count
    Ratio counter (gated with a relaxed threshold, machine speed cancels):
      codec.parse_rel_cost_x100  100 * t_zerocopy / t_legacy — growth
                              means the staged path lost ground
    Timing counters (_ns names, skipped by the default gate policy):
      codec.shape_ns_x100, codec.zerocopy_ns_x100, codec.legacy_ns_x100,
-     codec.typed_ns_x100, codec.inner_ns_x100 *)
+     codec.typed_ns_x100, codec.inner_ns_x100, codec.options_ns_x100
+     (typed parse of the IPv4-options trace, which takes the closure
+     tree) *)
 
 open Packet
 
@@ -51,6 +62,17 @@ let time_pass f =
   done;
   !best
 
+(* The frame with one 4-byte word of IPv4 options after its 20-byte
+   header (IHL 6): Ethernet is 14 bytes and the version/IHL byte leads
+   the IPv4 header.  No fixed layout covers it. *)
+let with_ip_options b =
+  let l3 = 14 and l4 = 34 in
+  let o = Bytes.make (Bytes.length b + 4) '\x01' in
+  Bytes.blit b 0 o 0 l4;
+  Bytes.blit b l4 o (l4 + 4) (Bytes.length b - l4);
+  Bytes.set o l3 (Char.chr (0x40 lor 6));
+  o
+
 let () =
   Format.printf "@.=== Codec-path benchmarks (BENCH_codec.json) ===@.";
   Telemetry.reset ();
@@ -63,6 +85,7 @@ let () =
   let gre = Traffic.Gen.encapsulate Pkt.Gre plain in
   let frames = Array.map Wire.serialize plain in
   let vx_frames = Array.map Wire.serialize vxlan in
+  let opt_frames = Array.map with_ip_options frames in
   let n = Array.length frames in
   let npf = float_of_int n in
   let c = Stacks.pkt in
@@ -117,23 +140,35 @@ let () =
       | Error _ -> ()
     done
   in
-  let typed_pass () =
+  let typed_pass_of frames () =
     for i = 0 to n - 1 do
-      match Wire.parse_typed (Array.unsafe_get frames i) with
+      match Wire.parse_typed ~port:0 ~ts_ns:0 (Array.unsafe_get frames i) with
       | Ok p -> sink := !sink lxor p.Pkt.ip_src
       | Error _ -> ()
     done
   in
+  let typed_pass = typed_pass_of frames and options_pass = typed_pass_of opt_frames in
   shape_pass ();
   zero_pass ();
   inner_pass ();
   legacy_pass ();
   typed_pass ();
+  options_pass ();
   let t_shape = time_pass shape_pass /. npf *. 1e9 in
   let t_zero = time_pass zero_pass /. npf *. 1e9 in
   let t_inner = time_pass inner_pass /. npf *. 1e9 in
   let t_legacy = time_pass legacy_pass /. npf *. 1e9 in
   let t_typed = time_pass typed_pass /. npf *. 1e9 in
+  let t_options = time_pass options_pass /. npf *. 1e9 in
+  (* fallbacks, counted while telemetry is on: none for the generated
+     plain and VXLAN frames, one per frame with IPv4 options *)
+  Telemetry.enable ();
+  typed_pass ();
+  typed_pass_of vx_frames ();
+  let plain_fallbacks = Telemetry.Counter.value Codec.layout_fallback in
+  options_pass ();
+  let options_fallbacks = Telemetry.Counter.value Codec.layout_fallback - plain_fallbacks in
+  Telemetry.disable ();
   let w0 = Gc.minor_words () in
   zero_pass ();
   let words = (Gc.minor_words () -. w0) /. npf in
@@ -149,10 +184,17 @@ let () =
       | Ok a, Ok l when Pkt.equal a l -> incr agreement
       | _ -> ignore i)
     frames;
+  let options_agreement = ref 0 in
+  Array.iter
+    (fun b ->
+      match (Wire.parse b, Wire.Legacy.parse b) with
+      | Ok a, Ok l when Pkt.equal a l -> incr options_agreement
+      | _ -> ())
+    opt_frames;
   let roundtrips = ref 0 in
   Array.iter
     (fun p ->
-      match Wire.parse_typed ~port:p.Pkt.port (Wire.serialize p) with
+      match Wire.parse_typed ~port:p.Pkt.port ~ts_ns:0 (Wire.serialize p) with
       | Ok q when Pkt.equal { p with Pkt.ts_ns = 0 } { q with Pkt.ts_ns = 0 } -> incr roundtrips
       | _ -> ())
     (Array.concat [ plain; vxlan; gre ]);
@@ -163,12 +205,18 @@ let () =
   Format.printf
     "zerocopy/legacy %4.2fx  words/frame %6.4f (outer) %6.4f (inner)  agreement %d/%d  roundtrips %d/%d@."
     rel words inner_words !agreement n !roundtrips (3 * n);
+  Format.printf
+    "IPv4 options: typed %5.1f ns (closure-tree fallback)  agreement %d/%d  layout fallbacks: %d plain+VXLAN, %d options@."
+    t_options !options_agreement n plain_fallbacks options_fallbacks;
   ignore !sink;
   Telemetry.enable ();
   Telemetry.Counter.add (counter "frames" "frames per timing pass") n;
   Telemetry.Counter.add (counter "roundtrips" "serialize/parse_typed roundtrip successes")
     !roundtrips;
   Telemetry.Counter.add (counter "parse_agreement" "staged = legacy parse agreements") !agreement;
+  Telemetry.Counter.add
+    (counter "options_agreement" "staged = legacy parse agreements, IPv4 options")
+    !options_agreement;
   Telemetry.Counter.add
     (counter "parse_rel_cost_x100" "zerocopy/legacy cost ratio, x100 (lower is better)")
     (x100 rel);
@@ -188,6 +236,9 @@ let () =
     (x100 t_typed);
   Telemetry.Counter.add (counter "inner_ns_x100" "inner 5-tuple cost, 1/100 ns per frame")
     (x100 t_inner);
+  Telemetry.Counter.add
+    (counter "options_ns_x100" "typed parse cost with IPv4 options, 1/100 ns per frame")
+    (x100 t_options);
   let snap = Telemetry.snapshot () in
   Telemetry.disable ();
   Telemetry.reset ();
@@ -204,4 +255,7 @@ let () =
   check (inner_words = 0.0) "inner-header path allocated minor words";
   check (!agreement = n) "staged parse disagrees with legacy parse";
   check (!roundtrips = 3 * n) "serialize/parse_typed roundtrip failures";
+  check (plain_fallbacks = 0) "plain or VXLAN frames missed every fixed layout";
+  check (options_fallbacks = n) "frames with IPv4 options met a fixed layout";
+  check (!options_agreement = n) "staged parse disagrees with legacy parse on IPv4 options";
   if !fail > 0 then exit 1

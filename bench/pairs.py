@@ -5,7 +5,7 @@ Run from the repository root:
 
   python3 bench/pairs.py --parent DIR --change DIR [--pairs N] [--seconds S]
       [--pkts N] [--workload W ...] [--seed0 K] [--claim W:METRIC ...]
-      [--save FILE]
+      [--traced] [--save FILE]
 
 PARENT and CHANGE are two built checkouts (they may be the same one).
 Every workload, end-to-end metric and bound comes from BENCHMARK.json;
@@ -21,6 +21,15 @@ the change/parent ratio of the medians, the pairs the change won and the
 two sides' `failed` counts; then every run's value in seed order.
 --save appends every run's standard output to FILE, which
 `framebench/check.py compare` reads.
+
+--traced adds, after the pairs, one traced run (`--trace 1`) per side
+per workload, on seed K+N+1 (a seed no pair used), the parent first and
+for the same --seconds and --pkts.  It prints one table row per
+workload and BENCHMARK.json per-layer metric: the parent's value, the
+change's and their ratio, which is the "counts named in advance" table
+of a proof.  A single traced run is a reading, not a judged result:
+its timings move with the host like any one run, while the word and
+batch counts repeat exactly.  A failed traced run fails the runner.
 
 Exit status 1 when a run failed (non-zero exit, correct = false or
 failed > 0), when a metric's change median is worse than the parent's
@@ -43,11 +52,11 @@ SPEC_FILE = "BENCHMARK.json"
 MIN_JUDGED_PAIRS = 3
 
 
-def run_once(spec, cwd, workload, seed, seconds, pkts):
+def run_once(spec, cwd, workload, seed, seconds, pkts, trace=0):
     """One benchmark run; returns (result object or None, stdout)."""
     cmd = list(spec["command"]) + [
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]
     if pkts:
         cmd += ["--pkts", str(pkts)]
@@ -75,6 +84,41 @@ def summary(v):
     return f"{statistics.median(v):.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def traced_table(spec, args, workloads, seconds, out):
+    """One traced run per side per workload, per-layer metrics side by
+    side; returns the problems (failed runs)."""
+    seed = args.seed0 + args.pairs + 1
+    problems, rows = [], []
+    for w in workloads:
+        ms = {}
+        for side in ("parent", "change"):
+            result, stdout = run_once(spec, getattr(args, side), w, seed, seconds,
+                                      args.pkts, trace=1)
+            if out:
+                out.write(stdout)
+                out.flush()
+            if result is None or not result["correct"] or result["failed"] != 0:
+                problems.append(f"{w} seed {seed} {side}: traced run failed")
+                print(f"{w} seed {seed} {side} (traced): FAILED", flush=True)
+            else:
+                ms[side] = result["metrics"]
+        if len(ms) < 2:
+            continue
+        for m in spec["per_layer"]:
+            p = ms["parent"].get(m["name"], {}).get("value")
+            c = ms["change"].get(m["name"], {}).get("value")
+            if p is None or c is None:
+                continue
+            ratio = f"{c / p:.3f}x" if p else "n/a"
+            rows.append(f"| {w} | {m['name']} | {m['unit']} | {p:.4g} | {c:.4g} | {ratio} |")
+    print()
+    print(f"Traced runs (--trace 1), seed {seed}, the parent first:")
+    print("| workload | metric | unit | parent | change | change / parent |")
+    print("|---|---|---|---|---|---|")
+    print("\n".join(rows))
+    return problems
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -87,6 +131,8 @@ def main():
     parser.add_argument("--seed0", type=int, default=100)
     parser.add_argument("--claim", action="append", default=[],
                         help="WORKLOAD:METRIC the change claims to improve")
+    parser.add_argument("--traced", action="store_true",
+                        help="then one --trace 1 run per side per workload")
     parser.add_argument("--save")
     args = parser.parse_args()
 
@@ -166,6 +212,8 @@ def main():
     print()
     print("Per-run values, parent | change, in seed order:")
     print("\n".join(values))
+    if args.traced:
+        problems += traced_table(spec, args, workloads, seconds, out)
     if args.pairs < MIN_JUDGED_PAIRS:
         print(f"bounds and claims not judged: fewer than {MIN_JUDGED_PAIRS} pairs")
     for p in problems:

@@ -5,6 +5,13 @@
      root-to-leaf path through the tagged unions — with all offsets,
      tag locations and bounds baked in (dynamic offsets, e.g. past an
      IPv4 IHL, are themselves staged closures);
+   - per shape, the *fixed layout* the shape has when every header on
+     its path is option-free: static record offsets, a minimum length
+     and a flat array of guards (option-free header lengths, the switch
+     tags the path takes, the arm tags a default exit avoids).
+     [shape_of] checks the layouts first and runs the tree only for
+     frames that meet none of them (codec.mli states why the answer is
+     the tree's);
    - per-field get/set closure arrays indexed by shape id, so a hot
      loop does [shape_of] once and then raw offset/width reads with no
      intermediate record and no allocation;
@@ -173,6 +180,27 @@ type srec = {
   rend : ofs;  (* just past this record (its actual length) *)
 }
 
+(* A layout guard: a field at its static frame position [gat] (byte0 is
+   absolute) that must equal [gvalue] ([gequal]) or differ from it. *)
+type guard = { gat : loc; gvalue : int; gequal : bool }
+
+(* A guard as it runs: the frame's big-endian 32-bit word at [wstart],
+   whose guarded field bits are [wmask] and must hold [wvalue] (or not).
+   One load, a mask and a compare, whatever the field's width and bit
+   position. *)
+type window = { wstart : int; wmask : int; wvalue : int; wequal : bool }
+
+(* The window of a guard in a layout of [lmin] bytes: it starts at the
+   field's first byte, or earlier so that it ends within [lmin], where
+   the field's record ends.  None for a field wider than 4 bytes. *)
+let window_of ~lmin g =
+  let l = g.gat in
+  if l.nbytes > 4 || lmin < 4 then None
+  else
+    let wstart = min l.byte0 (lmin - 4) in
+    let shift = (8 * (wstart + 4 - l.byte0 - l.nbytes)) + l.shift in
+    Some { wstart; wmask = l.mask lsl shift; wvalue = g.gvalue lsl shift; wequal = g.gequal }
+
 type shape = {
   sid : int;
   sname : string;
@@ -180,6 +208,10 @@ type shape = {
   smin : int;  (* minimum frame bytes (sum of fixed parts) *)
   send : ofs;  (* past the last record: payload start *)
   sforced : (string * int) list;  (* switch tags forced along this path *)
+  slayout : window list option;
+      (* the fixed layout's guards, deepest record first (its minimum
+         length is [smin]); None when a header on the path has no
+         option-free length or a guarded field is wider than 4 bytes *)
 }
 
 type accessor = { get : (bytes -> int) array; set : (bytes -> int -> unit) array }
@@ -205,6 +237,7 @@ type eplan = {
 type t = {
   spec : Spec.t;
   shapes : shape array;
+  layouts : int array;  (* the fixed layouts as one flat program, see [layout_of] *)
   tree : bytes -> int;
   acc : (string, accessor) Hashtbl.t;
   eplans : eplan array;
@@ -255,11 +288,25 @@ let stage spec =
   | Error e -> invalid_arg ("Codec.stage: invalid spec: " ^ e));
   let shapes = ref [] in
   let next_sid = ref 0 in
-  let rec go (racc : srec list) (forced : (string * int) list) roff (r : Spec.t) :
+  (* [guards] (reversed) and [soff] describe the option-free path so far:
+     the guards it has collected and this record's static offset.
+     [guards] is None once a header on the path has no option-free
+     length (its fixed part is no whole number of units, or too long for
+     its length field). *)
+  let rec go (racc : srec list) (forced : (string * int) list) guards soff roff (r : Spec.t) :
       bytes -> int =
     let sr = mk_srec roff r in
     let racc = sr :: racc in
-    let finish_shape () =
+    let guard l v equal = { gat = { l with byte0 = soff + l.byte0 }; gvalue = v; gequal = equal } in
+    let guards =
+      match (guards, sr.rhdr) with
+      | Some gs, Some (hl, u) ->
+          let v = sr.rfixed / u in
+          if v * u = sr.rfixed && v <= hl.mask then Some (guard hl v true :: gs) else None
+      | gs, _ -> gs
+    in
+    let soff_next = soff + sr.rfixed in
+    let finish_shape guards =
       let sid = !next_sid in
       incr next_sid;
       let srecs = List.rev racc in
@@ -268,9 +315,13 @@ let stage spec =
           sid;
           sname = String.concat "/" (List.map (fun s -> s.rname) srecs);
           srecs;
-          smin = List.fold_left (fun a s -> a + s.rfixed) 0 srecs;
+          smin = soff_next;
           send = sr.rend;
           sforced = List.rev forced;
+          slayout =
+            Option.bind guards (fun gs ->
+                let ws = List.filter_map (window_of ~lmin:soff_next) gs in
+                if List.compare_lengths ws gs = 0 then Some ws else None);
         }
         :: !shapes;
       sid
@@ -278,9 +329,9 @@ let stage spec =
     let k =
       match r.next with
       | Spec.Stop ->
-          let sid = finish_shape () in
+          let sid = finish_shape guards in
           fun _ -> sid
-      | Spec.Then t -> go racc forced sr.rend t
+      | Spec.Then t -> go racc forced guards soff_next sr.rend t
       | Spec.Switch { on; arms; default } ->
           let tl =
             match List.find_opt (fun (n, _, _, _) -> n = on) sr.flocs with
@@ -288,21 +339,31 @@ let stage spec =
             | None -> invalid_arg "Codec.stage: switch field missing"  (* validated *)
           in
           let tag_get = getter_at roff tl in
+          (* shapes are numbered in the order the chain below tries them:
+             each arm's subtree in declared order, then the default *)
+          let karms =
+            List.map
+              (fun (v, t) ->
+                let arm_guards = Option.map (fun gs -> guard tl v true :: gs) guards in
+                (v, go racc ((r.name ^ "." ^ on, v) :: forced) arm_guards soff_next sr.rend t))
+              arms
+          in
           let kdef =
             match default with
             | Spec.Accept ->
-                let sid = finish_shape () in
+                (* the default exit: the tag is none of the arms' *)
+                let avoid gs = List.fold_left (fun gs (v, _) -> guard tl v false :: gs) gs arms in
+                let sid = finish_shape (Option.map avoid guards) in
                 fun _ -> sid
             | Spec.Reject -> fun _ -> err_unsupported
           in
           let rec chain = function
             | [] -> kdef
-            | (v, t) :: rest ->
-                let karm = go racc ((r.name ^ "." ^ on, v) :: forced) sr.rend t in
+            | (v, karm) :: rest ->
                 let krest = chain rest in
                 fun b -> if tag_get b = v then karm b else krest b
           in
-          chain arms
+          chain karms
     in
     (* wrap with this record's bounds check; header-length nibbles get a
        specialized single-byte read *)
@@ -340,12 +401,24 @@ let stage spec =
             let actual = rd b o in
             if actual < fixed || blen < o + actual then err_truncated else k b
   in
-  let tree = go [] [] (Kn 0) spec in
+  let tree = go [] [] (Some []) 0 (Kn 0) spec in
   let nshapes = !next_sid in
   let shapes =
     let a = Array.make nshapes (List.hd !shapes) in
     List.iter (fun sh -> a.(sh.sid) <- sh) !shapes;
     a
+  in
+  let layouts =
+    Array.to_list shapes
+    |> List.concat_map (fun sh ->
+           match sh.slayout with
+           | None -> []
+           | Some gs ->
+               sh.sid :: sh.smin :: List.length gs
+               :: List.concat_map
+                    (fun w -> [ w.wstart; w.wmask; w.wvalue; Bool.to_int w.wequal ])
+                    gs)
+    |> Array.of_list
   in
   (* accessor table: one entry per qualified path, arrays indexed by sid *)
   let acc : (string, accessor) Hashtbl.t = Hashtbl.create 64 in
@@ -455,11 +528,77 @@ let stage spec =
         })
       shapes
   in
-  { spec; shapes; tree; acc; eplans }
+  { spec; shapes; layouts; tree; acc; eplans }
 
 (* ---- classification ------------------------------------------------- *)
 
-let shape_of t b = t.tree b
+let layout_fallback =
+  Telemetry.Counter.make "codec.layout_fallback"
+    ~doc:"frames that met no fixed layout and were classified by the closure tree"
+
+(* The fixed layouts run as one flat int program, in shape order: per
+   layout its shape id, minimum length and guard count, then per guard
+   its window's start, mask and value, and 1 for "equal" (0 for
+   "differs").  Guards come deepest record first: a conjunction's order
+   is free, and the deepest tags are the ones that tell sibling shapes
+   apart, so a layout that does not match usually fails on its first
+   guard.  The two loops are tail calls over the array, so a frame costs
+   loads and compares, no call per guard and no allocation (a local
+   closure capturing the frame would allocate).  The loads are
+   unchecked: every window ends within the layout's minimum length,
+   checked first. *)
+let layout_stride = 4
+
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* the big-endian word at [at], sign-extended: callers mask it *)
+let word b at =
+  if Sys.big_endian then Int32.to_int (get32u b at) else Int32.to_int (swap32 (get32u b at))
+
+(* layout [i]'s guards from [j] on ([stop] past the last) *)
+let rec guards_from b n p i j stop =
+  if j = stop then Array.unsafe_get p i
+  else if
+    word b (Array.unsafe_get p j) land Array.unsafe_get p (j + 1) = Array.unsafe_get p (j + 2)
+    = (Array.unsafe_get p (j + 3) = 1)
+  then guards_from b n p i (j + layout_stride) stop
+  else first_layout b n p stop
+
+and first_layout b n p i =
+  if i = Array.length p then -1
+  else
+    let stop = i + 3 + (layout_stride * Array.unsafe_get p (i + 2)) in
+    if n >= Array.unsafe_get p (i + 1) then guards_from b n p i (i + 3) stop
+    else first_layout b n p stop
+
+let layout_of t b = first_layout b (Bytes.length b) t.layouts 0
+let tree_shape_of t b = t.tree b
+
+let shape_of t b =
+  let sid = layout_of t b in
+  if sid >= 0 then sid
+  else begin
+    Telemetry.Counter.incr layout_fallback;
+    t.tree b
+  end
+
+let layout_offset t sid path ~bits =
+  let sh = t.shapes.(sid) in
+  let fail why = invalid_arg (Printf.sprintf "Codec.layout_offset: %s %s" path why) in
+  if Option.is_none sh.slayout then fail ("in " ^ sh.sname ^ ", a shape with no fixed layout");
+  let rec find o = function
+    | [] -> fail ("is not a field of " ^ sh.sname)
+    | sr :: rest -> (
+        match List.find_opt (fun (fn, _, _, _) -> sr.rname ^ "." ^ fn = path) sr.flocs with
+        | Some (_, l, _, fbits) ->
+            if fbits <> bits || l.shift <> 0 || l.nbytes * 8 <> bits then
+              fail (Printf.sprintf "is not a byte-aligned %d-bit field" bits);
+            o + l.byte0
+        | None -> find (o + sr.rfixed) rest)
+  in
+  find 0 sh.srecs
+
 let shape_count t = Array.length t.shapes
 let shape_name t sid = t.shapes.(sid).sname
 

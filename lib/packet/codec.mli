@@ -8,6 +8,49 @@
     read straight off the raw bytes: no intermediate record, no
     allocation on the hot path.
 
+    {b Fixed layouts.}  For every shape, {!stage} also derives the
+    layout the shape has when each header on its path is option-free:
+    the static byte offset of each record, the minimum frame length,
+    and a flat set of guards of three kinds —
+    - each header-length field (IPv4 IHL, TCP data offset) equals its
+      option-free value (the record's fixed part in its units);
+    - each switch tag on the path equals its arm's value;
+    - where the path leaves a switch by its default arm, the tag
+      differs from every arm value (plain UDP: the destination port is
+      not 4789).
+
+    {!shape_of} checks the layouts first, in shape order, as flat loads
+    and compares ({!layout_of}).  Only a frame that meets no layout —
+    one with header options, a truncated one, one with an unsupported
+    tag — is classified by the closure tree ({!tree_shape_of}) and
+    counted in the telemetry counter [codec.layout_fallback].
+
+    {b Why the answer is the tree's.}  Suppose a frame of [n] bytes
+    meets shape [s]'s layout.  Every header-length field on [s]'s path
+    holds its option-free value, so every header's actual length is
+    its fixed length, and the tree's dynamic record offsets are the
+    layout's static ones.  Every record then ends within the layout's
+    minimum length, which is at most [n], so each of the tree's bounds
+    checks on the path passes, as does its header-length check
+    ([actual >= fixed] and the header fits).  At each switch on the
+    path the tag equals the arm value the path takes — arm tags are
+    distinct, so the tree's first-match chain takes that arm — or, at a
+    default exit, differs from every arm value, so the tree falls to
+    the default, which accepts (a rejecting default ends no shape).
+    The tree therefore returns [s].  Two shapes' guards exclude each
+    other: their paths share a prefix of records, hence the same static
+    offsets, and part at a switch where one takes arm value [v] and the
+    other a different arm value or the default, which excludes [v]; one
+    path cannot end where the other goes on, because a shape ends only
+    at [Stop] or at a default exit.  So at most one layout matches, and
+    a frame that matches none gets the tree's answer directly.  (Each
+    guard compares exactly the field's bits: {!Spec.validate} makes
+    every arm tag fit its switch field, and an option-free header
+    length that does not fit its field leaves the shape with no
+    layout.)
+    [test/test_codec.ml] checks [shape_of = tree_shape_of] on mutated
+    and truncated frames of every shape of both shipped stacks.
+
     The derived encoder emits minimal (option-free) headers, writes
     caller-supplied values, then fixes up constants, forced switch tags,
     header lengths, computed lengths and finally checksums
@@ -62,7 +105,37 @@ val stage : Spec.t -> t
 val shape_of : t -> bytes -> int
 (** Classify a frame: a shape id [>= 0], or {!err_truncated} /
     {!err_unsupported}.  Int-only by design — the hot path pays no
-    [result] allocation; recover the typed error with {!error_of}. *)
+    [result] allocation; recover the typed error with {!error_of}.
+    The fixed layouts first ({!layout_of}), then, counted in
+    {!layout_fallback}, the closure tree; always equal to
+    {!tree_shape_of}. *)
+
+val layout_of : t -> bytes -> int
+(** The shape whose fixed layout the frame meets, or [-1] when it meets
+    none.  Flat loads and compares only; allocates nothing and never
+    falls back.  A frame it accepts into shape [s] holds every field of
+    [s] at the field's {!layout_offset}. *)
+
+val tree_shape_of : t -> bytes -> int
+(** The reference classifier: the staged closure tree alone, uncounted.
+    {!shape_of} always returns what it returns; differential tests
+    compare the two. *)
+
+val layout_fallback : Telemetry.Counter.t
+(** [codec.layout_fallback]: frames {!shape_of} handed to the tree
+    because they met no layout.  Incremented on the fallback only, so
+    the layout path pays nothing for it; a no-op while telemetry is
+    off. *)
+
+val layout_offset : t -> int -> string -> bits:int -> int
+(** [layout_offset t sid path ~bits]: the frame offset of field [path]'s
+    first byte in shape [sid]'s fixed layout.  Raises
+    [Invalid_argument] when the shape has no layout, lacks the field,
+    or the field is not byte-aligned and exactly [bits] wide.  Every
+    shipped shape has a layout; a shape has none when a header on its
+    path has no option-free length (a fixed part that is no whole
+    number of its length units) or a guarded field is wider than 4
+    bytes. *)
 
 val error_of : t -> bytes -> error
 (** The typed error for a frame {!shape_of} rejected (a slow, safe
@@ -70,6 +143,9 @@ val error_of : t -> bytes -> error
     parses cleanly. *)
 
 val shape_count : t -> int
+(** Shape ids run from 0 to [shape_count - 1] in the order the tree
+    tries the paths: at each switch, every arm's shapes in declared
+    order, then the default's.  This is also the layouts' order. *)
 
 val shape_name : t -> int -> string
 (** ["eth/ipv4/tcp"]-style path name of a shape. *)

@@ -111,6 +111,14 @@ let validate spec =
         let tags = List.map fst arms in
         if List.length (List.sort_uniq compare tags) <> List.length tags then
           err "%s: duplicate switch arm" where;
+        (match find_field r on with
+        | Some f ->
+            List.iter
+              (fun v ->
+                if v < 0 || v lsr f.bits <> 0 then
+                  err "%s: arm tag 0x%x does not fit the %d-bit switch field %s" where v f.bits on)
+              tags
+        | None -> ());
         List.iter
           (fun (_, t) ->
             if List.mem t.name path then

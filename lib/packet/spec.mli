@@ -84,7 +84,7 @@ val validate : t -> (unit, string) result
     1–56 bits and spanning at most 7 bytes (so staged reads fit an OCaml
     int); unique field names per record; at most one [Hdr_len] per
     record; switch scrutinee declared in the same record with distinct
-    arm tags; no record name repeated along a path; pseudo-checksums
+    arm tags that fit its width; no record name repeated along a path; pseudo-checksums
     referencing an ancestor record.  [Codec.stage] refuses specs that
     fail this. *)
 

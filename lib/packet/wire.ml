@@ -188,140 +188,177 @@ let serialize (p : Pkt.t) =
   in
   Codec.encode c ~shape ~payload_len:(p.Pkt.size - hdr) fields
 
-(* Staged getters, one array per path, indexed by shape id. *)
-let g_eth_src = Codec.getter c "eth.src"
-let g_eth_dst = Codec.getter c "eth.dst"
-let g_ip_src = Codec.getter c "ipv4.src"
-let g_ip_dst = Codec.getter c "ipv4.dst"
-let g_ip_proto = Codec.getter c "ipv4.proto"
-let g_tcp_sport = Codec.getter c "tcp.sport"
-let g_tcp_dport = Codec.getter c "tcp.dport"
-let g_udp_sport = Codec.getter c "udp.sport"
-let g_udp_dport = Codec.getter c "udp.dport"
-let g_vni = Codec.getter c "vxlan.vni"
-let g_gre_key = Codec.getter c "gre.key"
-let g_ieth_src = Codec.getter c "ieth.src"
-let g_ieth_dst = Codec.getter c "ieth.dst"
-let g_iip_src = Codec.getter c "iipv4.src"
-let g_iip_dst = Codec.getter c "iipv4.dst"
-let g_iip_proto = Codec.getter c "iipv4.proto"
-let g_itcp_sport = Codec.getter c "itcp.sport"
-let g_itcp_dport = Codec.getter c "itcp.dport"
-let g_iudp_sport = Codec.getter c "iudp.sport"
-let g_iudp_dport = Codec.getter c "iudp.dport"
+(* The getter builders and the fixed-layout offsets below read the same
+   fields: the first of [paths] that shape [sid] has.  A field the shape
+   lacks reads as zero (GRE has no outer ports and no inner Ethernet).
+   Fields the shape pins read back the pinned value: eth.type is 0x0800,
+   a VXLAN frame's UDP destination port is 4789, a TCP frame's protocol
+   byte is 6. *)
+let field_of sid paths =
+  let fields = Codec.shape_fields c sid in
+  List.find_opt (fun p -> List.mem p fields) paths
 
-(* Per-shape Pkt builders with the getter closures prebound at module
-   init — the per-frame path is one classification plus direct closure
-   calls, no array dispatch. *)
+(* [Pkt.proto_of_number] of every protocol byte, built once: a lookup
+   instead of a call, and no [Other] block allocated per frame. *)
+let protos = Array.init 256 Pkt.proto_of_number
+
+(* Per-shape Pkt builders over the staged getters: the path for frames the
+   closure tree classified, whose header options move later fields. *)
 let builders : (int -> int -> bytes -> Pkt.t) array =
   Array.init (Codec.shape_count c) (fun sid ->
-      let ges = g_eth_src.(sid)
-      and ged = g_eth_dst.(sid)
-      and gis = g_ip_src.(sid)
-      and gid = g_ip_dst.(sid) in
-      let base ~proto ~sport ~dport ~encap port ts_ns b =
+      let get paths =
+        match field_of sid paths with
+        | Some p -> (Codec.getter c p).(sid)
+        | None -> fun _ -> 0
+      in
+      let es = get [ "eth.src" ] and ed = get [ "eth.dst" ] in
+      let is = get [ "ipv4.src" ] and id = get [ "ipv4.dst" ] and pr = get [ "ipv4.proto" ] in
+      let sp = get [ "tcp.sport"; "udp.sport" ] and dp = get [ "tcp.dport"; "udp.dport" ] in
+      let outer encap port ts_ns b =
         {
           Pkt.port;
-          eth_src = ges b;
-          eth_dst = ged b;
+          eth_src = es b;
+          eth_dst = ed b;
           eth_type = Pkt.ipv4_ethertype;
-          ip_src = gis b;
-          ip_dst = gid b;
-          proto;
-          src_port = sport;
-          dst_port = dport;
+          ip_src = is b;
+          ip_dst = id b;
+          proto = protos.(pr b);
+          src_port = sp b;
+          dst_port = dp b;
           encap;
           size = Bytes.length b;
           ts_ns;
         }
       in
-      if sid = Sid.tcp then (
-        let gsp = g_tcp_sport.(sid) and gdp = g_tcp_dport.(sid) in
-        fun port ts_ns b ->
-          base ~proto:Pkt.Tcp ~sport:(gsp b) ~dport:(gdp b) ~encap:None port ts_ns b)
-      else if sid = Sid.udp then (
-        let gsp = g_udp_sport.(sid) and gdp = g_udp_dport.(sid) in
-        fun port ts_ns b ->
-          base ~proto:Pkt.Udp ~sport:(gsp b) ~dport:(gdp b) ~encap:None port ts_ns b)
-      else if sid = Sid.ipv4 then (
-        let gpr = g_ip_proto.(sid) in
-        fun port ts_ns b ->
-          base ~proto:(Pkt.proto_of_number (gpr b)) ~sport:0 ~dport:0 ~encap:None port
-            ts_ns b)
-      else if sid = Sid.vxlan_tcp || sid = Sid.vxlan_udp || sid = Sid.vxlan_ip then (
-        let gsp = g_udp_sport.(sid)
-        and gvni = g_vni.(sid)
-        and gies = g_ieth_src.(sid)
-        and gied = g_ieth_dst.(sid)
-        and giis = g_iip_src.(sid)
-        and giid = g_iip_dst.(sid) in
-        let inner =
-          if sid = Sid.vxlan_tcp then
-            let gip = g_itcp_sport.(sid) and gid' = g_itcp_dport.(sid) in
-            fun b -> (Pkt.Tcp, gip b, gid' b)
-          else if sid = Sid.vxlan_udp then
-            let gip = g_iudp_sport.(sid) and gid' = g_iudp_dport.(sid) in
-            fun b -> (Pkt.Udp, gip b, gid' b)
-          else
-            let gipr = g_iip_proto.(sid) in
-            fun b -> (Pkt.proto_of_number (gipr b), 0, 0)
-        in
-        fun port ts_ns b ->
-          let in_proto, isp, idp = inner b in
-          base ~proto:Pkt.Udp ~sport:(gsp b) ~dport:Stacks.vxlan_port
-            ~encap:
+      match field_of sid [ "vxlan.vni"; "gre.key" ] with
+      | None -> fun port ts_ns b -> outer None port ts_ns b
+      | Some tid_path ->
+          let kind = if tid_path = "vxlan.vni" then Pkt.Vxlan else Pkt.Gre in
+          let tid = get [ tid_path ] in
+          let ies = get [ "ieth.src" ] and ied = get [ "ieth.dst" ] in
+          let iis = get [ "iipv4.src" ] and iid = get [ "iipv4.dst" ] in
+          let ipr = get [ "iipv4.proto" ] in
+          let isp = get [ "itcp.sport"; "iudp.sport" ] and idp = get [ "itcp.dport"; "iudp.dport" ] in
+          fun port ts_ns b ->
+            outer
               (Some
                  {
-                   Pkt.kind = Pkt.Vxlan;
-                   tunnel_id = gvni b;
-                   in_eth_src = gies b;
-                   in_eth_dst = gied b;
-                   in_ip_src = giis b;
-                   in_ip_dst = giid b;
-                   in_proto;
-                   in_src_port = isp;
-                   in_dst_port = idp;
+                   Pkt.kind;
+                   tunnel_id = tid b;
+                   in_eth_src = ies b;
+                   in_eth_dst = ied b;
+                   in_ip_src = iis b;
+                   in_ip_dst = iid b;
+                   in_proto = protos.(ipr b);
+                   in_src_port = isp b;
+                   in_dst_port = idp b;
                  })
-            port ts_ns b)
-      else if sid = Sid.gre_tcp || sid = Sid.gre_udp || sid = Sid.gre_ip then (
-        let gkey = g_gre_key.(sid) and giis = g_iip_src.(sid) and giid = g_iip_dst.(sid) in
-        let inner =
-          if sid = Sid.gre_tcp then
-            let gip = g_itcp_sport.(sid) and gid' = g_itcp_dport.(sid) in
-            fun b -> (Pkt.Tcp, gip b, gid' b)
-          else if sid = Sid.gre_udp then
-            let gip = g_iudp_sport.(sid) and gid' = g_iudp_dport.(sid) in
-            fun b -> (Pkt.Udp, gip b, gid' b)
-          else
-            let gipr = g_iip_proto.(sid) in
-            fun b -> (Pkt.proto_of_number (gipr b), 0, 0)
-        in
-        fun port ts_ns b ->
-          let in_proto, isp, idp = inner b in
-          base ~proto:(Pkt.Other Stacks.gre_proto) ~sport:0 ~dport:0
-            ~encap:
-              (Some
-                 {
-                   Pkt.kind = Pkt.Gre;
-                   tunnel_id = gkey b;
-                   in_eth_src = 0;
-                   in_eth_dst = 0;
-                   in_ip_src = giis b;
-                   in_ip_dst = giid b;
-                   in_proto;
-                   in_src_port = isp;
-                   in_dst_port = idp;
-                 })
-            port ts_ns b)
-      else
-        fun _ _ _ ->
-          invalid_arg ("Wire.parse_typed: unhandled shape " ^ Codec.shape_name c sid))
+              port ts_ns b)
 
-let parse_typed ?(port = 0) ?(ts_ns = 0) b =
-  let sid = Codec.shape_of c b in
-  if sid < 0 then Error (Codec.error_of c b) else Ok (builders.(sid) port ts_ns b)
+(* Whole-field big-endian loads, unchecked: [parse_fixed] applies them
+   only at layout offsets of a frame [Codec.layout_of] accepted, which
+   holds every field of its shape.  Each is a machine load and a byte
+   swap; the int32 is converted where it is loaded, so it is never
+   boxed. *)
+external get16 : bytes -> int -> int = "%caml_bytes_get16u"
+external get32 : bytes -> int -> int32 = "%caml_bytes_get32u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
 
-let parse ?port ?ts_ns b =
-  match parse_typed ?port ?ts_ns b with
+let u8 b o = Char.code (Bytes.unsafe_get b o)
+let u16 b o = if Sys.big_endian then get16 b o else swap16 (get16 b o)
+
+let u32 b o =
+  (if Sys.big_endian then Int32.to_int (get32 b o) else Int32.to_int (swap32 (get32 b o)))
+  land 0xffff_ffff
+
+let u24 b o = (u8 b o lsl 16) lor u16 b (o + 1)
+let[@inline] u48 b o = (u16 b o lsl 32) lor u32 b (o + 2)
+let u16_or_0 b o = if o < 0 then 0 else u16 b o
+let u48_or_0 b o = if o < 0 then 0 else u48 b o
+
+(* Each shape's field offsets in its fixed layout, derived from
+   [Stacks.pkt_spec] and bound at module init; -1 marks a field the shape
+   lacks.  Every shape has the Ethernet and outer IPv4 fields, and a
+   tunnel (a VNI or a GRE key) has the inner IPv4 ones.  Names: MACs,
+   IPv4 addresses and protocol, ports, tunnel id, then the inner ones. *)
+type offsets = {
+  es : int; ed : int; is : int; id : int; pr : int; sp : int; dp : int;
+  vni : int; key : int;
+  ies : int; ied : int; iis : int; iid : int; ipr : int; isp : int; idp : int;
+}
+
+let offsets =
+  Array.init (Codec.shape_count c) (fun sid ->
+      let need bits path = Codec.layout_offset c sid path ~bits in
+      let opt bits paths =
+        match field_of sid paths with Some p -> need bits p | None -> -1
+      in
+      let vni = opt 24 [ "vxlan.vni" ] and key = opt 32 [ "gre.key" ] in
+      let inner bits path = if vni >= 0 || key >= 0 then need bits path else -1 in
+      {
+        es = need 48 "eth.src";
+        ed = need 48 "eth.dst";
+        is = need 32 "ipv4.src";
+        id = need 32 "ipv4.dst";
+        pr = need 8 "ipv4.proto";
+        sp = opt 16 [ "tcp.sport"; "udp.sport" ];
+        dp = opt 16 [ "tcp.dport"; "udp.dport" ];
+        vni;
+        key;
+        ies = opt 48 [ "ieth.src" ];
+        ied = opt 48 [ "ieth.dst" ];
+        iis = inner 32 "iipv4.src";
+        iid = inner 32 "iipv4.dst";
+        ipr = inner 8 "iipv4.proto";
+        isp = opt 16 [ "itcp.sport"; "iudp.sport" ];
+        idp = opt 16 [ "itcp.dport"; "iudp.dport" ];
+      })
+
+let fixed_encap o b =
+  Some
+    {
+      Pkt.kind = (if o.vni >= 0 then Pkt.Vxlan else Pkt.Gre);
+      tunnel_id = (if o.vni >= 0 then u24 b o.vni else u32 b o.key);
+      in_eth_src = u48_or_0 b o.ies;
+      in_eth_dst = u48_or_0 b o.ied;
+      in_ip_src = u32 b o.iis;
+      in_ip_dst = u32 b o.iid;
+      in_proto = protos.(u8 b o.ipr);
+      in_src_port = u16_or_0 b o.isp;
+      in_dst_port = u16_or_0 b o.idp;
+    }
+
+(* The packet of a frame that met the fixed layout with offsets [o]: one
+   whole big-endian load per field, no closure call, and nothing
+   allocated beyond the result (and a tunnel's encap view). *)
+let parse_fixed o port ts_ns b =
+  Ok
+    {
+      Pkt.port;
+      eth_src = u48 b o.es;
+      eth_dst = u48 b o.ed;
+      eth_type = Pkt.ipv4_ethertype;
+      ip_src = u32 b o.is;
+      ip_dst = u32 b o.id;
+      proto = protos.(u8 b o.pr);
+      src_port = u16_or_0 b o.sp;
+      dst_port = u16_or_0 b o.dp;
+      encap = (if o.vni < 0 && o.key < 0 then None else fixed_encap o b);
+      size = Bytes.length b;
+      ts_ns;
+    }
+
+let parse_typed ~port ~ts_ns b =
+  let sid = Codec.layout_of c b in
+  if sid >= 0 then parse_fixed offsets.(sid) port ts_ns b
+  else
+    (* options, truncation or an unsupported tag: [shape_of] misses the
+       layouts again, counts the fallback and runs the closure tree *)
+    let sid = Codec.shape_of c b in
+    if sid < 0 then Error (Codec.error_of c b) else Ok (builders.(sid) port ts_ns b)
+
+let parse ?(port = 0) ?(ts_ns = 0) b =
+  match parse_typed ~port ~ts_ns b with
   | Ok p -> Ok p
   | Error e -> Error (Codec.error_to_string e)

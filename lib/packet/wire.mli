@@ -2,9 +2,12 @@
 
     [serialize] and [parse] route through {!Stacks.pkt} (the production
     Ethernet/IPv4 stack with VXLAN and GRE tunnels): one staged
-    classification per frame, field reads straight off the bytes.  The
-    original hand-written code survives as {!Legacy}, the differential
-    oracle for the derived path. *)
+    classification per frame, field reads straight off the bytes.  Every
+    offset the parse uses is derived from the spec: the fixed layouts'
+    static offsets for option-free frames, the staged getters for the
+    rest.  The original hand-written code survives as {!Legacy}, the
+    differential oracle for the derived path and the only parser with
+    offsets written by hand. *)
 
 val internet_checksum : bytes -> int
 (** RFC 1071 ones-complement checksum over the buffer.  Allocation-free,
@@ -20,14 +23,26 @@ val serialize : Pkt.t -> bytes
     [Invalid_argument] when [p.size] cannot hold the headers
     ({!header_size}). *)
 
-val parse_typed : ?port:int -> ?ts_ns:int -> bytes -> (Pkt.t, Codec.error) result
-(** Decode a frame through the staged classifier.  Tunnel frames (UDP
+val parse_typed : port:int -> ts_ns:int -> bytes -> (Pkt.t, Codec.error) result
+(** Decode a frame received on [port] at [ts_ns].  Tunnel frames (UDP
     port 4789 VXLAN, IP protocol 47 GRE) come back with [encap] set.
     Truncation and unsupported ethertypes/protocols are distinguished in
-    the typed error. *)
+    the typed error.
+
+    A frame that meets its shape's fixed layout ({!Codec.layout_of}) —
+    every frame {!serialize} and the traffic generators emit — is read
+    with whole big-endian loads at the layout's static offsets, derived
+    from {!Stacks.pkt_spec}; a plain TCP/UDP frame allocates exactly the
+    [Ok] and the record, 15 words.  Any other frame (IPv4 or TCP
+    options, truncation, an unsupported tag) falls back to
+    {!Codec.shape_of}'s closure tree and the per-field staged getters,
+    and is counted in [codec.layout_fallback].  Both paths return the
+    same packet for the same frame.  The arguments are labelled, not
+    optional, so a call boxes nothing. *)
 
 val parse : ?port:int -> ?ts_ns:int -> bytes -> (Pkt.t, string) result
-(** String-error shim over {!parse_typed}.  Note the historical
+(** String-error shim over {!parse_typed}; [port] and [ts_ns] default
+    to 0.  Note the historical
     silent-zero behaviour is gone: a non-IPv4 ethertype is an [Error
     "unsupported …"], not an [Ok] packet with zeroed addresses. *)
 

@@ -122,20 +122,20 @@ let arb_encap = QCheck.make ~print:(Format.asprintf "%a" Pkt.pp) gen_encap_pkt
 
 let prop_tunnel_roundtrip =
   QCheck.Test.make ~name:"vxlan/gre serialize/parse roundtrip" ~count:300 arb_encap (fun p ->
-      match Wire.parse_typed (Wire.serialize p) with
+      match Wire.parse_typed ~port:0 ~ts_ns:0 (Wire.serialize p) with
       | Ok q -> Pkt.equal p q
       | Error _ -> false)
 
 (* --- typed errors -------------------------------------------------------- *)
 
 let test_typed_errors () =
-  (match Wire.parse_typed (Bytes.create 10) with
+  (match Wire.parse_typed ~port:0 ~ts_ns:0 (Bytes.create 10) with
   | Error (Codec.Truncated { record = "eth"; need = 14; have = 10 }) -> ()
   | _ -> Alcotest.fail "expected eth truncation");
   let arp = Wire.serialize (Pkt.make ~ip_src:1 ~ip_dst:2 ~src_port:1 ~dst_port:2 ()) in
   Bytes.set arp 12 '\x08';
   Bytes.set arp 13 '\x06';
-  (match Wire.parse_typed arp with
+  (match Wire.parse_typed ~port:0 ~ts_ns:0 arp with
   | Error (Codec.Unsupported { record = "eth"; tag_field = "type"; tag = 0x0806 }) -> ()
   | _ -> Alcotest.fail "expected unsupported ethertype");
   (* a VXLAN frame cut inside the inner headers is a truncation of the
@@ -145,7 +145,7 @@ let test_typed_errors () =
       ~encap:Pkt.default_encap ~size:110 ()
   in
   let frame = Wire.serialize vx in
-  match Wire.parse_typed (Bytes.sub frame 0 60) with
+  match Wire.parse_typed ~port:0 ~ts_ns:0 (Bytes.sub frame 0 60) with
   | Error (Codec.Truncated { record; _ }) ->
       Alcotest.(check string) "inner record truncated" "ieth" record
   | _ -> Alcotest.fail "expected inner truncation"
@@ -279,6 +279,221 @@ let test_accessors_agree () =
   Alcotest.(check int) "inner src via getter" 0xc0a80001 (g_isrc.(sid) frame);
   Alcotest.(check int) "inner sport via getter" 4321 (g_isp.(sid) frame)
 
+(* --- fixed layouts against the closure tree --------------------------------- *)
+
+(* The records on a shape's path with their option-free frame offsets,
+   walking the spec along the shape's record names. *)
+let path_records spec names =
+  let rec walk (r : Spec.t) off = function
+    | [] -> []
+    | [ _ ] -> [ (r, off) ]
+    | _ :: (next :: _ as rest) ->
+        let child =
+          match r.Spec.next with
+          | Spec.Then t -> t
+          | Spec.Switch { arms; _ } -> snd (List.find (fun (_, t) -> t.Spec.name = next) arms)
+          | Spec.Stop -> Alcotest.fail "shape path runs past a Stop"
+        in
+        (r, off) :: walk child (off + Spec.fixed_bytes r) rest
+  in
+  walk spec 0 names
+
+(* bit offset and width of a field within its record *)
+let field_bits (r : Spec.t) name =
+  let rec go bit = function
+    | [] -> Alcotest.failf "no field %s.%s" r.Spec.name name
+    | (f : Spec.field) :: rest -> if f.fname = name then (bit, f.bits) else go (bit + f.bits) rest
+  in
+  go 0 r.Spec.fields
+
+let set_bits frame ~bitpos ~bits v =
+  for i = 0 to bits - 1 do
+    let pos = bitpos + i in
+    let byte = Char.code (Bytes.get frame (pos / 8)) in
+    let mask = 0x80 lsr (pos mod 8) in
+    let bit = (v lsr (bits - 1 - i)) land 1 in
+    Bytes.set frame (pos / 8)
+      (Char.chr (if bit = 1 then byte lor mask else byte land lnot mask))
+  done
+
+let set_field frame (r, off) name v =
+  let bit, bits = field_bits r name in
+  set_bits frame ~bitpos:((8 * off) + bit) ~bits (v land ((1 lsl bits) - 1))
+
+(* [frame] with [n] option bytes (0x01, NOP) inserted at [at] *)
+let insert frame ~at n =
+  if n <= 0 then Bytes.copy frame
+  else
+    Bytes.concat Bytes.empty
+      [ Bytes.sub frame 0 at; Bytes.make n '\x01'; Bytes.sub frame at (Bytes.length frame - at) ]
+
+(* Every mutation of an encoded frame that touches what a layout guards:
+   each header-length field set to every value its 4 bits hold, with the
+   option bytes a longer header needs inserted after its fixed part, and
+   each switch tag on the path set to every arm value of its switch and to
+   a few values no arm has. *)
+let mutations spec codec sid frame =
+  let recs = path_records spec (Codec.shape_records codec sid) in
+  List.concat_map
+    (fun ((r, off) as ro) ->
+      let fixed = Spec.fixed_bytes r in
+      let hdr =
+        match Spec.hdr_len_field r with
+        | Some ({ fkind = Spec.Hdr_len { unit_bytes }; _ } as f) ->
+            List.init (min 16 (1 lsl f.bits)) (fun v ->
+                let m = insert frame ~at:(off + fixed) ((v * unit_bytes) - fixed) in
+                set_field m ro f.fname v;
+                m)
+        | _ -> []
+      in
+      let tags =
+        match r.Spec.next with
+        | Spec.Switch { on; arms; _ } ->
+            List.map
+              (fun v ->
+                let m = Bytes.copy frame in
+                set_field m ro on v;
+                m)
+              (List.map fst arms @ [ 0; 1; 0x3c; 0xffff ])
+        | _ -> []
+      in
+      hdr @ tags)
+    recs
+
+let every_truncation frame = List.init (Bytes.length frame) (fun len -> Bytes.sub frame 0 len)
+
+(* shape_of = the closure tree on every frame; error_of agrees with the
+   tree's rejection code; returns (layout hits, fallbacks that parsed). *)
+let check_against_tree codec frames =
+  let hits = ref 0 and fallback_shapes = ref 0 in
+  List.iter
+    (fun f ->
+      let tree = Codec.tree_shape_of codec f in
+      let got = Codec.shape_of codec f in
+      if got <> tree then
+        Alcotest.failf "shape_of %d <> tree %d on %S" got tree (Bytes.to_string f);
+      let layout = Codec.layout_of codec f in
+      if layout >= 0 then incr hits else if tree >= 0 then incr fallback_shapes;
+      if layout >= 0 && layout <> tree then Alcotest.failf "layout %d <> tree %d" layout tree;
+      if tree < 0 then
+        match (Codec.error_of codec f, tree) with
+        | Codec.Truncated _, t when t = Codec.err_truncated -> ()
+        | Codec.Unsupported _, t when t = Codec.err_unsupported -> ()
+        | e, _ -> Alcotest.failf "code %d but error_of says %s" tree (Codec.error_to_string e))
+    frames;
+  (!hits, !fallback_shapes)
+
+let test_layouts_match_tree label spec codec () =
+  let rng = Random.State.make [| 15 |] in
+  let hits = ref 0 and fallbacks = ref 0 in
+  for sid = 0 to Codec.shape_count codec - 1 do
+    for _ = 1 to 2 do
+      let vals =
+        List.map
+          (fun p -> (p, sanitize p (Random.State.int rng 0x3fffffff)))
+          (Codec.shape_fields codec sid)
+      in
+      let frame = Codec.encode codec ~shape:sid ~payload_len:(Random.State.int rng 24) vals in
+      Alcotest.(check int) "an encoded frame meets its own layout" sid
+        (Codec.layout_of codec frame);
+      let mutated = mutations spec codec sid frame in
+      let h, f =
+        check_against_tree codec
+          (mutated @ List.concat_map every_truncation (frame :: mutated))
+      in
+      hits := !hits + h;
+      fallbacks := !fallbacks + f
+    done
+  done;
+  (* both paths are exercised: mutated frames that still meet a layout,
+     and option-carrying frames that parse through the tree *)
+  Alcotest.(check bool) (label ^ ": layout hits") true (!hits > 0);
+  Alcotest.(check bool) (label ^ ": tree-parsed fallbacks") true (!fallbacks > 0)
+
+(* [frame] with [words] 4-byte words of options after its outer IPv4
+   header's fixed part, and the IHL saying so *)
+let with_ipv4_options frame words =
+  let ((r, off) as ipv4) = List.nth (path_records Stacks.pkt_spec [ "eth"; "ipv4" ]) 1 in
+  let m = insert frame ~at:(off + Spec.fixed_bytes r) (4 * words) in
+  set_field m ipv4 "ihl" (5 + words);
+  m
+
+(* The fixed-offset builder and the getter path build the same packet: a
+   frame of every pkt shape against the same frame with one word of outer
+   IPv4 options, which meets no layout. *)
+let test_fixed_path_matches_getters () =
+  let c = Stacks.pkt in
+  let rng = Random.State.make [| 16 |] in
+  for sid = 0 to Codec.shape_count c - 1 do
+    let vals =
+      List.map (fun p -> (p, sanitize p (Random.State.int rng 0x3fffffff))) (Codec.shape_fields c sid)
+    in
+    let frame = Codec.encode c ~shape:sid ~payload_len:8 vals in
+    let opt = with_ipv4_options frame 1 in
+    Alcotest.(check int) "options miss every layout" (-1) (Codec.layout_of c opt);
+    match (Wire.parse_typed ~port:3 ~ts_ns:7 frame, Wire.parse_typed ~port:3 ~ts_ns:7 opt) with
+    | Ok a, Ok b ->
+        Alcotest.(check bool)
+          (Codec.shape_name c sid ^ ": fixed path = getter path")
+          true
+          (Pkt.equal { a with Pkt.size = 0 } { b with Pkt.size = 0 })
+    | _ -> Alcotest.failf "%s: a frame did not parse" (Codec.shape_name c sid)
+  done
+
+(* IPv4 options move the L4 header: the staged parse takes the fallback
+   and must still agree with the hand-written oracle, which honours IHL. *)
+let prop_options_differential =
+  QCheck.Test.make ~name:"staged parse = legacy parse, IPv4 options" ~count:300
+    QCheck.(pair arb_plain (int_range 1 10))
+    (fun (p, words) ->
+      let frame = with_ipv4_options (Wire.Legacy.serialize p) words in
+      Codec.layout_of Stacks.pkt frame = -1
+      &&
+      match (Wire.parse_typed ~port:0 ~ts_ns:0 frame, Wire.Legacy.parse frame) with
+      | Ok a, Ok b -> Pkt.equal a b
+      | _ -> false)
+
+(* A layout-matched plain frame allocates the Ok and the 13-word record
+   and nothing else: no boxed optional argument, no boxed int32 load. *)
+let test_parse_allocation () =
+  let rng = Random.State.make [| 17 |] in
+  let frames n =
+    Array.init n (fun i ->
+        Wire.serialize
+          (Pkt.make
+             ~proto:(if i land 1 = 0 then Pkt.Tcp else Pkt.Udp)
+             ~ip_src:(Random.State.bits rng) ~ip_dst:(Random.State.bits rng)
+             ~src_port:(Random.State.int rng 4000) ~dst_port:(Random.State.int rng 4000)
+             ()))
+  in
+  let words frames =
+    let w0 = Gc.minor_words () in
+    for i = 0 to Array.length frames - 1 do
+      ignore (Sys.opaque_identity (Wire.parse_typed ~port:1 ~ts_ns:i frames.(i)))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let small = frames 1_000 and large = frames 11_000 in
+  ignore (words small);
+  let ws = words small and wl = words large in
+  Alcotest.(check (float 0.0)) "15 words per parsed frame" (15.0 *. 10_000.) (wl -. ws);
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 1000 frames" ws) true
+    (Float.abs (ws -. 15_000.) < 16.)
+
+let test_layout_offsets () =
+  let c = Stacks.pkt in
+  Alcotest.(check int) "tcp.dport" 36 (Codec.layout_offset c Stacks.Sid.tcp "tcp.dport" ~bits:16);
+  Alcotest.(check int) "inner tcp.sport past vxlan" 84
+    (Codec.layout_offset c Stacks.Sid.vxlan_tcp "itcp.sport" ~bits:16);
+  Alcotest.(check int) "shape order is the tree's trial order" Stacks.Sid.tcp
+    (Codec.layout_of c (Wire.serialize (Pkt.make ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4 ())));
+  Alcotest.check_raises "a nibble is not a whole field"
+    (Invalid_argument "Codec.layout_offset: ipv4.ihl is not a byte-aligned 8-bit field")
+    (fun () -> ignore (Codec.layout_offset c Stacks.Sid.tcp "ipv4.ihl" ~bits:8));
+  Alcotest.check_raises "a field of another shape"
+    (Invalid_argument "Codec.layout_offset: udp.sport is not a field of eth/ipv4/tcp")
+    (fun () -> ignore (Codec.layout_offset c Stacks.Sid.tcp "udp.sport" ~bits:16))
+
 (* --- vxlan_fw end to end ------------------------------------------------- *)
 
 let test_vxlan_fw_pool_differential () =
@@ -331,6 +546,14 @@ let suite =
     Alcotest.test_case "pcap tunnel fixtures" `Quick test_pcap_tunnels;
     Alcotest.test_case "pcap raw frames (vlan, ipv6)" `Quick test_pcap_frames;
     Alcotest.test_case "zero-copy accessors" `Quick test_accessors_agree;
+    Alcotest.test_case "pkt layouts = closure tree, mutated and truncated" `Quick
+      (test_layouts_match_tree "pkt" Stacks.pkt_spec Stacks.pkt);
+    Alcotest.test_case "full layouts = closure tree, mutated and truncated" `Quick
+      (test_layouts_match_tree "full" Stacks.full_spec Stacks.full);
+    Alcotest.test_case "fixed-offset parse = getter parse" `Quick test_fixed_path_matches_getters;
+    QCheck_alcotest.to_alcotest prop_options_differential;
+    Alcotest.test_case "parse allocates 15 words per frame" `Quick test_parse_allocation;
+    Alcotest.test_case "layout offsets" `Quick test_layout_offsets;
     Alcotest.test_case "vxlan_fw pool differential" `Quick test_vxlan_fw_pool_differential;
     Alcotest.test_case "gre_peer ladder decision" `Quick test_gre_peer_decision;
   ]
