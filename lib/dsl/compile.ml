@@ -4,32 +4,43 @@
    "compiled NF" — in which everything the interpreter re-derives per
    packet is already resolved: variable and record bindings are fixed
    slots in a preallocated frame, expression widths are baked-in mask
-   constants, record layouts are field indices, and container keys
-   of up to 14 bytes are packed ({!State.Key}) into an int pair feeding
-   the allocation-free [_packed] container operations.  [bind] then
-   resolves the staged program against one {!Instance} and allocates the
-   frame; the resulting [bound] value processes packets without touching
-   the minor heap on packed-key NFs, which is every corpus NF (keys over
-   14 bytes serialize into a per-site key buffer aliased to the
-   non-retaining map operations, paying a string copy only on [put]; a
-   [Fwd] verdict is itself a block — all measured by
-   [bench/nfpath.exe]).
+   constants, record layouts are field indices, and operands — constants,
+   variables and outer header fields — are read in place rather than
+   through a closure or [Packet.Pkt.field_int].  A container key of up to
+   14 bytes is read into a run of frame slots and packed into an int pair
+   by one loop whose shifts and masks {!State.Key.geometry} worked out at
+   stage time, feeding the allocation-free [_packed] container
+   operations.  [bind] then resolves the staged program against one
+   {!Instance} and allocates the frame.
+
+   Allocation contract: an unobserved call allocates only what the NF
+   asks for — the [Fwd] verdict block and one [Pkt.t] copy per header
+   rewrite.  Expiry frees and purges one index at a time
+   ({!State.Dchain.expire_one}), so it allocates nothing.  A key over 14
+   bytes serializes into a per-site key buffer aliased to the
+   non-retaining map operations, paying a string only on [put] and per
+   purged flow.  [bench/nfpath.exe] measures all of it.
+
+   Observer contract: the frame's [observer] is [Some] only during a call
+   made with [on_op].  An unobserved call tests it once per operation and
+   never writes it, calls it or builds an event; an observed call sees
+   the interpreter's event stream, and [process] clears the observer
+   even when the NF raises.
 
    The staging is semantics-preserving by construction and checked by
    the differential suite: every closure mirrors one [Interp] case,
-   including the op-event order, the purge-before-emit behaviour of
-   [Chain_expire], and the [Runtime_error] conditions. *)
+   including the op-event order, the freed-count of [Chain_expire]
+   (whose per-index purge erases the same keys as the interpreter's
+   free-then-purge), and the [Runtime_error] conditions. *)
 
 open Ast
-
-let nop_op (_ : Interp.op_event) = ()
 
 (* The per-bound execution frame.  [ints] holds scalar bindings by slot,
    [recs] one scratch array per record binding (records are snapshots in
    the interpreter, so overwriting the scratch on rebinding matches the
    assoc-shadowing semantics), [scratch] one reusable buffer per
-   wide-key site.  A packed key's [hi] half travels through an [ints]
-   slot of its own. *)
+   wide-key site.  A packed key's parts and its [hi] half travel through
+   [ints] slots of their own. *)
 type ctx = {
   ints : int array;
   recs : int array array;
@@ -39,7 +50,7 @@ type ctx = {
   sketches : State.Sketch.t array;
   scratch : Bytes.t array;
   mutable pkt : Packet.Pkt.t;
-  mutable on_op : Interp.op_event -> unit;
+  mutable observer : (Interp.op_event -> unit) option;
 }
 
 type t = {
@@ -56,6 +67,61 @@ type t = {
 type bound = { b_ctx : ctx; b_entry : ctx -> Interp.action }
 
 let fail fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
+
+let[@inline] emit c ev = match c.observer with None -> () | Some f -> f ev
+
+(* An operand resolved at stage time: a constant, a scalar slot, a
+   packet field read straight from the record, or any other expression as
+   a staged closure. *)
+type operand =
+  | Imm of int
+  | Slot of int
+  | Eth_src
+  | Eth_dst
+  | Eth_type
+  | Ip_src
+  | Ip_dst
+  | Ip_proto
+  | Src_port
+  | Dst_port
+  | Port
+  | Ts
+  | Len
+  | Staged of (ctx -> int)
+
+let[@inline] read c = function
+  | Slot s -> Array.unsafe_get c.ints s
+  | Imm v -> v
+  | Ip_src -> c.pkt.Packet.Pkt.ip_src
+  | Ip_dst -> c.pkt.Packet.Pkt.ip_dst
+  | Src_port -> c.pkt.Packet.Pkt.src_port
+  | Dst_port -> c.pkt.Packet.Pkt.dst_port
+  | Ip_proto -> (
+      match c.pkt.Packet.Pkt.proto with
+      | Packet.Pkt.Tcp -> 6
+      | Packet.Pkt.Udp -> 17
+      | Packet.Pkt.Other n -> n land 0xff)
+  | Eth_src -> c.pkt.Packet.Pkt.eth_src
+  | Eth_dst -> c.pkt.Packet.Pkt.eth_dst
+  | Eth_type -> c.pkt.Packet.Pkt.eth_type
+  | Port -> c.pkt.Packet.Pkt.port
+  | Ts -> c.pkt.Packet.Pkt.ts_ns
+  | Len -> c.pkt.Packet.Pkt.size
+  | Staged g -> g c
+
+(* Pack the parts [src.(base)], [src.(base + 1)], ... of a key laid out by
+   [geo] ({!State.Key.geometry}) into a {!State.Key} pair: store [hi] in
+   frame slot [hs] and return [lo]. *)
+let pack c hs geo tag src base =
+  let hi = ref tag and lo = ref 0 in
+  for j = 0 to (Array.length geo / 5) - 1 do
+    let g = 5 * j in
+    let v = Array.unsafe_get src (base + j) land Array.unsafe_get geo g in
+    lo := !lo lor ((v lsl Array.unsafe_get geo (g + 1)) land Array.unsafe_get geo (g + 2));
+    hi := !hi lor ((v lsr Array.unsafe_get geo (g + 3)) lsl Array.unsafe_get geo (g + 4))
+  done;
+  Array.unsafe_set c.ints hs !hi;
+  !lo
 
 (* Stage-time slot registries. *)
 type reg = {
@@ -123,104 +189,80 @@ let stage (nf : Ast.t) info =
     in
     go 0 layout
   in
-  let rec cexpr e : ctx -> int =
+  let rec operand e =
     match e with
-    | Const (w, v) ->
-        let v = v land mask_of w in
-        fun _ -> v
-    | Field f -> fun c -> Packet.Pkt.field_int c.pkt f
-    | In_port -> fun c -> c.pkt.Packet.Pkt.port
-    | Now -> fun c -> c.pkt.Packet.Pkt.ts_ns
-    | Pkt_len -> fun c -> c.pkt.Packet.Pkt.size
-    | Var x ->
-        let s = var_slot x in
-        fun c -> Array.unsafe_get c.ints s
+    | Const (w, v) -> Imm (v land mask_of w)
+    | Var x -> Slot (var_slot x)
+    | In_port -> Port
+    | Now -> Ts
+    | Pkt_len -> Len
+    | Field Packet.Field.Eth_src -> Eth_src
+    | Field Packet.Field.Eth_dst -> Eth_dst
+    | Field Packet.Field.Eth_type -> Eth_type
+    | Field Packet.Field.Ip_src -> Ip_src
+    | Field Packet.Field.Ip_dst -> Ip_dst
+    | Field Packet.Field.Ip_proto -> Ip_proto
+    | Field Packet.Field.Src_port -> Src_port
+    | Field Packet.Field.Dst_port -> Dst_port
+    | Field f -> Staged (fun c -> Packet.Pkt.field_int c.pkt f)
     | Record_field (r, f) ->
         let rs = rec_slot r in
         let fi = field_index (Check.record_layout info r) f in
-        fun c -> Array.unsafe_get (Array.unsafe_get c.recs rs) fi
-    | Bin (op, a, b) -> (
-        let ga = cexpr a and gb = cexpr b in
+        Staged (fun c -> Array.unsafe_get (Array.unsafe_get c.recs rs) fi)
+    | Bin (op, a, b) ->
         let m = mask_of (max (Check.expr_width info a) (Check.expr_width info b)) in
-        match op with
-        | Add -> fun c -> (ga c + gb c) land m
-        | Sub -> fun c -> (ga c - gb c) land m
-        | Mul -> fun c -> (ga c * gb c) land m
-        | Div ->
-            fun c ->
-              let vb = gb c in
-              if vb = 0 then 0 else ga c / vb land m
-        | Mod ->
-            fun c ->
-              let vb = gb c in
-              if vb = 0 then 0 else ga c mod vb land m
-        | Eq -> fun c -> if ga c = gb c then 1 else 0
-        | Neq -> fun c -> if ga c <> gb c then 1 else 0
-        | Lt -> fun c -> if ga c < gb c then 1 else 0
-        | Le -> fun c -> if ga c <= gb c then 1 else 0
-        | Land -> fun c -> ga c land gb c
-        | Lor -> fun c -> ga c lor gb c)
+        let a = operand a and b = operand b in
+        Staged
+          (match op with
+          | Add -> fun c -> (read c a + read c b) land m
+          | Sub -> fun c -> (read c a - read c b) land m
+          | Mul -> fun c -> (read c a * read c b) land m
+          | Div ->
+              fun c ->
+                let vb = read c b in
+                if vb = 0 then 0 else read c a / vb land m
+          | Mod ->
+              fun c ->
+                let vb = read c b in
+                if vb = 0 then 0 else read c a mod vb land m
+          | Eq -> fun c -> if read c a = read c b then 1 else 0
+          | Neq -> fun c -> if read c a <> read c b then 1 else 0
+          | Lt -> fun c -> if read c a < read c b then 1 else 0
+          | Le -> fun c -> if read c a <= read c b then 1 else 0
+          | Land -> fun c -> read c a land read c b
+          | Lor -> fun c -> read c a lor read c b)
     | Not a ->
-        let ga = cexpr a in
-        fun c -> 1 - ga c
+        let a = operand a in
+        Staged (fun c -> 1 - read c a)
     | Cast (w, a) ->
-        let ga = cexpr a in
-        let m = mask_of w in
-        fun c -> ga c land m
+        let a = operand a and m = mask_of w in
+        Staged (fun c -> read c a land m)
   in
-  (* A compiled key.  A packed key writes its [hi] half into its own frame
-     slot and returns [lo]; callers read the slot after the call.  A wide
-     key (over 14 bytes) serializes into the site's key buffer.  Each
-     part is truncated to its byte width, exactly as [Ast.key_of_parts]
+  (* A compiled key.  A packed key reads its parts into a run of frame
+     slots, packs them, leaves [hi] in slot [hs] and returns [lo].  A wide
+     key (over 14 bytes) serializes into the site's key buffer.  Each part
+     is truncated to its byte width, exactly as [Ast.key_of_parts]
      truncates when serializing. *)
   let ckey key =
-    let parts =
-      List.map
-        (fun e ->
-          let w = Check.expr_width info e in
-          ((w + 7) / 8, cexpr e))
-        key
-    in
-    let total = List.fold_left (fun a (b, _) -> a + b) 0 parts in
+    let ops = Array.of_list (List.map operand key) in
+    let bytes = List.map (fun e -> (Check.expr_width info e + 7) / 8) key in
+    let total = List.fold_left ( + ) 0 bytes in
     if total <= State.Key.max_packed_bytes then begin
       let hs = fresh_slot () in
-      let tag = State.Key.tag ~bytes:total in
-      let kc =
-        List.fold_left2
-          (fun k (bytes, g) shift ->
-            let pm = State.Key.part_mask ~bytes in
-            if shift + (8 * bytes) <= State.Key.tag_shift then fun c ->
-              k c lor ((g c land pm) lsl shift)
-            else fun c ->
-              let lo = k c in
-              let v = g c land pm in
-              Array.unsafe_set c.ints hs
-                (Array.unsafe_get c.ints hs lor State.Key.hi_bits ~shift v);
-              lo lor State.Key.lo_bits ~shift v)
-          (fun c ->
-            Array.unsafe_set c.ints hs tag;
-            0)
-          parts
-          (State.Key.part_shifts (List.map fst parts))
-      in
-      `Packed (hs, kc)
+      let ks = reg.r_n_vars in
+      reg.r_n_vars <- ks + Array.length ops;
+      let geo = State.Key.geometry bytes and tag = State.Key.tag ~bytes:total in
+      `Packed
+        ( hs,
+          fun c ->
+            for j = 0 to Array.length ops - 1 do
+              Array.unsafe_set c.ints (ks + j) (read c (Array.unsafe_get ops j))
+            done;
+            pack c hs geo tag c.ints ks )
     end
     else begin
       let slot = scratch_slot total in
-      let _, writers =
-        List.fold_left
-          (fun (off, acc) (bytes, g) ->
-            let w c buf =
-              let v = g c in
-              for i = 0 to bytes - 1 do
-                Bytes.unsafe_set buf (off + i)
-                  (Char.unsafe_chr ((v lsr (8 * (bytes - 1 - i))) land 0xff))
-              done
-            in
-            (off + bytes, w :: acc))
-          (0, []) parts
-      in
-      let writers = Array.of_list (List.rev writers) in
+      let widths = Array.of_list bytes in
       (* Returns the site's scratch buffer itself (sized exactly [total]).
          Call sites alias it with [Bytes.unsafe_to_string] for operations
          that do not retain the key (find/mem/erase/hash) and copy it only
@@ -228,8 +270,14 @@ let stage (nf : Ast.t) info =
       `Wide
         (fun c ->
           let buf = Array.unsafe_get c.scratch slot in
-          for i = 0 to Array.length writers - 1 do
-            (Array.unsafe_get writers i) c buf
+          let off = ref 0 in
+          for j = 0 to Array.length ops - 1 do
+            let v = read c (Array.unsafe_get ops j) and n = Array.unsafe_get widths j in
+            for i = 0 to n - 1 do
+              Bytes.unsafe_set buf (!off + i)
+                (Char.unsafe_chr ((v lsr (8 * (n - 1 - i))) land 0xff))
+            done;
+            off := !off + n
           done;
           buf)
     end
@@ -239,15 +287,24 @@ let stage (nf : Ast.t) info =
   in
   let rec crun stmt : ctx -> Interp.action =
     match stmt with
-    | If (cond, t, f) ->
-        let gc = cexpr cond and kt = crun t and kf = crun f in
-        fun c -> if gc c = 1 then kt c else kf c
+    | If (cond, t, f) -> (
+        let kt = crun t and kf = crun f in
+        match cond with
+        | Bin (Eq, a, b) ->
+            let a = operand a and b = operand b in
+            fun c -> if read c a = read c b then kt c else kf c
+        | Bin (Neq, a, b) ->
+            let a = operand a and b = operand b in
+            fun c -> if read c a <> read c b then kt c else kf c
+        | _ ->
+            let g = operand cond in
+            fun c -> if read c g = 1 then kt c else kf c)
     | Let (x, e, k) ->
-        let ge = cexpr e in
+        let o = operand e in
         let s = var_slot x in
         let kk = crun k in
         fun c ->
-          Array.unsafe_set c.ints s (ge c);
+          Array.unsafe_set c.ints s (read c o);
           kk c
     | Map_get { obj; key; found; value; k } -> (
         let ev = event obj Interp.Op_map_get in
@@ -257,7 +314,7 @@ let stage (nf : Ast.t) info =
         match ckey key with
         | `Packed (hs, kc) ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let lo = kc c in
               let v =
                 State.Map_s.find_packed (Array.unsafe_get c.maps ms) (Array.unsafe_get c.ints hs) lo
@@ -274,7 +331,7 @@ let stage (nf : Ast.t) info =
               kk c
         | `Wide kc ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let v =
                 State.Map_s.find_wide (Array.unsafe_get c.maps ms)
                   (Bytes.unsafe_to_string (kc c))
@@ -292,27 +349,27 @@ let stage (nf : Ast.t) info =
     | Map_put { obj; key; value; ok; k } -> (
         let ev = event obj Interp.Op_map_put in
         let ms = obj_slot reg.r_maps obj in
-        let gv = cexpr value in
+        let ov = operand value in
         let os = var_slot ok in
         let kk = crun k in
         match ckey key with
         | `Packed (hs, kc) ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let lo = kc c in
               let r =
                 State.Map_s.put_packed (Array.unsafe_get c.maps ms) (Array.unsafe_get c.ints hs) lo
-                  (gv c)
+                  (read c ov)
               in
               Array.unsafe_set c.ints os (Bool.to_int r);
               kk c
         | `Wide kc ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let r =
                 State.Map_s.put_wide (Array.unsafe_get c.maps ms)
                   (Bytes.to_string (kc c))
-                  (gv c)
+                  (read c ov)
               in
               Array.unsafe_set c.ints os (Bool.to_int r);
               kk c)
@@ -323,14 +380,14 @@ let stage (nf : Ast.t) info =
         match ckey key with
         | `Packed (hs, kc) ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let lo = kc c in
               let m = Array.unsafe_get c.maps ms in
               ignore (State.Map_s.erase_packed m (Array.unsafe_get c.ints hs) lo);
               kk c
         | `Wide kc ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               ignore
                 (State.Map_s.erase_wide (Array.unsafe_get c.maps ms)
                    (Bytes.unsafe_to_string (kc c)));
@@ -338,14 +395,14 @@ let stage (nf : Ast.t) info =
     | Vec_get { obj; index; record; k } ->
         let ev = event obj Interp.Op_vec_get in
         let vs = obj_slot reg.r_vecs obj in
-        let gi = cexpr index in
+        let oi = operand index in
         let rs = rec_slot record in
         let len = List.length (Check.record_layout info record) in
         let kk = crun k in
         fun c ->
-          c.on_op ev;
+          emit c ev;
           let v = Array.unsafe_get c.vecs vs in
-          let i = gi c in
+          let i = read c oi in
           if i < 0 || i >= v.Instance.capacity then
             fail "vec_get %s: index %d out of range" obj i;
           Array.blit v.Instance.slots (i * v.Instance.stride) (Array.unsafe_get c.recs rs) 0 len;
@@ -353,23 +410,22 @@ let stage (nf : Ast.t) info =
     | Vec_set { obj; index; fields; k } ->
         let ev = event obj Interp.Op_vec_set in
         let vs = obj_slot reg.r_vecs obj in
-        let gi = cexpr index in
+        let oi = operand index in
         let layout = Check.layout_of_object info obj in
-        let setters =
-          Array.of_list
-            (List.map (fun (f, e) -> (field_index layout f, cexpr e)) fields)
-        in
+        let pos = Array.of_list (List.map (fun (f, _) -> field_index layout f) fields) in
+        let ops = Array.of_list (List.map (fun (_, e) -> operand e) fields) in
         let kk = crun k in
         fun c ->
-          c.on_op ev;
+          emit c ev;
           let v = Array.unsafe_get c.vecs vs in
-          let i = gi c in
+          let i = read c oi in
           if i < 0 || i >= v.Instance.capacity then
             fail "vec_set %s: index %d out of range" obj i;
           let base = i * v.Instance.stride in
-          for j = 0 to Array.length setters - 1 do
-            let p, g = Array.unsafe_get setters j in
-            Array.unsafe_set v.Instance.slots (base + p) (g c)
+          for j = 0 to Array.length pos - 1 do
+            Array.unsafe_set v.Instance.slots
+              (base + Array.unsafe_get pos j)
+              (read c (Array.unsafe_get ops j))
           done;
           kk c
     | Chain_alloc { obj; index; k_ok; k_fail } ->
@@ -378,7 +434,7 @@ let stage (nf : Ast.t) info =
         let is = var_slot index in
         let kok = crun k_ok and kfail = crun k_fail in
         fun c ->
-          c.on_op ev;
+          emit c ev;
           let i =
             State.Dchain.allocate_idx (Array.unsafe_get c.chains cs)
               ~now:c.pkt.Packet.Pkt.ts_ns
@@ -391,12 +447,12 @@ let stage (nf : Ast.t) info =
     | Chain_rejuv { obj; index; k } ->
         let ev = event obj Interp.Op_chain_rejuv in
         let cs = obj_slot reg.r_chains obj in
-        let gi = cexpr index in
+        let oi = operand index in
         let kk = crun k in
         fun c ->
-          c.on_op ev;
+          emit c ev;
           ignore
-            (State.Dchain.rejuvenate (Array.unsafe_get c.chains cs) (gi c)
+            (State.Dchain.rejuvenate (Array.unsafe_get c.chains cs) (read c oi)
                ~now:c.pkt.Packet.Pkt.ts_ns);
           kk c
     | Chain_expire { obj; purges; age_ns; k } ->
@@ -404,6 +460,8 @@ let stage (nf : Ast.t) info =
           { Interp.obj; kind = Interp.Op_chain_expire; write = false; expired = 0 }
         in
         let cs = obj_slot reg.r_chains obj in
+        (* one purger per (map, key vector) pair erases the key of one
+           freed index *)
         let purgers =
           Array.of_list
             (List.map
@@ -415,63 +473,44 @@ let stage (nf : Ast.t) info =
                  let total = List.fold_left ( + ) 0 bytes in
                  if total <= State.Key.max_packed_bytes then begin
                    (* rebuild the (hi, lo) pair [ckey] built at put time *)
+                   let hs = fresh_slot () and geo = State.Key.geometry bytes in
                    let tag = State.Key.tag ~bytes:total in
-                   let shifts = Array.of_list (State.Key.part_shifts bytes) in
-                   let masks =
-                     Array.of_list (List.map (fun bytes -> State.Key.part_mask ~bytes) bytes)
-                   in
-                   fun c freed ->
-                     let m = Array.unsafe_get c.maps ms in
+                   fun c i ->
                      let v = Array.unsafe_get c.vecs vs in
-                     List.iter
-                       (fun i ->
-                         let base = i * v.Instance.stride in
-                         let hi = ref tag and lo = ref 0 in
-                         for j = 0 to Array.length shifts - 1 do
-                           let x =
-                             Array.unsafe_get v.Instance.slots (base + j)
-                             land Array.unsafe_get masks j
-                           in
-                           let shift = Array.unsafe_get shifts j in
-                           hi := !hi lor State.Key.hi_bits ~shift x;
-                           lo := !lo lor State.Key.lo_bits ~shift x
-                         done;
-                         ignore (State.Map_s.erase_packed m !hi !lo))
-                       freed
+                     let lo = pack c hs geo tag v.Instance.slots (i * v.Instance.stride) in
+                     ignore
+                       (State.Map_s.erase_packed (Array.unsafe_get c.maps ms)
+                          (Array.unsafe_get c.ints hs) lo)
                  end
-                 else
-                   fun c freed ->
-                     let m = Array.unsafe_get c.maps ms in
-                     let v = Array.unsafe_get c.vecs vs in
-                     List.iter
-                       (fun i ->
-                         let base = i * v.Instance.stride in
-                         let key =
-                           key_of_parts
-                             (List.mapi (fun j (_, w) -> (w, v.Instance.slots.(base + j))) layout)
-                         in
-                         ignore (State.Map_s.erase m key))
-                       freed)
+                 else fun c i ->
+                   let v = Array.unsafe_get c.vecs vs in
+                   let base = i * v.Instance.stride in
+                   let key =
+                     key_of_parts
+                       (List.mapi (fun j (_, w) -> (w, v.Instance.slots.(base + j))) layout)
+                   in
+                   ignore (State.Map_s.erase (Array.unsafe_get c.maps ms) key))
                purges)
         in
         let kk = crun k in
         fun c ->
           let chain = Array.unsafe_get c.chains cs in
           let threshold = c.pkt.Packet.Pkt.ts_ns - age_ns in
-          let freed = State.Dchain.expire_before chain ~threshold in
-          (match freed with
-          | [] -> c.on_op ev0
-          | _ ->
-              for i = 0 to Array.length purgers - 1 do
-                (Array.unsafe_get purgers i) c freed
-              done;
-              c.on_op
-                {
-                  Interp.obj;
-                  kind = Interp.Op_chain_expire;
-                  write = true;
-                  expired = List.length freed;
-                });
+          let expired = ref 0 and i = ref (State.Dchain.expire_one chain ~threshold) in
+          while !i >= 0 do
+            for p = 0 to Array.length purgers - 1 do
+              (Array.unsafe_get purgers p) c !i
+            done;
+            incr expired;
+            i := State.Dchain.expire_one chain ~threshold
+          done;
+          (match c.observer with
+          | None -> ()
+          | Some f ->
+              f
+                (if !expired = 0 then ev0
+                 else
+                   { Interp.obj; kind = Interp.Op_chain_expire; write = true; expired = !expired }));
           kk c
     | Sketch_touch { obj; key; k } -> (
         let ev = event obj Interp.Op_sketch_touch in
@@ -480,14 +519,14 @@ let stage (nf : Ast.t) info =
         match ckey key with
         | `Packed (hs, kc) ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let lo = kc c in
               State.Sketch.increment_packed (Array.unsafe_get c.sketches ss)
                 (Array.unsafe_get c.ints hs) lo;
               kk c
         | `Wide kc ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               State.Sketch.increment (Array.unsafe_get c.sketches ss)
                 (Bytes.unsafe_to_string (kc c));
               kk c)
@@ -499,7 +538,7 @@ let stage (nf : Ast.t) info =
         match ckey key with
         | `Packed (hs, kc) ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               let lo = kc c in
               Array.unsafe_set c.ints ns
                 (State.Sketch.count_packed (Array.unsafe_get c.sketches ss)
@@ -507,24 +546,26 @@ let stage (nf : Ast.t) info =
               kk c
         | `Wide kc ->
             fun c ->
-              c.on_op ev;
+              emit c ev;
               Array.unsafe_set c.ints ns
                 (State.Sketch.count (Array.unsafe_get c.sketches ss)
                    (Bytes.unsafe_to_string (kc c)));
               kk c)
     | Set_field (f, e, k) ->
-        let ge = cexpr e in
+        let o = operand e in
         let kk = crun k in
         fun c ->
-          c.pkt <- Interp.set_pkt_field c.pkt f (ge c);
+          c.pkt <- Interp.set_pkt_field c.pkt f (read c o);
           kk c
-    | Forward e ->
-        let ge = cexpr e in
+    | Forward e -> (
         let devices = nf.devices in
-        fun c ->
-          let port = ge c in
-          if port < 0 || port >= devices then fail "forward to unknown device %d" port;
-          Interp.Fwd (port, c.pkt)
+        match operand e with
+        | Imm port when port >= 0 && port < devices -> fun c -> Interp.Fwd (port, c.pkt)
+        | o ->
+            fun c ->
+              let port = read c o in
+              if port < 0 || port >= devices then fail "forward to unknown device %d" port;
+              Interp.Fwd (port, c.pkt))
     | Drop -> fun _ -> Interp.Dropped
   in
   let entry = crun nf.process in
@@ -580,18 +621,25 @@ let bind t instance =
           t.sketch_names;
       scratch = Array.map Bytes.create t.scratch_sizes;
       pkt = dummy_pkt;
-      on_op = nop_op;
+      observer = None;
     }
   in
   { b_ctx; b_entry = t.entry }
 
-let process ?(on_op = nop_op) b pkt =
+let process ?on_op b pkt =
   let c = b.b_ctx in
   c.pkt <- pkt;
-  c.on_op <- on_op;
-  let r = b.b_entry c in
-  c.on_op <- nop_op;
-  r
+  match on_op with
+  | None -> b.b_entry c
+  | Some _ -> (
+      c.observer <- on_op;
+      match b.b_entry c with
+      | r ->
+          c.observer <- None;
+          r
+      | exception e ->
+          c.observer <- None;
+          raise e)
 
 (* Compiled-vs-interpreter dispatch, so every execution site (pool
    workers, the deterministic runtime, the simulator) selects the path

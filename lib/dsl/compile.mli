@@ -3,12 +3,14 @@
     {!stage} resolves, once per program, everything {!Interp.process}
     re-derives per packet: variable and record bindings become fixed
     slots in a preallocated frame, expression widths become baked-in
-    mask constants, record layouts become field indices, and container
+    mask constants, record layouts become field indices, constants,
+    variables and outer header fields are read in place, and container
     keys of up to {!State.Key.max_packed_bytes} bytes — the 12-byte flow
-    5-tuple included — are assembled as {!State.Key} int pairs driving
-    the allocation-free [_packed] operations of {!State.Map_s} and
-    {!State.Sketch} (wider keys keep the string path, serialized through
-    a per-site key buffer).
+    5-tuple included — are packed with shifts and masks worked out at
+    stage time into {!State.Key} int pairs driving the allocation-free
+    [_packed] operations of {!State.Map_s} and {!State.Sketch} (wider
+    keys keep the string path, serialized through a per-site key
+    buffer).
 
     The compiled closure is observationally identical to the
     interpreter — same verdicts, same [on_op] event stream, same
@@ -38,11 +40,18 @@ val bind : t -> Instance.t -> bound
 
 val process :
   ?on_op:(Interp.op_event -> unit) -> bound -> Packet.Pkt.t -> Interp.action
-(** Run one packet.  Same contract as {!Interp.process}.  On NFs whose
-    keys all pack, container operations allocate nothing; what remains
-    is the [Fwd] verdict, header rewrites, and the freed-index list and
-    op event of an expiry that retires flows (plus one string per
-    wide-key operation otherwise). *)
+(** Run one packet.  Same contract as {!Interp.process}.
+
+    Allocation: without [on_op], a call allocates only what the NF asks
+    for — the [Fwd] verdict block and one packet copy per header rewrite.
+    Container operations and expiry allocate nothing on NFs whose keys all
+    pack; a key over 14 bytes costs one string per [put] and per purged
+    flow.
+
+    Observer: without [on_op], no observer is written or called and no
+    event is built.  With [on_op], it sees exactly the interpreter's event
+    stream, and it is uninstalled when the call returns or raises, so a
+    later unobserved call never reaches it. *)
 
 (** {1 Execution-path dispatch}
 

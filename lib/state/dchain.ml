@@ -151,7 +151,7 @@ let allocate_at t ~touched =
     t.last_touch.(i) <- touched;
     (* sorted insertion: place [i] after the last cell with last_touch <=
        [touched], so the recency list stays non-decreasing in last_touch
-       and [expire_before]'s head scan remains correct after a migration
+       and [expire_one]'s head scan remains correct after a migration
        hands us entries with historical timestamps.  Scan from the TAIL:
        migration streams arrive oldest-first (ascending touch), so the
        insertion point is almost always at the back and the scan is O(1)
@@ -175,20 +175,18 @@ let oldest t =
   let h = t.next.(t.cap) in
   if h = t.cap then None else Some h
 
-let expire_before t ~threshold =
-  (* allocation-free fast path: the common per-packet call finds nothing
-     due (the compiled NF path runs this on every packet) *)
+let expire_one t ~threshold =
   let h = t.next.(t.cap) in
-  if h = t.cap || t.last_touch.(h) >= threshold then []
-  else
-    let rec go acc =
-      let h = t.next.(t.cap) in
-      if h <> t.cap && t.last_touch.(h) < threshold then begin
-        ignore (free t h);
-        go (h :: acc)
-      end
-      else List.rev acc
-    in
-    go []
+  if h = t.cap || t.last_touch.(h) >= threshold then nil
+  else begin
+    ignore (free t h);
+    h
+  end
+
+let expire_before t ~threshold =
+  let rec go acc =
+    match expire_one t ~threshold with -1 -> List.rev acc | i -> go (i :: acc)
+  in
+  go []
 
 let pp fmt t = Format.fprintf fmt "dchain[%d/%d]" t.n_alloc t.cap

@@ -3,7 +3,7 @@
     It hands out integer indices from a fixed pool, remembers when each
     allocated index was last touched, and expires the stale ones in
     least-recently-touched order.  NFs pair it with a {!Map_s} (flow key →
-    index) and {!Vector}s (index → per-flow data) to build flow tables with
+    index) and vectors (index → per-flow data) to build flow tables with
     aging. *)
 
 type t
@@ -55,13 +55,20 @@ val allocate_at : t -> touched:int -> int option
     position implied by [touched] instead of at the back — the state
     migration path uses it to hand an entry to another core's chain while
     preserving both its last-touch time and the list's sorted order (so
-    {!expire_before} keeps expiring oldest-first).  [None] when the pool
-    is exhausted. *)
+    {!expire_one} keeps expiring oldest-first).  [None] when the pool is
+    exhausted. *)
+
+val expire_one : t -> threshold:int -> int
+(** Free the oldest allocated index if its last touch is strictly below
+    [threshold] and return it, or return [-1] when none is due.  It
+    allocates nothing: the compiled datapath calls it until [-1], purging
+    each freed index's map entries before freeing the next. *)
 
 val expire_before : t -> threshold:int -> int list
-(** Free every index whose last touch is strictly below [threshold]; the
-    freed indices are returned oldest first, for the caller to purge the
-    associated map/vector entries. *)
+(** Free every index whose last touch is strictly below [threshold] by
+    calling {!expire_one} until [-1]; the freed indices are returned
+    oldest first, for the caller to purge the associated map and vector
+    entries.  The interpreter oracle uses it. *)
 
 val oldest : t -> int option
 (** The least recently touched allocated index. *)

@@ -18,18 +18,24 @@ let tag ~bytes = bytes lsl tag_shift
 
 let byte_length hi = hi lsr tag_shift
 
-(* The bits a [bytes]-wide part holding [v] contributes to each half when
-   its lowest bit sits [shift] bits up the key; a part below [tag_shift]
-   contributes nothing to [hi], one above it nothing to [lo]. *)
-let hi_bits ~shift v =
-  if shift >= tag_shift then v lsl (shift - tag_shift) else v lsr (tag_shift - shift)
-
-let lo_bits ~shift v = if shift >= tag_shift then 0 else (v lsl shift) land lo_mask
-
 let part_mask ~bytes = if bytes >= 8 then -1 else (1 lsl (8 * bytes)) - 1
 
 let part_shifts bytes =
   snd (List.fold_right (fun b (shift, acc) -> (shift + (8 * b), shift :: acc)) bytes (0, []))
+
+(* Every shift lies in 0..56: a part wholly inside [lo] contributes
+   nothing to [hi] because its right shift clears it, and one at or above
+   [tag_shift] nothing to [lo] because its [lo] mask is 0, so applying the
+   geometry takes no branch per part. *)
+let geometry bytes =
+  if List.fold_left ( + ) 0 bytes > max_packed_bytes then
+    invalid_arg "Key.geometry: key too wide to pack";
+  let place bytes s =
+    let m = part_mask ~bytes in
+    if s >= tag_shift then [| m; 0; 0; 0; s - tag_shift |]
+    else [| m; s; lo_mask; tag_shift - s; 0 |]
+  in
+  Array.concat (List.map2 place bytes (part_shifts bytes))
 
 let byte_at s n i = Char.code (String.unsafe_get s (n - 1 - i))
 

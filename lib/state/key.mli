@@ -32,25 +32,20 @@ val tag : bytes:int -> int
 val byte_length : int -> int
 (** Byte length of a packed key, read from its [hi]. *)
 
-val part_mask : bytes:int -> int
-(** The mask that truncates a part to [bytes] bytes, as [key_of_parts]
-    truncates it when serializing. *)
-
 val part_shifts : int list -> int list
 (** [part_shifts bytes]: where each part of a key built from parts
     [bytes] wide, in key order, lands — the bit offset of the part's
     lowest bit in the key read as one big-endian number.  The last part
     sits at bit 0. *)
 
-val hi_bits : shift:int -> int -> int
-(** [hi_bits ~shift v]: the bits a truncated part [v] whose lowest bit
-    sits [shift] bits up the key contributes to [hi] (0 when the part lies
-    wholly in [lo]).  A key's [hi] is its {!tag} [lor] every part's
-    [hi_bits]; its [lo] is every part's {!lo_bits}. *)
-
-val lo_bits : shift:int -> int -> int
-(** The bits such a part contributes to [lo] (0 when it lies wholly in
-    [hi]). *)
+val geometry : int list -> int array
+(** [geometry bytes]: where each part of a key built from parts [bytes]
+    wide lands, worked out once, as five ints per part in key order:
+    [m; ls; lm; hr; hl].  A part [v] truncated to [v land m] — as
+    [key_of_parts] truncates it — contributes [(v lsl ls) land lm] to
+    [lo] and [(v lsr hr) lsl hl] to [hi], and the key's [hi] is its {!tag}
+    [lor] every part's contribution.  Raises [Invalid_argument] when the
+    key does not pack. *)
 
 val hi_of_string : string -> int
 (** Raises [Invalid_argument] when the key does not {!fits}. *)

@@ -84,12 +84,16 @@ let test_key_boundaries () =
   in
   let shifts = Key.part_shifts (List.map fst parts) in
   Alcotest.(check (list int)) "shifts" [ 64; 32; 16; 0 ] shifts;
-  let hi_p, lo_p =
-    List.fold_left2
-      (fun (h, l) (_, v) shift -> (h lor Key.hi_bits ~shift v, l lor Key.lo_bits ~shift v))
-      (Key.tag ~bytes:12, 0) parts shifts
-  in
-  Alcotest.(check (pair int int)) "parts = string" (hi s, lo s) (hi_p, lo_p)
+  let geo = Key.geometry (List.map fst parts) in
+  let hi_p = ref (Key.tag ~bytes:12) and lo_p = ref 0 in
+  List.iteri
+    (fun j (_, v) ->
+      let g = 5 * j in
+      let v = v land geo.(g) in
+      lo_p := !lo_p lor ((v lsl geo.(g + 1)) land geo.(g + 2));
+      hi_p := !hi_p lor ((v lsr geo.(g + 3)) lsl geo.(g + 4)))
+    parts;
+  Alcotest.(check (pair int int)) "parts = string" (hi s, lo s) (!hi_p, !lo_p)
 
 let test_intmap_basics () =
   let m = Intmap.create ~capacity:3 in
@@ -285,21 +289,15 @@ let test_dchain_allocate_idx () =
   Alcotest.(check bool) "allocated" true (i >= 0 && Dchain.is_allocated c i);
   Alcotest.(check int) "exhausted" (-1) (Dchain.allocate_idx c ~now:2)
 
-(* --- Vector --------------------------------------------------------------- *)
-
-let test_vector () =
-  let v = Vector.create ~capacity:4 ~default:0 in
-  Vector.set v 2 42;
-  Alcotest.(check int) "set/get" 42 (Vector.get v 2);
-  Vector.update v 2 (fun x -> x + 1);
-  Alcotest.(check int) "update" 43 (Vector.get v 2);
-  Vector.reset v;
-  Alcotest.(check int) "reset" 0 (Vector.get v 2);
-  Alcotest.(check bool) "bounds" true
-    (try
-       ignore (Vector.get v 4);
-       false
-     with Invalid_argument _ -> true)
+let test_dchain_expire_one () =
+  let c = Dchain.create ~capacity:3 in
+  let a = Dchain.allocate_idx c ~now:10 in
+  let b = Dchain.allocate_idx c ~now:20 in
+  ignore (Dchain.allocate_idx c ~now:30);
+  Alcotest.(check int) "oldest due" a (Dchain.expire_one c ~threshold:25);
+  Alcotest.(check int) "next due" b (Dchain.expire_one c ~threshold:25);
+  Alcotest.(check int) "none due" (-1) (Dchain.expire_one c ~threshold:25);
+  Alcotest.(check int) "one left" 1 (Dchain.allocated c)
 
 (* --- Dchain --------------------------------------------------------------- *)
 
@@ -374,34 +372,6 @@ let prop_sketch_overestimates =
         Hashtbl.replace truth k (1 + Option.value ~default:0 (Hashtbl.find_opt truth k))
       done;
       Hashtbl.fold (fun k v acc -> acc && Sketch.count s k >= v) truth true)
-
-(* --- Expire helpers -------------------------------------------------------- *)
-
-let test_expire_single_map () =
-  let chain = Dchain.create ~capacity:8 in
-  let keys = Vector.create ~capacity:8 ~default:"" in
-  let map = Map_s.create ~capacity:8 in
-  let add key now =
-    Option.get (Expire.allocate_flow chain ~keys ~map ~key ~now)
-  in
-  let _a = add "flow-a" 10 and _b = add "flow-b" 20 in
-  Alcotest.(check int) "both live" 2 (Map_s.size map);
-  let expired = Expire.expire_single_map chain ~keys ~map ~threshold:15 in
-  Alcotest.(check int) "one expired" 1 expired;
-  Alcotest.(check bool) "a gone" false (Map_s.mem map "flow-a");
-  Alcotest.(check bool) "b alive" true (Map_s.mem map "flow-b")
-
-let test_allocate_flow_full_map () =
-  let chain = Dchain.create ~capacity:4 in
-  let keys = Vector.create ~capacity:4 ~default:"" in
-  let map = Map_s.create ~capacity:1 in
-  Alcotest.(check bool) "first fits" true
-    (Expire.allocate_flow chain ~keys ~map ~key:"x" ~now:1 <> None);
-  (* the map (not the chain) is the binding constraint: allocation must be
-     rolled back *)
-  Alcotest.(check bool) "second refused" true
-    (Expire.allocate_flow chain ~keys ~map ~key:"y" ~now:2 = None);
-  Alcotest.(check int) "chain rolled back" 1 (Dchain.allocated chain)
 
 (* dchain invariant: allocated + free = capacity under random ops *)
 let prop_dchain_conservation =
@@ -555,17 +525,15 @@ let suite =
     QCheck_alcotest.to_alcotest prop_map_views_vs_model;
     Alcotest.test_case "corpus keys all take the packed path" `Quick test_corpus_keys_pack;
     Alcotest.test_case "dchain allocate_idx" `Quick test_dchain_allocate_idx;
+    Alcotest.test_case "dchain expire_one" `Quick test_dchain_expire_one;
     QCheck_alcotest.to_alcotest prop_key_roundtrip;
     QCheck_alcotest.to_alcotest prop_intmap_vs_hashtbl;
-    Alcotest.test_case "vector" `Quick test_vector;
     Alcotest.test_case "dchain allocate all" `Quick test_dchain_allocate_all;
     Alcotest.test_case "dchain expiry order" `Quick test_dchain_expiry_order;
     Alcotest.test_case "dchain free/reuse" `Quick test_dchain_free_and_reuse;
     Alcotest.test_case "dchain last touch" `Quick test_dchain_last_touch;
     Alcotest.test_case "sketch counts" `Quick test_sketch_counts;
     Alcotest.test_case "sketch over limit" `Quick test_sketch_over_limit;
-    Alcotest.test_case "expire single map" `Quick test_expire_single_map;
-    Alcotest.test_case "allocate flow rollback" `Quick test_allocate_flow_full_map;
     QCheck_alcotest.to_alcotest prop_sketch_overestimates;
     QCheck_alcotest.to_alcotest prop_dchain_conservation;
     Alcotest.test_case "intmap tombstone churn bounded" `Quick test_intmap_tombstone_bounded;
