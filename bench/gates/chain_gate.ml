@@ -83,7 +83,6 @@ let run ?(out = "BENCH_chain.json") () =
   (* measure with telemetry off so the loops are uninstrumented *)
   Telemetry.reset ();
   Telemetry.disable ();
-  Nic.Rss.set_compile_default true;
   Dsl.Compile.set_default true;
   let stage_nfs = List.map Nfs.Registry.find_exn stage_names in
   let chain = Dsl.Chain.compose_exn stage_nfs in

@@ -75,7 +75,6 @@ let run ?(out = "BENCH_churn.json") () =
   in
   Telemetry.reset ();
   Telemetry.enable ();
-  Nic.Rss.set_compile_default true;
   Dsl.Compile.set_default true;
   let nf = Nfs.Registry.find_exn "fw" in
   let request = { Maestro.Pipeline.default_request with cores } in

@@ -91,7 +91,6 @@ let run ?(out = "BENCH_cluster.json") () =
   in
   Telemetry.reset ();
   Telemetry.enable ();
-  Nic.Rss.set_compile_default true;
   Dsl.Compile.set_default true;
   let t0 = Unix.gettimeofday () in
   let nf = Nfs.Registry.find_exn "fw" in

@@ -15,10 +15,15 @@ the side that runs first alternates, the parent on odd k, so both sides
 see the same drift in host speed.  --seconds defaults to the
 BENCHMARK.json run length; --pkts is passed on when given.
 
-It prints each run's metrics as it ends, then one table row per workload
-and end-to-end metric: each side's median with its quartiles [q1, q3],
-the change/parent ratio of the medians, the pairs the change won and the
-two sides' `failed` counts; then every run's value in seed order.
+It prints each run's metrics as it ends, with the run's steal share:
+the host's steal jiffies over all its jiffies, from the aggregate `cpu`
+line of /proc/stat read before and after the run (`n/a` when /proc/stat
+cannot be read).  A slow run with a high steal share was a slow host,
+not a slow program.  Then one table row per workload and end-to-end
+metric: each side's median with its quartiles [q1, q3], the
+change/parent ratio of the medians, the pairs the change won, the two
+sides' `failed` counts and the two sides' median steal share; then every
+run's value in seed order.
 --save appends every run's standard output to FILE, which
 `framebench/check.py compare` reads.
 
@@ -52,19 +57,49 @@ SPEC_FILE = "BENCHMARK.json"
 MIN_JUDGED_PAIRS = 3
 
 
+def cpu_jiffies():
+    """(steal, all) jiffies of the aggregate `cpu` line of /proc/stat, or
+    None when it cannot be read.  `all` sums user, nice, system, idle,
+    iowait, irq, softirq and steal; guest time is already counted in user
+    and nice."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+        if fields[:1] != ["cpu"] or len(fields) < 9:
+            return None
+        ticks = [int(x) for x in fields[1:9]]
+    except (OSError, ValueError):
+        return None
+    return ticks[7], sum(ticks)
+
+
+def steal_share(before, after):
+    """Steal jiffies over all jiffies between two cpu_jiffies() readings."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
+def fmt_steal(v):
+    return "n/a" if v is None else f"{100 * v:.1f}%"
+
+
 def run_once(spec, cwd, workload, seed, seconds, pkts, trace=0):
-    """One benchmark run; returns (result object or None, stdout)."""
+    """One benchmark run; returns (result object or None, stdout, steal
+    share of the run or None)."""
     cmd = list(spec["command"]) + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
     if pkts:
         cmd += ["--pkts", str(pkts)]
+    before = cpu_jiffies()
     p = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE, text=True,
                        timeout=max(600, 20 * seconds))
+    steal = steal_share(before, cpu_jiffies())
     lines = [l for l in p.stdout.splitlines() if l.startswith("{")]
     result = json.loads(lines[-1]) if p.returncode == 0 and lines else None
-    return result, p.stdout
+    return result, p.stdout, steal
 
 
 def quartiles(v):
@@ -92,8 +127,8 @@ def traced_table(spec, args, workloads, seconds, out):
     for w in workloads:
         ms = {}
         for side in ("parent", "change"):
-            result, stdout = run_once(spec, getattr(args, side), w, seed, seconds,
-                                      args.pkts, trace=1)
+            result, stdout, _ = run_once(spec, getattr(args, side), w, seed, seconds,
+                                         args.pkts, trace=1)
             if out:
                 out.write(stdout)
                 out.flush()
@@ -157,11 +192,15 @@ def main():
     for w in workloads:
         runs = {"parent": [], "change": []}
         failed = {"parent": 0, "change": 0}
+        steals = {"parent": [], "change": []}
         for k in range(1, args.pairs + 1):
             seed = args.seed0 + k
             order = ("parent", "change") if k % 2 == 1 else ("change", "parent")
             for side in order:
-                result, stdout = run_once(spec, getattr(args, side), w, seed, seconds, args.pkts)
+                result, stdout, steal = run_once(spec, getattr(args, side), w, seed, seconds,
+                                                 args.pkts)
+                if steal is not None:
+                    steals[side].append(steal)
                 if out:
                     out.write(stdout)
                     out.flush()
@@ -169,22 +208,25 @@ def main():
                     failed[side] += 1 if result is None else max(1, result["failed"])
                     problems.append(f"{w} seed {seed} {side}: run failed")
                     runs[side].append(None)
-                    print(f"{w} seed {seed} {side}: FAILED", flush=True)
+                    print(f"{w} seed {seed} {side}: FAILED steal={fmt_steal(steal)}", flush=True)
                 else:
                     ms = {n: m["value"] for n, m in result["metrics"].items()}
                     runs[side].append(ms)
                     print(f"{w} seed {seed} {side}: "
-                          + " ".join(f"{m['name']}={ms[m['name']]:.4g}" for m in metrics),
+                          + " ".join(f"{m['name']}={ms[m['name']]:.4g}" for m in metrics)
+                          + f" steal={fmt_steal(steal)}",
                           flush=True)
         for m in metrics:
             name = m["name"]
             pairs = [(p[name], c[name]) for p, c in zip(runs["parent"], runs["change"])
                      if p is not None and c is not None]
             fails = f"{failed['parent']}, {failed['change']}"
+            steal = ", ".join(fmt_steal(statistics.median(v) if v else None)
+                              for v in (steals["parent"], steals["change"]))
             fmt = lambda vs: " ".join("-" if r is None else f"{r[name]:.4g}" for r in vs)
             values.append(f"- {w} {name}: {fmt(runs['parent'])} | {fmt(runs['change'])}")
             if not pairs:
-                rows.append(f"| {w} | {name} | - | - | - | - | {fails} |")
+                rows.append(f"| {w} | {name} | - | - | - | - | {fails} | {steal} |")
                 continue
             pv = [p for p, _ in pairs]
             cv = [c for _, c in pairs]
@@ -192,7 +234,7 @@ def main():
             wins = sum(1 for p, c in pairs if better(m, c, p))
             ratio = f"{mc / mp:.3f}x" if mp else "n/a"
             rows.append(f"| {w} | {name} | {summary(pv)} | {summary(cv)} | {ratio} "
-                        f"| {wins}/{len(pairs)} | {fails} |")
+                        f"| {wins}/{len(pairs)} | {fails} | {steal} |")
             worse = (mp - mc) if m["better"] == "higher" else (mc - mp)
             judged = len(pairs) >= MIN_JUDGED_PAIRS
             if judged and mp and worse / abs(mp) > m["bound"]:
@@ -206,8 +248,9 @@ def main():
                                     + ("" if judged else f", fewer than {MIN_JUDGED_PAIRS} pairs"))
     print()
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change / parent | change wins | failed (parent, change) |")
-    print("|---|---|---|---|---|---|---|")
+          "| change / parent | change wins | failed (parent, change) "
+          "| median steal (parent, change) |")
+    print("|---|---|---|---|---|---|---|---|")
     print("\n".join(rows))
     print()
     print("Per-run values, parent | change, in seed order:")

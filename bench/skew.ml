@@ -96,7 +96,6 @@ let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_skew.json" in
   Telemetry.reset ();
   Telemetry.enable ();
-  Nic.Rss.set_compile_default true;
   Dsl.Compile.set_default true;
   let nf = Nfs.Registry.find_exn "fw" in
   let request = { Maestro.Pipeline.default_request with cores } in

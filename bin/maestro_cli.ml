@@ -295,8 +295,8 @@ let parallelize_cmd =
 (* --- run --------------------------------------------------------------------- *)
 
 let run_cmd =
-  let run name chain cores seed strategy pkts flows batch_size backpressure fault_plan compiled
-      compiled_nf interp rebalance adaptive stats trace_json =
+  let run name chain cores seed strategy pkts flows batch_size backpressure fault_plan compiled_nf
+      interp rebalance adaptive stats trace_json =
     match find_target name chain with
     | Error e ->
         Format.eprintf "%s@." e;
@@ -317,9 +317,6 @@ let run_cmd =
                 exit 1));
         Fun.protect ~finally:Faults.clear @@ fun () ->
         with_telemetry stats trace_json @@ fun () ->
-        (* before plan generation: the pipeline configures its RSS engines
-           (and therefore picks the hash implementation) while planning *)
-        Nic.Rss.set_compile_default compiled;
         (* staged NF compilation: on by default, --interp (or
            --compiled-nf false) keeps every worker on the interpreter *)
         let nf_compiled = compiled_nf && not interp in
@@ -369,7 +366,6 @@ let run_cmd =
         Format.printf "state ops: %d reads, %d writes; %d read-pkts, %d write-pkts@."
           s.Runtime.Parallel.reads s.Runtime.Parallel.writes s.Runtime.Parallel.read_pkts
           s.Runtime.Parallel.write_pkts;
-        Format.printf "rss hash: %s@." (if compiled then "table-driven (compiled)" else "bit-by-bit (reference)");
         Format.printf "nf path: %s@."
           (if nf_compiled then "staged closures (compiled)" else "tree-walking interpreter");
         (* the same plan on real OCaml domains, fed through the persistent pool *)
@@ -476,14 +472,6 @@ let run_cmd =
              $(b,crash\\@1:3;stall\\@2:0:100000).  Events: crash\\@CORE:BATCH[xTIMES], \
              slow\\@CORE:FROM:SPINS, stall\\@CORE:BATCH:SPINS, satbudget\\@CONFLICTS:PROPS.")
   in
-  let compiled_rss =
-    Arg.(
-      value & opt bool true
-      & info [ "compiled-rss" ] ~docv:"BOOL"
-          ~doc:
-            "Use the table-driven (compiled) Toeplitz hash in every RSS engine; pass \
-             $(b,false) for the bit-by-bit reference implementation.")
-  in
   let compiled_nf =
     Arg.(
       value & opt bool true
@@ -507,7 +495,7 @@ let run_cmd =
           sequential version.")
     Term.(
       const run $ nf_arg $ chain_arg $ cores_arg $ seed_arg $ strategy_arg $ pkts $ flows
-      $ batch_size $ backpressure $ fault_plan $ compiled_rss $ compiled_nf $ interp
+      $ batch_size $ backpressure $ fault_plan $ compiled_nf $ interp
       $ rebalance_arg $ adaptive_arg $ stats_arg $ trace_json_arg)
 
 (* --- rebalance (offline study) ---------------------------------------------- *)

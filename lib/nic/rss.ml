@@ -1,11 +1,3 @@
-(* Whether freshly configured engines hash through compiled Toeplitz tables
-   (the fast path) or the bit-by-bit reference.  The CLI's --compiled-rss
-   flag flips this; tests flip it to compare the two paths end to end. *)
-let compile_default = ref true
-
-let set_compile_default b = compile_default := b
-let compile_default_enabled () = !compile_default
-
 type t = {
   nic : Model.t;
   key : Bitvec.t;
@@ -19,17 +11,15 @@ type t = {
   reta : Reta.t;
 }
 
-(* Per-set hasher, returning -1 when the set does not match.  Compiled
-   engines whose slices are whole bytes take the allocation-free path: each
-   field is read once and its bytes feed the Toeplitz tables directly,
+(* Per-set hasher over compiled tables, returning -1 when the set does not
+   match.  Sets whose slices are whole bytes take the allocation-free path:
+   each field is read once and its bytes feed the Toeplitz tables directly,
    skipping the per-packet Bitvec serialization of [Field_set.hash_input]
-   (which dominated software dispatch cost).  Other sets and reference
-   (uncompiled) engines keep the Bitvec path, which the property tests use
-   as the oracle. *)
-let hasher ~compiled ~key ~ckey s =
-  match if compiled then Field_set.field_plan s else None with
+   (which dominated software dispatch cost).  Other sets keep the Bitvec
+   path.  RS3's key validation hashes its probe packets with this too. *)
+let hasher ck s =
+  match Field_set.field_plan s with
   | Some plan ->
-      let ck = Lazy.force ckey in
       let widths = Array.map (fun (_, w, _) -> w) plan in
       let get =
         Array.map
@@ -41,13 +31,16 @@ let hasher ~compiled ~key ~ckey s =
       fun p -> if Field_set.matches s p then Toeplitz.Key.hash_pieces ck ~widths get p else -1
   | None -> (
       fun p ->
-        match Field_set.hash_input s p with
-        | Some d ->
-            if compiled then Toeplitz.Key.hash_int (Lazy.force ckey) d
-            else Toeplitz.hash_int ~key d
-        | None -> -1)
+        match Field_set.hash_input s p with Some d -> Toeplitz.Key.hash_int ck d | None -> -1)
 
-let configure ?(nic = Model.E810) ?reta ?compiled ~key ~sets ~queues () =
+(* What [configure] hashes one set with: [hasher], or the bit-by-bit
+   reference, the oracle the fast path is tested against. *)
+let set_hasher ~compiled ~key ~ckey s =
+  if compiled then hasher (Lazy.force ckey) s
+  else fun p ->
+    match Field_set.hash_input s p with Some d -> Toeplitz.hash_int ~key d | None -> -1
+
+let configure ?(nic = Model.E810) ?reta ?(compiled = true) ~key ~sets ~queues () =
   if Bitvec.length key <> 8 * Model.key_bytes nic then
     invalid_arg
       (Printf.sprintf "Rss.configure: key must be %d bytes for %s" (Model.key_bytes nic)
@@ -67,11 +60,10 @@ let configure ?(nic = Model.E810) ?reta ?compiled ~key ~sets ~queues () =
         r
     | None -> Reta.create ~size:(Model.reta_size nic) ~queues ()
   in
-  let compiled = Option.value ~default:!compile_default compiled in
   let ckey = lazy (Toeplitz.Key.compile key) in
   let hash =
     lazy
-      (match List.map (hasher ~compiled ~key ~ckey) sets with
+      (match List.map (set_hasher ~compiled ~key ~ckey) sets with
       | [ h ] -> h
       | hs ->
           let hs = Array.of_list hs in

@@ -16,17 +16,19 @@ val configure :
 (** Raises [Invalid_argument] when the key length differs from the NIC's,
     when a set is unsupported by the NIC, or when [queues] exceeds the NIC's
     maximum.  [nic] defaults to {!Model.E810}; [reta] defaults to a
-    round-robin table.  [compiled] selects the table-driven Toeplitz fast
-    path ({!Toeplitz.Key}) over the bit-by-bit reference; it defaults to
-    the process-wide {!set_compile_default} setting (initially [true]).
-    Both paths are bit-exact, so dispatch decisions never depend on the
-    choice.  The lookup tables are compiled lazily on first hash. *)
+    round-robin table.  [compiled] (default [true]) selects the
+    table-driven {!hasher} over the bit-by-bit reference
+    ({!Field_set.hash_input} and {!Toeplitz.hash}), which tests keep as the
+    oracle.  Both paths are bit-exact, so dispatch decisions never depend
+    on the choice.  The lookup tables are compiled lazily on first hash. *)
 
-val set_compile_default : bool -> unit
-(** Set the process-wide default for [configure]'s [?compiled] — what the
-    CLI's [--compiled-rss] flag toggles. *)
-
-val compile_default_enabled : unit -> bool
+val hasher : Toeplitz.Key.t -> Field_set.t -> Packet.Pkt.t -> int
+(** [hasher ck s] is the per-set hash a compiled engine runs: the 32-bit
+    Toeplitz hash of the packet's [s] fields under [ck], or [-1] when the
+    packet lacks one of them ({!Field_set.matches}).  When every slice of
+    [s] is whole bytes it reads the fields straight from the packet and
+    allocates nothing; otherwise it hashes {!Field_set.hash_input}.  Build
+    it once per key and set: RS3 validates candidate keys with it. *)
 
 val random_key : Random.State.t -> Model.t -> Bitvec.t
 (** A uniformly random key of the NIC's key size — what Maestro installs

@@ -61,16 +61,16 @@ let colliding_packets ~key ~field_set ~target_hash ~rng ~n =
       else pkts
 
 let collision_rate ~key ~field_set pkts =
+  let hash = Nic.Rss.hasher (Nic.Toeplitz.Key.compile key) field_set in
   let counts = Hashtbl.create 64 in
   let total = ref 0 in
   List.iter
     (fun p ->
-      match Nic.Field_set.hash_input field_set p with
-      | Some d ->
-          incr total;
-          let h = Nic.Toeplitz.hash_int ~key d in
-          Hashtbl.replace counts h (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
-      | None -> ())
+      let h = hash p in
+      if h >= 0 then begin
+        incr total;
+        Hashtbl.replace counts h (1 + Option.value ~default:0 (Hashtbl.find_opt counts h))
+      end)
     pkts;
   if !total = 0 then 0.0
   else

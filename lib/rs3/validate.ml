@@ -6,7 +6,7 @@ let rand32 rng = (Random.State.bits rng lsl 2) lxor Random.State.bits rng land 0
    sets see spread bits too: without it, every probe packet would hash the
    same zeroed inner 5-tuple and the solver's spread check could never
    pass for inner sets. *)
-let random_pkt rng ~port =
+let probe rng ~port =
   Packet.Pkt.make ~port ~ip_src:(rand32 rng) ~ip_dst:(rand32 rng)
     ~src_port:(Random.State.int rng 0x10000)
     ~dst_port:(Random.State.int rng 0x10000)
@@ -21,43 +21,43 @@ let random_pkt rng ~port =
       }
     ()
 
-let set_field (p : Packet.Pkt.t) f v = Packet.Pkt.set_field p f v
+let probe_pair rng (c : Cstr.t) =
+  let d_b = probe rng ~port:c.Cstr.port_b in
+  let d_a =
+    List.fold_left
+      (fun acc { Cstr.fa; fb; bits } ->
+        (* copy the matched prefix, keep the low bits random *)
+        let w = Packet.Field.width fa in
+        let mask_hi = ((1 lsl bits) - 1) lsl (w - bits) in
+        let v =
+          Packet.Pkt.field_int d_b fb land mask_hi
+          lor (Packet.Pkt.field_int acc fa land lnot mask_hi)
+        in
+        Packet.Pkt.set_field acc fa v)
+      (probe rng ~port:c.Cstr.port_a)
+      c.Cstr.pairs
+  in
+  (d_a, d_b)
 
-let hash_with (p : Problem.t) keys ~port pkt =
-  match Nic.Field_set.hash_input p.Problem.field_sets.(port) pkt with
-  | Some d -> Some (Nic.Toeplitz.hash_int ~key:keys.(port) d)
-  | None -> None
+(* Probes are hashed the way the datapath hashes packets: through compiled
+   Toeplitz tables, fields read straight from the packet, -1 when the set
+   does not match.  Bit-exact with [Field_set.hash_input] + [Toeplitz.hash]. *)
+let hasher key field_set = Nic.Rss.hasher (Nic.Toeplitz.Key.compile key) field_set
 
 let check_constraints (p : Problem.t) ~keys ~rng ~trials =
+  let hash = Array.mapi (fun port key -> hasher key p.Problem.field_sets.(port)) keys in
   let violation = ref None in
   List.iter
     (fun (c : Cstr.t) ->
-      if !violation = None then
-        for _ = 1 to trials do
-          if !violation = None then begin
-            let d_b = random_pkt rng ~port:c.Cstr.port_b in
-            let d_a =
-              List.fold_left
-                (fun acc { Cstr.fa; fb; bits } ->
-                  (* copy the matched prefix, keep the low bits random *)
-                  let w = Packet.Field.width fa in
-                  let mask_hi = ((1 lsl bits) - 1) lsl (w - bits) in
-                  let v =
-                    Packet.Pkt.field_int d_b fb land mask_hi
-                    lor (Packet.Pkt.field_int acc fa land lnot mask_hi)
-                  in
-                  set_field acc fa v)
-                (random_pkt rng ~port:c.Cstr.port_a)
-                c.Cstr.pairs
-            in
-            match (hash_with p keys ~port:c.Cstr.port_a d_a, hash_with p keys ~port:c.Cstr.port_b d_b) with
-            | Some ha, Some hb when ha <> hb ->
-                violation :=
-                  Some
-                    (Format.asprintf "constraint %a violated: %08x vs %08x" Cstr.pp c ha hb)
-            | _ -> ()
-          end
-        done)
+      for _ = 1 to trials do
+        if !violation = None then begin
+          let d_a, d_b = probe_pair rng c in
+          let ha = hash.(c.Cstr.port_a) d_a and hb = hash.(c.Cstr.port_b) d_b in
+          if ha >= 0 && hb >= 0 && ha <> hb then
+            violation :=
+              Some (Format.asprintf "constraint %a violated: %08x vs %08x" Cstr.pp c ha hb)
+        end
+      done)
     p.Problem.constraints;
   match !violation with Some msg -> Error msg | None -> Ok ()
 
@@ -75,16 +75,15 @@ type spread = {
 let spread_buckets = 64
 
 let spread_of_key ~key ~field_set ~rng ~trials =
+  let hash = hasher key field_set in
   let buckets = Array.make spread_buckets 0 in
   let seen = Hashtbl.create trials in
   for _ = 1 to trials do
-    let pkt = random_pkt rng ~port:0 in
-    match Nic.Field_set.hash_input field_set pkt with
-    | Some d ->
-        let h = Nic.Toeplitz.hash_int ~key d in
-        Hashtbl.replace seen h ();
-        buckets.(h land (spread_buckets - 1)) <- buckets.(h land (spread_buckets - 1)) + 1
-    | None -> ()
+    let h = hash (probe rng ~port:0) in
+    if h >= 0 then begin
+      Hashtbl.replace seen h ();
+      buckets.(h land (spread_buckets - 1)) <- buckets.(h land (spread_buckets - 1)) + 1
+    end
   done;
   let total = Array.fold_left ( + ) 0 buckets in
   let mean = float_of_int total /. float_of_int spread_buckets in

@@ -244,6 +244,43 @@ let test_sat_solver_request () =
   Alcotest.(check string) "still shared-nothing" "shared-nothing"
     (Maestro.Plan.strategy_name o.Maestro.Pipeline.plan.Maestro.Plan.strategy)
 
+(* The solver's output is pinned: the default request returns exactly these
+   keys.  Key validation hashes random probe packets drawn from the solve's
+   RNG, and hhh's search rejects two candidates first, so its keys also
+   depend on how many probes were drawn.  A change to the probes, their
+   draws or the hash that checks them fails here instead of quietly
+   re-keying every plan and benchmark. *)
+let test_solved_keys_pinned () =
+  let keys ?(request = Maestro.Pipeline.default_request) name =
+    let o = Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn name) in
+    let rss = o.Maestro.Pipeline.plan.Maestro.Plan.rss in
+    Array.to_list (Array.map (fun r -> Bitvec.to_hex r.Maestro.Plan.key) rss)
+  in
+  Alcotest.(check (list string)) "nat"
+    [
+      "673e0204c1acc53efa8d866ca43d65d532c709d3f12e23888aa0bc958830c42e1bd7a7d202cfe64e436d598248c75c72a97d8d00";
+      "673e0204c1acc53efa8cf20fd08636732a27238bbe77b35f82929714329ae9d73ac5d310a698b6aa6ac1411f94881a4b58919ea2";
+    ]
+    (keys "nat");
+  Alcotest.(check (list string)) "fw"
+    [
+      "4bece395e3954bec4bece3954bece395866ca43d65d532c709d3f12e23888aa0bc958830c42e1bd7a7d202cfe64e436d598248c7";
+      "e3954bec4bece395e3954bece3954bec680339f010260d6629f7d467907e8431b39951391c5df3bd9afc1494b8a194d74eb9d62e";
+    ]
+    (keys "fw");
+  Alcotest.(check (list string)) "hhh"
+    [
+      "7d07cba86eb0d8162f74fe404439d5330b682ec46ec0864166e2b2aeebd4c49387efc1a84eab11f46a476a4bdb7ae3af158002ce";
+      "02d993a8df54dfa62d372f08fbde412ebd8f70903da124bead3be02848fc5e9514681be24a57c2c0b1f0af14b3353a6247c6ce8f";
+    ]
+    (keys "hhh");
+  Alcotest.(check (list string)) "fw, sat backend"
+    [
+      "b2d7a22fa22fb2d7b2d7a22fb2d7a22ebc958830c42e1bd7a7d202cfe64e436d598248c75c72a97d8d00673e0204c1acc53efa8c";
+      "a22fb2d7b2d7a22fa22fb2d7a22fb2d69714329ae9d73ac5d310a698b6aa6ac1411f94881a4b58919ea2749a08e31a9423816433";
+    ]
+    (keys ~request:{ Maestro.Pipeline.default_request with solver = `Sat } "fw")
+
 let suite =
   [
     Alcotest.test_case "decisions match the paper (Table of §6.1)" `Quick
@@ -260,6 +297,7 @@ let suite =
     Alcotest.test_case "Fig. 2 scenario decisions" `Quick test_scenarios_decisions;
     Alcotest.test_case "psd shards on source only (R2)" `Quick test_psd_shards_on_source_only;
     Alcotest.test_case "sat solver request" `Quick test_sat_solver_request;
+    Alcotest.test_case "solved keys pinned" `Quick test_solved_keys_pinned;
     Alcotest.test_case "hhh prefix sharding (extension)" `Quick test_hhh_prefix_sharding;
     Alcotest.test_case "hhh equivalence (extension)" `Quick test_hhh_equivalence;
   ]

@@ -267,6 +267,198 @@ let test_attack_defeated_by_rekeying () =
   Alcotest.(check bool) "spread under a fresh key" true
     (Attack.collision_rate ~key:other ~field_set pkts < 0.2)
 
+(* --- the probe hash against the bit-by-bit reference ------------------------ *)
+
+(* Key validation hashes its probes with [Nic.Rss.hasher] (compiled tables,
+   fields read straight from the packet).  Each check below redoes the
+   computation with [Field_set.hash_input] and the bit-by-bit
+   [Toeplitz.hash_int] over the same probes, drawn from a copy of the same
+   RNG state, and must agree exactly — which is what keeps every solved key
+   and plan unchanged. *)
+let reference_hash key field_set p =
+  match Nic.Field_set.hash_input field_set p with
+  | Some d -> Nic.Toeplitz.hash_int ~key d
+  | None -> -1
+
+let solved_plan name =
+  (Maestro.Pipeline.parallelize_exn (Nfs.Registry.find_exn name)).Maestro.Pipeline.plan
+
+let solved_nfs = [ "nat"; "fw"; "psd"; "hhh"; "vxlan_fw" ]
+let zero_key = Bitvec.create (8 * 52)
+let ragged_set = Nic.Field_set.make_sliced [ (Field.Ip_src, 12) ]
+
+(* (label, key, field set): every solved port of [solved_nfs], ipv4_tcp under
+   the all-zero key and random keys, and a 12-bit slice, which takes the
+   hasher's Bitvec fallback *)
+let hash_cases () =
+  let st = rng 41 in
+  let solved =
+    List.concat_map
+      (fun name ->
+        Array.to_list
+          (Array.mapi
+             (fun port { Maestro.Plan.key; field_set } ->
+               (Printf.sprintf "%s port %d" name port, key, field_set))
+             (solved_plan name).Maestro.Plan.rss))
+      solved_nfs
+  in
+  let cases =
+    solved
+    @ [ ("ipv4_tcp, zero key", zero_key, Nic.Field_set.ipv4_tcp) ]
+    @ List.init 3 (fun i ->
+          let key = Bitvec.random st (8 * 52) in
+          (Printf.sprintf "ipv4_tcp, random key %d" i, key, Nic.Field_set.ipv4_tcp))
+    @ [ ("ip.src[0:12]", Bitvec.random st (8 * 52), ragged_set) ]
+  in
+  let covers set = List.exists (fun (_, _, s) -> Nic.Field_set.equal s set) solved in
+  Alcotest.(check bool) "hhh's /8 set covered" true
+    (covers (Nic.Field_set.make_sliced [ (Field.Ip_src, 8) ]));
+  Alcotest.(check bool) "vxlan_fw's inner set covered" true (covers Nic.Field_set.inner_ipv4_tcp);
+  Alcotest.(check bool) "ragged set takes the Bitvec path" true
+    (Nic.Field_set.field_plan ragged_set = None);
+  cases
+
+let spread =
+  Alcotest.testable
+    (fun fmt (s : Validate.spread) ->
+      Format.fprintf fmt "{distinct %d; imbalance %h; nonempty %d; constant %b}"
+        s.Validate.distinct_hashes s.Validate.bucket_imbalance s.Validate.nonempty_buckets
+        s.Validate.constant_hash)
+    ( = )
+
+let reference_spread ~key ~field_set ~rng ~trials =
+  let hs =
+    Array.init trials (fun _ -> reference_hash key field_set (Validate.probe rng ~port:0))
+    |> Array.to_list
+    |> List.filter (fun h -> h >= 0)
+  in
+  let buckets = Array.make 64 0 in
+  List.iter (fun h -> buckets.(h land 63) <- buckets.(h land 63) + 1) hs;
+  let distinct = List.length (List.sort_uniq compare hs) in
+  let total = List.length hs in
+  {
+    Validate.distinct_hashes = distinct;
+    bucket_imbalance =
+      (if total = 0 then 1.
+       else float_of_int (Array.fold_left max 0 buckets) /. (float_of_int total /. 64.));
+    nonempty_buckets = Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 buckets;
+    constant_hash = distinct <= 1;
+  }
+
+(* both sides must also leave the RNG in the same state: they drew the
+   same probes *)
+let check_same_draws label a b =
+  Alcotest.(check int) (label ^ ": same draws") (Random.State.bits a) (Random.State.bits b)
+
+let test_spread_matches_reference () =
+  List.iteri
+    (fun i (label, key, field_set) ->
+      let st = rng (100 + i) in
+      let copy = Random.State.copy st in
+      Alcotest.check spread label
+        (reference_spread ~key ~field_set ~rng:copy ~trials:2048)
+        (Validate.spread_of_key ~key ~field_set ~rng:st ~trials:2048);
+      check_same_draws label st copy)
+    (hash_cases ())
+
+let reference_check (p : Problem.t) ~keys ~rng ~trials =
+  let violation = ref None in
+  List.iter
+    (fun (c : Cstr.t) ->
+      for _ = 1 to trials do
+        if !violation = None then begin
+          let d_a, d_b = Validate.probe_pair rng c in
+          let h port d = reference_hash keys.(port) p.Problem.field_sets.(port) d in
+          let ha = h c.Cstr.port_a d_a and hb = h c.Cstr.port_b d_b in
+          if ha >= 0 && hb >= 0 && ha <> hb then
+            violation :=
+              Some (Format.asprintf "constraint %a violated: %08x vs %08x" Cstr.pp c ha hb)
+        end
+      done)
+    p.Problem.constraints;
+  match !violation with Some msg -> Error msg | None -> Ok ()
+
+(* Solved keys pass; random keys break a constraint, and both sides must
+   name the same constraint and the same pair of hashes. *)
+let test_check_constraints_matches_reference () =
+  let st = rng 43 in
+  let random_keys n = Array.init n (fun _ -> Bitvec.random st (8 * 52)) in
+  let of_plan name =
+    let plan = solved_plan name in
+    let rss = plan.Maestro.Plan.rss in
+    let p =
+      Problem.make ~nic:plan.Maestro.Plan.nic
+        ~field_sets:(Array.to_list (Array.map (fun r -> r.Maestro.Plan.field_set) rss))
+        plan.Maestro.Plan.constraints
+    in
+    [
+      (name ^ " solved", p, Array.map (fun r -> r.Maestro.Plan.key) rss, true);
+      (name ^ " random", p, random_keys (Array.length rss), false);
+    ]
+  in
+  let ragged =
+    Problem.make ~field_sets:[ ragged_set ]
+      [
+        Cstr.make_sliced ~port_a:0 ~port_b:0
+          [ { Cstr.fa = Field.Ip_src; fb = Field.Ip_src; bits = 12 } ];
+      ]
+  in
+  let cases =
+    List.concat_map of_plan solved_nfs
+    @ [
+        ("fw, zero keys", fw_problem (), [| zero_key; zero_key |], true);
+        ("fw, random keys", fw_problem (), random_keys 2, false);
+        ("ip.src[0:12], random key", ragged, random_keys 1, true);
+      ]
+  in
+  let violated = ref 0 in
+  List.iteri
+    (fun i (label, p, keys, passes) ->
+      let st = rng (200 + i) in
+      let copy = Random.State.copy st in
+      let expected = reference_check p ~keys ~rng:copy ~trials:200 in
+      Alcotest.(check (result unit string)) label expected
+        (Validate.check_constraints p ~keys ~rng:st ~trials:200);
+      check_same_draws label st copy;
+      if passes then Alcotest.(check bool) (label ^ " passes") true (Result.is_ok expected);
+      if Result.is_error expected then incr violated)
+    cases;
+  Alcotest.(check bool) "random keys break constraints" true (!violated >= 3)
+
+let reference_collision_rate ~key ~field_set pkts =
+  let hs = List.filter (fun h -> h >= 0) (List.map (reference_hash key field_set) pkts) in
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun h -> Hashtbl.replace counts h (1 + Option.value ~default:0 (Hashtbl.find_opt counts h)))
+    hs;
+  if hs = [] then 0.0
+  else
+    float_of_int (Hashtbl.fold (fun _ c acc -> max c acc) counts 0)
+    /. float_of_int (List.length hs)
+
+(* Over an attack set, random probes and packets no port-bearing or inner
+   set matches, packet by packet and in aggregate. *)
+let test_collision_rate_matches_reference () =
+  List.iteri
+    (fun i (label, key, field_set) ->
+      let st = rng (300 + i) in
+      let probes = List.init 200 (fun _ -> Validate.probe st ~port:0) in
+      let target_hash = reference_hash key field_set (List.hd probes) in
+      let attack = Attack.colliding_packets ~key ~field_set ~target_hash ~rng:st ~n:50 in
+      let unmatched = List.init 20 (fun _ -> { (random_pkt st) with Pkt.proto = Pkt.Other 1 }) in
+      let hash = Nic.Rss.hasher (Nic.Toeplitz.Key.compile key) field_set in
+      List.iter
+        (fun pkts ->
+          List.iter
+            (fun p ->
+              Alcotest.(check int) (label ^ ": hash") (reference_hash key field_set p) (hash p))
+            pkts;
+          Alcotest.(check (float 0.)) (label ^ ": collision rate")
+            (reference_collision_rate ~key ~field_set pkts)
+            (Attack.collision_rate ~key ~field_set pkts))
+        [ attack; probes; unmatched; attack @ probes @ unmatched ])
+    (hash_cases ())
+
 (* --- properties ----------------------------------------------------------- *)
 
 let prop_solutions_always_validate =
@@ -310,6 +502,11 @@ let suite =
       test_rigid_input_has_no_key_freedom;
     Alcotest.test_case "attack finds exact collisions" `Quick test_attack_finds_collisions;
     Alcotest.test_case "attack defeated by re-keying" `Quick test_attack_defeated_by_rekeying;
+    Alcotest.test_case "spread matches the reference hash" `Quick test_spread_matches_reference;
+    Alcotest.test_case "check_constraints matches the reference hash" `Quick
+      test_check_constraints_matches_reference;
+    Alcotest.test_case "collision rate matches the reference hash" `Quick
+      test_collision_rate_matches_reference;
     QCheck_alcotest.to_alcotest prop_solutions_always_validate;
     QCheck_alcotest.to_alcotest prop_backends_equisatisfiable;
   ]
