@@ -35,18 +35,34 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
     cli run fw --cores 8 --pkts 16384 --flows 1000 --rebalance epoch=4096 | tee cli-rebalance.txt
     grep -q 'pool sequential agreement: 16384/16384' cli-rebalance.txt
     grep -q 'pool rebalancing' cli-rebalance.txt
+    # a worker crash mid-run recovers on the rebalancing path
+    cli run fw --cores 8 --pkts 16384 --flows 1000 --rebalance epoch=4096 \
+      --fault-plan 'crash@1:2' | tee cli-rebalance-crash.txt
+    grep -q 'pool sequential agreement: 16384/16384' cli-rebalance-crash.txt
+    grep -q 'pool recovery: 1 restarts' cli-rebalance-crash.txt
     ;;
 
   churn)
     cli run fw --cores 4 --pkts 4000 --flows 200 --discipline scr | tee cli-scr.txt
     grep -q 'pool sequential agreement: 4000/4000' cli-scr.txt
     grep -q 'state-compute-replication' cli-scr.txt
+    # ... and on the static SCR path, which rebuilds the dead replica
+    cli run fw --cores 4 --pkts 4000 --flows 200 --discipline scr \
+      --fault-plan 'crash@1:2' | tee cli-scr-crash.txt
+    grep -q 'pool sequential agreement: 4000/4000' cli-scr-crash.txt
+    grep -q 'pool recovery: 1 restarts' cli-scr-crash.txt
+    grep -q '1 replica rebuilds' cli-scr-crash.txt
     ;;
 
   adaptive)
     cli run fw --cores 4 --pkts 16384 --flows 400 --adaptive epochs=2048 --stats | tee cli-adaptive.txt
     grep -q 'pool sequential agreement: 16384/16384' cli-adaptive.txt
     grep -q 'pool adaptive' cli-adaptive.txt
+    # ... and on the adaptive path
+    cli run fw --cores 4 --pkts 16384 --flows 400 --adaptive epochs=2048 \
+      --fault-plan 'crash@1:2' | tee cli-adaptive-crash.txt
+    grep -q 'pool sequential agreement: 16384/16384' cli-adaptive-crash.txt
+    grep -q 'pool recovery: 1 restarts' cli-adaptive-crash.txt
     ;;
 
   chain)

@@ -200,7 +200,6 @@ let run ?(out = "BENCH_adaptive.json") () =
   in
   Telemetry.reset ();
   Telemetry.enable ();
-  Dsl.Compile.set_default true;
   let nf = Nfs.Registry.find_exn "fw" in
   let request = { Maestro.Pipeline.default_request with cores } in
   let plan_of strategy =

@@ -91,7 +91,6 @@ let run ?(out = "BENCH_cluster.json") () =
   in
   Telemetry.reset ();
   Telemetry.enable ();
-  Dsl.Compile.set_default true;
   let t0 = Unix.gettimeofday () in
   let nf = Nfs.Registry.find_exn "fw" in
   let rng = Random.State.make [| 0xc105e4 |] in

@@ -85,7 +85,6 @@ let run ?(out = "BENCH_stress.json") () =
   in
   Telemetry.reset ();
   Telemetry.enable ();
-  Dsl.Compile.set_default true;
   Printf.printf "stress scale: %d concurrent flows (+%d body packets)\n%!" nflows body_pkts;
   let nf = Nfs.Fw.make ~capacity () in
   let info = Dsl.Check.check_exn nf in

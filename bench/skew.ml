@@ -96,7 +96,6 @@ let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_skew.json" in
   Telemetry.reset ();
   Telemetry.enable ();
-  Dsl.Compile.set_default true;
   let nf = Nfs.Registry.find_exn "fw" in
   let request = { Maestro.Pipeline.default_request with cores } in
   let plan = (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan in

@@ -295,8 +295,8 @@ let parallelize_cmd =
 (* --- run --------------------------------------------------------------------- *)
 
 let run_cmd =
-  let run name chain cores seed strategy pkts flows batch_size backpressure fault_plan compiled_nf
-      interp rebalance adaptive stats trace_json =
+  let run name chain cores seed strategy pkts flows batch_size backpressure fault_plan rebalance
+      adaptive stats trace_json =
     match find_target name chain with
     | Error e ->
         Format.eprintf "%s@." e;
@@ -317,10 +317,6 @@ let run_cmd =
                 exit 1));
         Fun.protect ~finally:Faults.clear @@ fun () ->
         with_telemetry stats trace_json @@ fun () ->
-        (* staged NF compilation: on by default, --interp (or
-           --compiled-nf false) keeps every worker on the interpreter *)
-        let nf_compiled = compiled_nf && not interp in
-        Dsl.Compile.set_default nf_compiled;
         let request = { Maestro.Pipeline.default_request with cores; seed; strategy } in
         let outcome = Maestro.Pipeline.parallelize_exn ~request nf in
         let plan = outcome.Maestro.Pipeline.plan in
@@ -366,8 +362,6 @@ let run_cmd =
         Format.printf "state ops: %d reads, %d writes; %d read-pkts, %d write-pkts@."
           s.Runtime.Parallel.reads s.Runtime.Parallel.writes s.Runtime.Parallel.read_pkts
           s.Runtime.Parallel.write_pkts;
-        Format.printf "nf path: %s@."
-          (if nf_compiled then "staged closures (compiled)" else "tree-walking interpreter");
         (* the same plan on real OCaml domains, fed through the persistent pool *)
         Runtime.Pool.with_global ~batch_size ~backpressure ~cores:plan.Maestro.Plan.cores
         @@ fun pool ->
@@ -472,22 +466,6 @@ let run_cmd =
              $(b,crash\\@1:3;stall\\@2:0:100000).  Events: crash\\@CORE:BATCH[xTIMES], \
              slow\\@CORE:FROM:SPINS, stall\\@CORE:BATCH:SPINS, satbudget\\@CONFLICTS:PROPS.")
   in
-  let compiled_nf =
-    Arg.(
-      value & opt bool true
-      & info [ "compiled-nf" ] ~docv:"BOOL"
-          ~doc:
-            "Run workers on the staged NF compiler (closures, fixed frame slots, packed \
-             keys); pass $(b,false) for the tree-walking interpreter.")
-  in
-  let interp =
-    Arg.(
-      value & flag
-      & info [ "interp" ]
-          ~doc:
-            "Force the tree-walking interpreter — the reference semantics — regardless of \
-             $(b,--compiled-nf).")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -495,8 +473,8 @@ let run_cmd =
           sequential version.")
     Term.(
       const run $ nf_arg $ chain_arg $ cores_arg $ seed_arg $ strategy_arg $ pkts $ flows
-      $ batch_size $ backpressure $ fault_plan $ compiled_nf $ interp
-      $ rebalance_arg $ adaptive_arg $ stats_arg $ trace_json_arg)
+      $ batch_size $ backpressure $ fault_plan $ rebalance_arg $ adaptive_arg $ stats_arg
+      $ trace_json_arg)
 
 (* --- rebalance (offline study) ---------------------------------------------- *)
 

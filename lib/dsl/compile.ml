@@ -641,13 +641,9 @@ let process ?on_op b pkt =
           c.observer <- None;
           raise e)
 
-(* Compiled-vs-interpreter dispatch, so every execution site (pool
-   workers, the deterministic runtime, the simulator) selects the path
-   from one switch. *)
-
-let enabled = ref true
-let set_default b = enabled := b
-let default_enabled () = !enabled
+(* Compiled-vs-interpreter dispatch: every execution site (pool
+   workers, the deterministic runtime, the simulator) runs a runner, and
+   only a caller that asks for the interpreter gets it. *)
 
 type staged = S_compiled of t | S_interp of Ast.t * Check.info
 
@@ -655,8 +651,7 @@ type runner =
   | R_compiled of bound
   | R_interp of Ast.t * Check.info * Instance.t
 
-let stage_runner ?compiled nf info =
-  let compiled = match compiled with Some b -> b | None -> !enabled in
+let stage_runner ?(compiled = true) nf info =
   if compiled then S_compiled (stage nf info) else S_interp (nf, info)
 
 let bind_runner s instance =

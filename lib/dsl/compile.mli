@@ -56,15 +56,10 @@ val process :
 (** {1 Execution-path dispatch}
 
     Every execution site (pool workers, the deterministic runtime, the
-    simulator, the CLI) selects interpreter vs compiled through a
-    [runner], so one switch — [--compiled-nf] / [--interp] — controls
-    them all. *)
-
-val set_default : bool -> unit
-(** Process-wide default for {!stage_runner} and {!make_runner} when
-    [?compiled] is omitted.  Initially [true]. *)
-
-val default_enabled : unit -> bool
+    simulator, the CLI) runs the NF through a [runner].  {!stage_runner}
+    and {!make_runner} stage the compiled NF unless [~compiled:false]
+    asks for the tree-walking interpreter, which tests keep as the
+    reference semantics. *)
 
 type staged
 (** A runner before instance binding: stage once, bind per worker. *)

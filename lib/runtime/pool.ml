@@ -185,6 +185,13 @@ type worker = {
 
 let no_exec (_ : int) = ()
 
+(* The token {!ensure_live} hands a dead worker's executor after joining
+   its domain (the join is the happens-before edge that publishes the
+   worker's progress) and before the crashed batch is replayed inline:
+   the run makes the core's state whole again.  Only an SCR core acts on
+   it, rebuilding its replica from the retained digest stream. *)
+let rejoin = -1
+
 type stats = {
   runs : int;  (** plans executed since the pool was created *)
   batches : int;  (** batches pushed over the pool's lifetime *)
@@ -217,26 +224,29 @@ type stats = {
       (** epochs spent per rung in the last adaptive run *)
 }
 
-(* What the first run of a plan builds and every later run of the same
-   plan (the same [Plan.t] value) reuses, as Maestro's generated NFs
-   allocate their state once per core in [init()]: the checked and staged
-   NF bound to its state.  [insts] are the distinct instances — one per
-   plan core, or the one the lock/TM cores share — and a later run resets
-   them in place ({!Dsl.Instance.reset}), which keeps the runners and SCR
-   replayers bound to them valid. *)
+(* What the first run of a plan builds and later runs of the same plan
+   (the same [Plan.t] value) reuse, as Maestro's generated NFs allocate
+   their state once per core in [init()]: the checked and staged NF, and
+   the state it is bound to.  [insts] has one slot per plan core —
+   per-core shards or replicas, or on the lock and serial rungs one shared
+   instance in every slot.  A run at the capacity and rung the last run
+   left resets them in place ({!Dsl.Instance.reset}), which keeps the
+   runners and SCR replayers bound to them valid. *)
 type binding = {
   plan : Maestro.Plan.t;
-  engines : Nic.Rss.t array;  (* per port, over the plan's own tables *)
-  insts : Dsl.Instance.t array;
-  runners : Dsl.Compile.runner array;  (* per plan core, each with its own frame *)
-  discipline : discipline;
+  mutable divide : int;  (* of [insts]' capacities: the plan's, 1 (adaptive), 0 (none) *)
+  staged : Dsl.Compile.staged;
+  hashes : (Packet.Pkt.t -> int) array;  (* per port; -1 when no field set matches *)
+  table : Nic.Reta.t;  (* the plan's indirection table, the same on every port *)
+  mplan : Balancer.migration_plan Lazy.t;
+  scr : Scr.t Lazy.t;  (* the staged write-slice, forced on the SCR rung *)
+  lock : Rwlock.t;  (* the lock rung's *)
+  writes : bool;  (* the NF may write: the lock rung takes the write lock *)
+  mutable rung : Maestro.Ladder.rung;
+  mutable insts : Dsl.Instance.t array;
+  mutable runners : Dsl.Compile.runner array;  (* per plan core, each with its own frame *)
+  mutable replayers : Scr.replayer array;  (* per plan core on the SCR rung, else empty *)
 }
-
-and discipline =
-  | Direct  (** shared-nothing and load-balance: per-core instances *)
-  | Locked of { lock : Rwlock.t; writes : bool }  (** lock/TM: one shared instance *)
-  | Replicated of { prog : Scr.t; replayers : Scr.replayer array }
-      (** SCR: a full replica per core *)
 
 type t = {
   cores : int;
@@ -269,12 +279,6 @@ type t = {
   mutable adaptive_switch_epochs : (int * Maestro.Ladder.rung) list;
   mutable adaptive_residency : (Maestro.Ladder.rung * int) list;
   mutable binding : binding option;  (* the one plan bound to this pool *)
-  mutable scr_crash_hook : (int -> unit) option;
-      (* set for the duration of an SCR run: rebuild [core]'s replica from
-         the retained digest stream.  Called only by the producer, inside
-         {!ensure_live}, after joining the dead domain (the join is the
-         happens-before edge that publishes the worker's progress counter)
-         and before the crashed batch is replayed inline. *)
 }
 
 let park w =
@@ -385,7 +389,6 @@ let create ?(batch_size = default_batch_size) ?(ring_capacity = default_ring_cap
     adaptive_switch_epochs = [];
     adaptive_residency = [];
     binding = None;
-    scr_crash_hook = None;
   }
 
 let cores t = t.cores
@@ -483,9 +486,9 @@ let ensure_live t w =
     let crashed = w.in_flight in
     w.in_flight <- -1;
     (* SCR: the dead core's replica may be stale (an injected crash fires
-       before the batch mutates it); rebuild it from the retained digest
-       stream BEFORE any inline replay touches it *)
-    (match t.scr_crash_hook with Some rebuild -> rebuild w.core | None -> ());
+       before the batch mutates it); the run's executor rebuilds it from
+       the retained digest stream BEFORE any inline replay touches it *)
+    w.exec rejoin;
     match Supervisor.on_death t.supervisor ~core:w.core with
     | `Restart backoff ->
         (* replay the crashed batch inline BEFORE respawning: re-queueing
@@ -710,14 +713,6 @@ let locked_exec lock ~writes w step upto =
       unlock lock ~writes ~core:w.core;
       raise e
 
-(* An SCR owner runs the whole NF over its batch.  The runner is looked up
-   per batch because an adaptive run's crash rebuild rebinds it. *)
-let run_range runners ~verdicts ~pkts core lo len =
-  let r = runners.(core) in
-  for i = lo to lo + len - 1 do
-    verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-  done
-
 (* The digest log of an SCR stretch.  Batch [j] covers packets
    [lo.(j), lo.(j) + len.(j)): core [owner.(j)] runs the NF on them and
    every other live core replays [digest.(j)].  It is kept for the whole
@@ -730,21 +725,16 @@ type scr_log = {
   mutable n : int;
 }
 
-let scr_log () =
-  {
-    digest = Array.make 64 [||];
-    lo = Array.make 64 0;
-    len = Array.make 64 0;
-    owner = Array.make 64 0;
-    n = 0;
-  }
+(* Empty until the first push: every run makes a log, and only runs on
+   the SCR rung fill one. *)
+let scr_log () = { digest = [||]; lo = [||]; len = [||]; owner = [||]; n = 0 }
 
 (* The log grows by copying, so a worker reading an older batch through
    the old arrays still finds it. *)
 let scr_log_push log ~digest ~lo ~len ~owner =
   if log.n = Array.length log.lo then begin
     let grow a fill =
-      let b = Array.make (2 * log.n) fill in
+      let b = Array.make (max 64 (2 * log.n)) fill in
       Array.blit a 0 b 0 log.n;
       b
     in
@@ -761,11 +751,18 @@ let scr_log_push log ~digest ~lo ~len ~owner =
   log.n <- j + 1;
   j
 
-(* The executor of an SCR core: token [j] is a log index; [applied]
-   counts the batches of the stretch the core has fully applied. *)
-let scr_exec log ~own ~replay ~applied core j =
-  if log.owner.(j) = core then own core log.lo.(j) log.len.(j)
-  else replay core log.digest.(j) log.len.(j);
+(* The executor of an SCR core over binding [b]: token [j] is a log
+   index; [applied] counts the batches of the stretch the core has fully
+   applied.  The core's runner and replayer are looked up per batch: a
+   crash rebuild rebinds them. *)
+let scr_exec b log ~applied ~verdicts ~pkts core j =
+  if log.owner.(j) = core then begin
+    let r = b.runners.(core) in
+    for i = log.lo.(j) to log.lo.(j) + log.len.(j) - 1 do
+      verdicts.(i) <- Dsl.Compile.run r pkts.(i)
+    done
+  end
+  else Scr.apply_batch b.replayers.(core) log.digest.(j) ~npkts:log.len.(j);
   applied.(core) <- applied.(core) + 1
 
 (* Dispatch packets [lo, hi) as SCR batches: ownership goes round-robin
@@ -799,69 +796,103 @@ let scr_stream t prog log ~lives ~rr ~assignment ~per_core ~pkts ~lo ~hi =
 
 (* --- plan execution --------------------------------------------------------- *)
 
-(* The engine of each of the plan's ports. *)
-let plan_engines (plan : Maestro.Plan.t) =
-  Array.init plan.Maestro.Plan.nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan)
+(* The rung a plan's own runs execute on: load-balance plans run like
+   shared-nothing ones, over per-core read-only replicas, and TM plans on
+   the lock rung. *)
+let plan_rung (plan : Maestro.Plan.t) =
+  match plan.Maestro.Plan.strategy with
+  | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance -> Maestro.Ladder.Shared_nothing
+  | Maestro.Plan.Scr -> Maestro.Ladder.Scr
+  | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based -> Maestro.Ladder.Lock_based
 
-(* Check and stage [plan]'s NF and bind it to fresh state: per-core
-   instances (capacity-split for shared-nothing, read-only replicas for
-   load-balance, full replicas for SCR) or one instance the lock/TM cores
-   share.  Every core gets its own execution frame. *)
-let bind_plan (plan : Maestro.Plan.t) =
+(* Put [b] on [rung] over [insts]: every core gets its own execution
+   frame, and on the SCR rung a replayer, bound to its slot. *)
+let rebind b ~rung insts =
+  let replayers =
+    if rung = Maestro.Ladder.Scr then Array.map (Scr.bind (Lazy.force b.scr)) insts else [||]
+  in
+  b.rung <- rung;
+  b.insts <- insts;
+  b.runners <- Array.map (Dsl.Compile.bind_runner b.staged) insts;
+  b.replayers <- replayers
+
+(* The pool's binding of [plan], with start-up state whose capacities
+   are divided by [divide], on [rung].  The binding the pool holds is
+   kept when it was built for [plan] (the same [Plan.t] value);
+   otherwise [plan]'s NF is checked and staged into a new one, replacing
+   it.  The state is the last run's, reset in place, when that run left
+   it at [divide] and on [rung]; otherwise fresh per-core instances
+   (capacity-split for shared-nothing, read-only replicas for
+   load-balance, full replicas for SCR) or one instance the lock and
+   serial cores share.  Called only at a quiesce point. *)
+let bind_plan t (plan : Maestro.Plan.t) ~divide ~rung =
   let nf = plan.Maestro.Plan.nf in
-  let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
   let cores = plan.Maestro.Plan.cores in
-  let per_core () =
-    Array.init cores (fun _ -> Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf)
-  in
-  let insts, discipline =
-    match plan.Maestro.Plan.strategy with
-    | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance -> (per_core (), Direct)
-    | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based ->
-        ( [| Dsl.Instance.create nf |],
-          Locked { lock = Rwlock.create ~cores; writes = nf_statically_writes nf } )
-    | Maestro.Plan.Scr ->
-        let spec =
-          match Maestro.Scrspec.admissible nf with
-          | Ok spec -> spec
-          | Error e ->
-              invalid_arg
-                (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e)
+  let b =
+    match t.binding with
+    | Some b when b.plan == plan -> b
+    | Some _ | None ->
+        let b =
+          {
+            plan;
+            staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf);
+            hashes =
+              Array.init nf.Dsl.Ast.devices (fun p ->
+                  Nic.Rss.hash (Maestro.Plan.rss_engine plan p));
+            (* the default table {!Maestro.Plan.rss_engine} configures
+               every port with *)
+            table =
+              Nic.Reta.create ~size:(Nic.Model.reta_size plan.Maestro.Plan.nic) ~queues:cores ();
+            mplan = lazy (Balancer.migration_plan nf);
+            scr =
+              lazy
+                (match Maestro.Scrspec.admissible nf with
+                | Ok spec -> Scr.prepare spec
+                | Error e ->
+                    invalid_arg
+                      (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e));
+            lock = Rwlock.create ~cores;
+            writes = nf_statically_writes nf;
+            divide = 0;
+            rung;
+            insts = [||];
+            runners = [||];
+            replayers = [||];
+          }
         in
-        let insts = per_core () in
-        let prog = Scr.prepare spec in
-        (insts, Replicated { prog; replayers = Array.map (Scr.bind prog) insts })
+        t.binding <- Some b;
+        b
   in
-  let inst_of c = match discipline with Locked _ -> insts.(0) | Direct | Replicated _ -> insts.(c) in
-  {
-    plan;
-    engines = plan_engines plan;
-    insts;
-    runners = Array.init cores (fun c -> Dsl.Compile.bind_runner staged (inst_of c));
-    discipline;
-  }
+  if b.divide = divide && b.rung = rung then
+    (* the lock and serial rungs hold one instance in every slot *)
+    Array.iteri (fun c i -> if c = 0 || i != b.insts.(0) then Dsl.Instance.reset i nf) b.insts
+  else begin
+    let fresh () = Dsl.Instance.create ~divide nf in
+    rebind b ~rung
+      (match rung with
+      | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Scr -> Array.init cores (fun _ -> fresh ())
+      | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> Array.make cores (fresh ()));
+    b.divide <- divide
+  end;
+  b
 
-(* The pool's binding of [plan]: the one it holds, its state reset in
-   place, when [plan] is the plan it was built for; otherwise a new one,
-   replacing it.  Called only at a quiesce point. *)
-let bind t (plan : Maestro.Plan.t) =
-  match t.binding with
-  | Some b when b.plan == plan ->
-      Array.iter (fun inst -> Dsl.Instance.reset inst plan.Maestro.Plan.nf) b.insts;
-      b
-  | Some _ | None ->
-      let b = bind_plan plan in
-      t.binding <- Some b;
-      b
+(* What a run does at its epoch barriers. *)
+type policy =
+  | Static  (** nothing: the whole trace is one epoch *)
+  | Rebalance of Balancer.config  (** RSS++ bucket moves *)
+  | Switch of Adaptive.t  (** discipline switches between ladder rungs *)
 
-(* The rx port of packet [i], checked where the producer reads it to pick
-   the port's engine. *)
-let port_of pkts ~nports i =
-  let port = pkts.(i).Packet.Pkt.port in
-  if port < 0 || port >= nports then Parallel.port_error ~devices:nports i port;
-  port
+(* [run]'s body; its executors run a batch only while [running] holds.
 
-(* [run]'s body; its executors run a batch only while [running] holds. *)
+   A run is a loop of epochs over one binding.  Each epoch dispatches its
+   packets, quiesces, and joins the dead workers; then the run's policy
+   acts at the barrier, where nothing is in flight.  A static run is one
+   epoch over the whole trace.
+
+   Adaptive runs switch rungs in place: all their rungs run over
+   FULL-capacity instances (divide 1), since a conversion must never lose
+   entries to a smaller target, so the adaptive pool trades the static
+   shards' memory savings for lossless switches. *)
 let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
   let cores = plan.Maestro.Plan.cores in
   if cores > t.cores then
@@ -871,531 +902,358 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
   let live = Array.init cores (fun c -> not (Atomic.get t.workers.(c).failed)) in
   if not (Array.exists Fun.id live) then
     invalid_arg "Pool.run: every core of the plan has failed permanently";
-  (* this run's port engines, in an array of its own: the rebalance and
-     adaptive arms retarget them *)
-  let live_engines base =
-    Array.map
-      (fun e ->
-        if Array.for_all Fun.id live then e
-        else begin
-          (* failover: migrate dead cores' RSS buckets to live cores so no
-             flow is steered at a queue nobody serves (RSS++-style remap) *)
-          Telemetry.Counter.incr c_remaps;
-          Nic.Rss.with_reta e (Nic.Reta.remap (Nic.Rss.reta e) ~live)
-        end)
-      base
-  in
   let npkts = Array.length pkts in
-  let verdicts = Array.make npkts Dsl.Interp.Dropped in
+  let policy, epoch_pkts, divide, rung =
+    let own = Maestro.Plan.state_divisor plan in
+    match (adaptive, rebalance) with
+    | Adaptive.On _, Balancer.On _ ->
+        invalid_arg "Pool.run: --adaptive and --rebalance are mutually exclusive"
+    | Adaptive.On acfg, Balancer.Off ->
+        let mplan = Balancer.migration_plan nf in
+        (* shared-nothing participates only when the migration is exact AND
+           skips nothing: shard merges/splits rebuild state in fresh
+           instances, so even a skipped sketch (harmless to RSS++ bucket
+           moves, which leave it in place) would be silently reset here *)
+        let exact_migration = Balancer.exact mplan && Balancer.skipped_objects mplan = [] in
+        let scr_ok = Result.is_ok (Maestro.Scrspec.admissible nf) in
+        let ctl =
+          match Adaptive.ladder ~strategy:plan.Maestro.Plan.strategy ~scr_ok ~exact_migration with
+          | Ok ladder -> Adaptive.create acfg ~ladder
+          | Error e -> invalid_arg ("Pool.run: " ^ e)
+        in
+        (Switch ctl, acfg.Adaptive.epoch_pkts, 1, Adaptive.rung ctl)
+    (* SCR dispatch sprays batches round-robin: it has no table to rebalance *)
+    | Adaptive.Off, Balancer.On cfg when plan.Maestro.Plan.strategy <> Maestro.Plan.Scr ->
+        (Rebalance cfg, cfg.Balancer.epoch_pkts, own, plan_rung plan)
+    | Adaptive.Off, (Balancer.On _ | Balancer.Off) -> (Static, max 1 npkts, own, plan_rung plan)
+  in
   (* state is reset and executors installed only at a quiesce point
      (a run that raised quiesced before it did, with its leftovers
      abandoned) *)
   wait_quiesce t ~cores:t.cores;
   reset_lanes t ~cores ~npkts;
-  let install exec =
-    for c = 0 to cores - 1 do
-      let exec = exec c in
-      t.workers.(c).exec <- (fun tok -> if Atomic.get running then exec tok)
-    done
-  in
-  (* every plan core runs its lane through [step c]: bare, or on the lock
-     rung under the shared instance's lock *)
-  let lanes ?lock step =
-    install (fun c ->
-        match lock with
-        | None -> lane_exec t.workers.(c) (step c)
-        | Some (lock, writes) -> locked_exec lock ~writes t.workers.(c) (step c))
-  in
+  let b = bind_plan t plan ~divide ~rung in
+  let verdicts = Array.make npkts Dsl.Interp.Dropped in
   let assignment = Array.make npkts 0 in
   let per_core = Array.make cores 0 in
+  let hashes = b.hashes in
+  let nports = Array.length hashes in
+  (* ONE table shared by all ports: Maestro's symmetric per-port keys
+     give both directions of a flow the same hash, hence the same bucket
+     on every port, so a single table — rebalanced or remapped — keeps
+     each flow on exactly one core no matter the arrival port *)
+  let table = ref b.table in
+  if not (Array.for_all Fun.id live) then begin
+    (* failover: migrate dead cores' RSS buckets to live cores so no
+       flow is steered at a queue nobody serves (RSS++-style remap),
+       counted once per port *)
+    Telemetry.Counter.add c_remaps nports;
+    table := Nic.Reta.remap !table ~live
+  end;
+  let mask = Nic.Reta.size !table - 1 in
+  (* never empty: a barrier that writes off the last live core raises *)
   let lives () = Array.of_list (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id)) in
-  let strategy = plan.Maestro.Plan.strategy in
-  let finish points =
-    (* idle workers keep no reference to this run's packets *)
-    install (fun _ -> no_exec);
-    t.runs <- t.runs + 1;
-    t.total_pkts <- t.total_pkts + npkts;
-    t.last_per_core <- per_core;
-    t.last_assignment <- assignment;
-    t.last_points <- List.rev points;
-    let total = Array.fold_left ( + ) 0 per_core in
-    t.last_share <-
-      (if total = 0 then Array.make cores 0.
-       else Array.map (fun c -> float_of_int c /. float_of_int total) per_core);
-    Telemetry.Counter.add c_pkts npkts;
-    verdicts
+  let install ?(recover = ignore) exec =
+    for c = 0 to cores - 1 do
+      let exec = exec c in
+      t.workers.(c).exec <-
+        (fun tok -> if Atomic.get running then if tok = rejoin then recover c else exec tok)
+    done
   in
-  match adaptive with
-  | Adaptive.On acfg ->
-      if rebalance <> Balancer.Off then
-        invalid_arg "Pool.run: --adaptive and --rebalance are mutually exclusive";
-      (* ---- adaptive discipline switching ------------------------------
-         The run is driven in epochs; at every epoch barrier — the quiesce
-         point PR 5 introduced, where nothing is in flight — a hysteresis
-         controller ({!Adaptive}) looks at the epoch's statistics and may
-         switch the live pool to an adjacent admissible ladder rung.  All
-         rungs run over FULL-capacity instances (divide 1): a conversion
-         must never lose entries to a smaller target, so the adaptive pool
-         trades the static shards' memory savings for lossless switches.
-
-         Representation: [insts] always has [cores] slots, whose meaning
-         depends on the rung — per-core shards (shared-nothing), full
-         replicas (SCR), or one shared instance aliased into every slot
-         (lock-based and serial). *)
-      let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
-      let engines = live_engines (plan_engines plan) in
-      (* the engines share their hash functions with every [with_reta] copy *)
-      let hashes = Array.map Nic.Rss.hash engines in
-      let nports = Array.length engines in
-      let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
-      if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
-        invalid_arg "Pool.run: adaptive switching requires equal-size port indirection tables";
-      let table = ref (Nic.Rss.reta engines.(0)) in
-      let set_table tab =
-        table := tab;
-        Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
-      in
-      set_table !table;
-      let mask = size - 1 in
-      let hash_pkt (pk : Packet.Pkt.t) =
-        let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-        Nic.Rss.hash_of engines.(port) pk
-      in
-      let mplan = Balancer.migration_plan nf in
-      (* shared-nothing participates only when the migration is exact AND
-         skips nothing: shard merges/splits rebuild state in fresh
-         instances, so even a skipped sketch (harmless to RSS++ bucket
-         moves, which leave it in place) would be silently reset here *)
-      let exact_migration = Balancer.exact mplan && Balancer.skipped_objects mplan = [] in
-      let scr_spec =
-        match Maestro.Scrspec.admissible nf with Ok s -> Some s | Error _ -> None
-      in
-      let ladder =
-        match Adaptive.ladder ~strategy ~scr_ok:(scr_spec <> None) ~exact_migration with
-        | Ok l -> l
-        | Error e -> invalid_arg ("Pool.run: " ^ e)
-      in
-      let ctl = Adaptive.create acfg ~ladder in
-      let scr_prog = Option.map Scr.prepare scr_spec in
-      let writes = nf_statically_writes nf in
-      let lock = Rwlock.create ~cores in
-      let fresh () = Dsl.Instance.create nf in
-      let insts =
-        ref
-          (match Adaptive.rung ctl with
-          | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Scr ->
-              (* independent [create]s are structurally identical, so SCR
-                 replicas start in lockstep *)
-              Array.init cores (fun _ -> fresh ())
-          | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial ->
-              let sh = fresh () in
-              Array.make cores sh)
-      in
-      let runners = Array.map (Dsl.Compile.bind_runner staged) !insts in
-      let replayers : Scr.replayer option array = Array.make cores None in
-      (* SCR support state, reset at every SCR entry: the pristine seeded
-         replica and the digest log since entry, for crash rebuilds *)
-      let snapshot = ref None in
-      let log = ref (scr_log ()) in
-      let applied = Array.make cores 0 in
-      let first_live () =
-        let rec go c = if c >= cores then 0 else if live.(c) then c else go (c + 1) in
-        go 0
-      in
-      let replay core digest len =
-        match replayers.(core) with Some rp -> Scr.apply_batch rp digest ~npkts:len | None -> ()
-      in
-      (* (re)bind the execution frames and executors for rung [r] over the
-         current [insts]; must run at a quiesce point (or, for one core,
-         from the crash hook after the dead domain was joined) *)
-      let enter r =
-        Array.iteri (fun c inst -> runners.(c) <- Dsl.Compile.bind_runner staged inst) !insts;
-        match r with
-        | Maestro.Ladder.Scr ->
-            let prog = Option.get scr_prog in
-            Array.iteri (fun c inst -> replayers.(c) <- Some (Scr.bind prog inst)) !insts;
-            snapshot := Some (Dsl.Instance.copy !insts.(first_live ()));
-            log := scr_log ();
-            Array.fill applied 0 cores 0;
-            install (scr_exec !log ~own:(run_range runners ~verdicts ~pkts) ~replay ~applied)
-        | Maestro.Ladder.Lock_based ->
-            Array.fill replayers 0 cores None;
-            lanes ~lock:(lock, writes) (fun c -> direct_step runners.(c) ~verdicts ~pkts)
-        | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Serial ->
-            Array.fill replayers 0 cores None;
-            lanes (fun c -> direct_step runners.(c) ~verdicts ~pkts)
-      in
-      let account (o : Balancer.outcome) =
-        t.migrated_flows <- t.migrated_flows + o.Balancer.moved_flows;
-        t.migration_drops <- t.migration_drops + o.Balancer.dropped_flows;
-        Telemetry.Counter.add c_moved_flows o.Balancer.moved_flows;
-        Telemetry.Counter.add c_migration_drops o.Balancer.dropped_flows
-      in
-      (* collapse the current rung's state into ONE full instance *)
-      let collapse from_r =
-        match from_r with
-        | Maestro.Ladder.Shared_nothing ->
-            (* merge every shard into a fresh full instance: the migration
-               executor already knows how to re-home a flow's entries, so
-               point every bucket at slot 0 (the merged instance) and let
-               the shards at slots 1..cores empty themselves into it *)
-            let merged = fresh () in
-            account
-              (Balancer.migrate mplan
-                 ~hash:(fun _ -> Some 0)
-                 ~mask:0
-                 ~dest:(fun _ -> 0)
-                 ~instances:(Array.append [| merged |] !insts));
-            merged
-        | Maestro.Ladder.Scr ->
-            (* collapse replicas to one: sound only if the live replicas
-               agree — which the SCR contract guarantees at a quiesce
-               point, and crash rebuilds restore before we get here *)
-            let spec = Option.get scr_spec in
-            let base = first_live () in
-            for c = 0 to cores - 1 do
-              if
-                live.(c) && c <> base
-                && not (Scr.replica_equal spec !insts.(base) !insts.(c))
-              then invalid_arg "Pool.run: SCR replicas diverged at a discipline switch"
-            done;
-            !insts.(base)
-        | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> !insts.(0)
-      in
-      let convert from_r to_r =
-        match to_r with
-        | Maestro.Ladder.Shared_nothing ->
-            (* split one full instance into per-core shards along the
-               live indirection table; slot 0 reuses the merged instance
-               (its surplus entries migrate out, anything undecodable —
-               static init entries — is already in every fresh shard) *)
-            let merged = collapse from_r in
-            let shards = Array.init cores (fun c -> if c = 0 then merged else fresh ()) in
-            let dentries = Nic.Reta.entries !table in
-            account
-              (Balancer.migrate mplan ~hash:hash_pkt ~mask
-                 ~dest:(fun b -> dentries.(b))
-                 ~instances:shards);
-            insts := shards
-        | Maestro.Ladder.Scr ->
-            (* seed every replica from the collapsed state; exact copies
-               ({!Dsl.Instance.copy}) keep the replicas in lockstep *)
-            let base = collapse from_r in
-            insts :=
-              Array.init cores (fun c -> if c = 0 then base else Dsl.Instance.copy base)
-        | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial ->
-            insts := Array.make cores (collapse from_r)
-      in
-      enter (Adaptive.rung ctl);
-      t.scr_crash_hook <-
-        Some
-          (fun core ->
-            if Adaptive.rung ctl = Maestro.Ladder.Scr then begin
-              t.scr_rebuilds <- t.scr_rebuilds + 1;
-              Telemetry.Counter.incr c_scr_rebuilds;
-              (* rebuild from the seeded snapshot, not initial state: the
-                 replica was seeded by a conversion mid-run *)
-              let base = match !snapshot with Some s -> s | None -> assert false in
-              !insts.(core) <- Dsl.Instance.copy base;
-              runners.(core) <- Dsl.Compile.bind_runner staged !insts.(core);
-              let rp = Scr.bind (Option.get scr_prog) !insts.(core) in
-              replayers.(core) <- Some rp;
-              let log = !log in
-              for j = 0 to applied.(core) - 1 do
-                Scr.apply_batch rp log.digest.(j) ~npkts:log.len.(j)
-              done
-            end)
-      ;
-      Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      let rss_counts = Array.make cores 0 in
-      (* would-be RSS dispatch of packet [i], counted in EVERY rung: SCR's
-         round-robin spray and the serial funnel hide traffic skew from
-         the actual dispatch counts, but the controller must see the
-         imbalance the shared-nothing rung WOULD suffer *)
-      let rss_core i =
-        let h = hashes.(port_of pkts ~nports i) pkts.(i) in
-        let q = if h < 0 then 0 else Nic.Reta.lookup !table h in
-        rss_counts.(q) <- rss_counts.(q) + 1;
-        q
-      in
-      let points = ref [] in
-      let rr = ref 0 in
-      let pos = ref 0 in
-      let drops0 = ref t.dropped_batches in
-      let restarts0 = ref (Supervisor.restarts t.supervisor) in
-      let digest0 = ref t.scr_digest_bytes in
-      while !pos < npkts do
-        let lo = !pos in
-        let hi = min (lo + acfg.Adaptive.epoch_pkts) npkts in
-        Array.fill rss_counts 0 cores 0;
-        (match Adaptive.rung ctl with
-        | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based ->
-            stream t ~cores ~assignment ~per_core ~lo ~hi rss_core
-        | Maestro.Ladder.Serial ->
-            let core = first_live () in
-            stream t ~cores ~assignment ~per_core ~lo ~hi (fun i ->
-                ignore (rss_core i);
-                core)
-        | Maestro.Ladder.Scr ->
-            for i = lo to hi - 1 do
-              ignore (rss_core i)
-            done;
-            scr_stream t (Option.get scr_prog) !log ~lives:(lives ()) ~rr ~assignment ~per_core
-              ~pkts ~lo ~hi);
-        (* the epoch barrier IS the quiesce point *)
-        wait_quiesce t ~cores;
-        pos := hi;
-        (* join any dead domain NOW: crash recovery (inline replay, SCR
-           replica rebuild) runs under the OLD rung before any switch is
-           considered, so a mid-switch crash lands in the old rung's
-           recovery path *)
-        let newly_dead = ref false in
-        for core = 0 to cores - 1 do
-          match ensure_live t t.workers.(core) with
-          | `Failed ->
-              if live.(core) then begin
-                live.(core) <- false;
-                newly_dead := true
-              end
-          | `Ok -> ()
-        done;
-        if !newly_dead then begin
-          (* failover: remap the dead cores' buckets; on the shared-nothing
-             rung their flow state follows the buckets to the new owners *)
+  (* the SCR stretch since the rung was entered: its digest log, the
+     batches each core has fully applied (written by whoever executes the
+     batch, worker or producer inline; read by the producer only after
+     joining a dead domain), and the state a switch seeded the replicas
+     with — none when the run started on the rung, from reset state *)
+  let log = ref (scr_log ()) in
+  let applied = Array.make cores 0 in
+  let seeded = ref None in
+  let rebuild core =
+    t.scr_rebuilds <- t.scr_rebuilds + 1;
+    Telemetry.Counter.incr c_scr_rebuilds;
+    (match !seeded with
+    | None ->
+        (* the reset keeps the replica's containers, so its runner and
+           replayer stay bound across it *)
+        Dsl.Instance.reset b.insts.(core) nf
+    | Some s ->
+        b.insts.(core) <- Dsl.Instance.copy s;
+        b.runners.(core) <- Dsl.Compile.bind_runner b.staged b.insts.(core);
+        b.replayers.(core) <- Scr.bind (Lazy.force b.scr) b.insts.(core));
+    let log = !log in
+    for j = 0 to applied.(core) - 1 do
+      Scr.apply_batch b.replayers.(core) log.digest.(j) ~npkts:log.len.(j)
+    done
+  in
+  (* install the executors of the binding's rung over its current state *)
+  let enter () =
+    match b.rung with
+    | Maestro.Ladder.Scr ->
+        log := scr_log ();
+        Array.fill applied 0 cores 0;
+        install ~recover:rebuild (scr_exec b !log ~applied ~verdicts ~pkts)
+    | Maestro.Ladder.Lock_based ->
+        install (fun c ->
+            locked_exec b.lock ~writes:b.writes t.workers.(c)
+              (direct_step b.runners.(c) ~verdicts ~pkts))
+    | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Serial ->
+        install (fun c -> lane_exec t.workers.(c) (direct_step b.runners.(c) ~verdicts ~pkts))
+  in
+  (* hand flow state between [instances] along [dest], counting the moves *)
+  let migrate ~hash ~mask ~dest instances =
+    let o = Balancer.migrate (Lazy.force b.mplan) ~hash ~mask ~dest ~instances in
+    t.migrated_flows <- t.migrated_flows + o.Balancer.moved_flows;
+    t.migration_drops <- t.migration_drops + o.Balancer.dropped_flows;
+    Telemetry.Counter.add c_moved_flows o.Balancer.moved_flows;
+    Telemetry.Counter.add c_migration_drops o.Balancer.dropped_flows
+  in
+  (* hand each flow's state to the core table [tab] sends its bucket to *)
+  let follow tab instances =
+    let dentries = Nic.Reta.entries tab in
+    migrate
+      ~hash:(fun (pk : Packet.Pkt.t) ->
+        let h = hashes.(if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0) pk in
+        if h < 0 then None else Some h)
+      ~mask
+      ~dest:(fun bk -> dentries.(bk))
+      instances
+  in
+  (* convert the state to rung [target] and bind it there *)
+  let convert target =
+    (* collapse the current rung's state into ONE full instance *)
+    let merged =
+      match b.rung with
+      | Maestro.Ladder.Shared_nothing ->
+          (* merge every shard into a fresh full instance: the migration
+             executor already knows how to re-home a flow's entries, so
+             point every bucket at slot 0 (the merged instance) and let
+             the shards at slots 1..cores empty themselves into it *)
+          let merged = Dsl.Instance.create nf in
+          migrate ~hash:(fun _ -> Some 0) ~mask:0 ~dest:(fun _ -> 0)
+            (Array.append [| merged |] b.insts);
+          merged
+      | Maestro.Ladder.Scr ->
+          (* collapse replicas to one: sound only if the live replicas
+             agree — which the SCR contract guarantees at a quiesce
+             point, and crash rebuilds restore before we get here *)
+          let spec = Scr.spec (Lazy.force b.scr) in
+          let base = (lives ()).(0) in
+          for c = 0 to cores - 1 do
+            if live.(c) && c <> base && not (Scr.replica_equal spec b.insts.(base) b.insts.(c))
+            then invalid_arg "Pool.run: SCR replicas diverged at a discipline switch"
+          done;
+          b.insts.(base)
+      | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> b.insts.(0)
+    in
+    let insts =
+      match target with
+      | Maestro.Ladder.Shared_nothing ->
+          (* split one full instance into per-core shards along the
+             live indirection table; slot 0 reuses the merged instance
+             (its surplus entries migrate out, anything undecodable —
+             static init entries — is already in every fresh shard) *)
+          let shards =
+            Array.init cores (fun c -> if c = 0 then merged else Dsl.Instance.create nf)
+          in
+          follow !table shards;
+          shards
+      | Maestro.Ladder.Scr ->
+          (* seed every replica with an exact copy ({!Dsl.Instance.copy})
+             of the collapsed state, which crash rebuilds restart from:
+             the replicas evolve in lockstep *)
+          seeded := Some merged;
+          Array.init cores (fun _ -> Dsl.Instance.copy merged)
+      | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> Array.make cores merged
+    in
+    rebind b ~rung:target insts
+  in
+  (* the epoch's per-bucket and per-core RSS load, counted on the producer
+     next to the dispatch it already performs — zero worker-side cost,
+     and deterministic (a CI gate compares the resulting counters) *)
+  let loads = Array.make (mask + 1) 0 in
+  let counts = Array.make cores 0 in
+  let rss_core i =
+    (* the rx port is checked where the producer reads it to pick the
+       port's hash *)
+    let port = pkts.(i).Packet.Pkt.port in
+    if port < 0 || port >= nports then Parallel.port_error ~devices:nports i port;
+    let h = hashes.(port) pkts.(i) in
+    let q =
+      if h < 0 then 0
+      else begin
+        let bk = h land mask in
+        loads.(bk) <- loads.(bk) + 1;
+        Nic.Reta.lookup !table h
+      end
+    in
+    counts.(q) <- counts.(q) + 1;
+    q
+  in
+  let rr = ref 0 in
+  let dispatch ~lo ~hi =
+    match b.rung with
+    | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based ->
+        (* dispatch on the producer, exactly what the NIC does in hardware *)
+        stream t ~cores ~assignment ~per_core ~lo ~hi rss_core
+    | Maestro.Ladder.Serial ->
+        let core = (lives ()).(0) in
+        stream t ~cores ~assignment ~per_core ~lo ~hi (fun i ->
+            ignore (rss_core i);
+            core)
+    | Maestro.Ladder.Scr ->
+        (* SCR's round-robin spray and the serial funnel hide traffic skew
+           from the actual dispatch counts, but an adaptive run's
+           controller must see the imbalance the shared-nothing rung
+           WOULD suffer *)
+        if policy <> Static then
+          for i = lo to hi - 1 do
+            ignore (rss_core i)
+          done;
+        scr_stream t (Lazy.force b.scr) !log ~lives:(lives ()) ~rr ~assignment ~per_core ~pkts
+          ~lo ~hi
+  in
+  let points = ref [] in
+  (* the next epoch dispatches over [candidate]; [~follow] moves the flow
+     state of its moved buckets with them *)
+  let retable ~hi ~follow:f candidate =
+    if f then follow candidate b.insts;
+    table := candidate;
+    if hi < npkts then points := hi :: !points
+  in
+  let marks () = (t.dropped_batches, Supervisor.restarts t.supervisor, t.scr_digest_bytes) in
+  let last = ref (marks ()) in
+  let barrier ~hi =
+    (* join any dead domain NOW, noting cores written off in the epoch:
+       crash recovery (inline replay, SCR replica rebuild) has run under
+       the OLD table and rung, and a rebalance or switch never races a
+       restart *)
+    let was_live = Array.copy live in
+    for core = 0 to cores - 1 do
+      if ensure_live t t.workers.(core) = `Failed then live.(core) <- false
+    done;
+    let newly_dead = live <> was_live in
+    match policy with
+    | Static -> ()
+    | Rebalance _ when hi >= npkts -> ()
+    | Rebalance cfg ->
+        (* voluntary bucket moves need either no per-core flow state
+           (lock/TM share one instance, load-balance replicates read-only
+           state) or an exact migration; a partially-migratable
+           shared-nothing NF only moves buckets when a core write-off
+           forces it (state is then stranded exactly as in a plain
+           remap) *)
+        let sharded = plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing in
+        let exact = Balancer.exact (Lazy.force b.mplan) in
+        let wanted =
+          ((not sharded) || exact) && Rebalance.imbalance_of counts > cfg.Balancer.threshold
+        in
+        (* a fresh write-off is a forced rebalance *)
+        if newly_dead || wanted then begin
+          let candidate =
+            Nic.Reta.remap ~live
+              (if wanted then Nic.Reta.rebalance !table ~bucket_load:(Array.map float_of_int loads)
+               else !table)
+          in
+          let moves = List.length (Nic.Reta.diff !table candidate) in
+          if moves > 0 then
+            Telemetry.Span.with_span "pool/rebalance" (fun () ->
+                retable ~hi ~follow:(sharded && exact) candidate;
+                t.rebalances <- t.rebalances + 1;
+                Telemetry.Counter.incr c_rebalances;
+                if newly_dead then begin
+                  t.forced_rebalances <- t.forced_rebalances + 1;
+                  Telemetry.Counter.incr c_rebalances_forced
+                end;
+                t.migrated_buckets <- t.migrated_buckets + moves;
+                Telemetry.Counter.add c_moved_buckets moves)
+        end
+    | Switch ctl -> (
+        (* recovery ran before any switch is considered, so a
+           mid-switch crash lands in the old rung's recovery path *)
+        if newly_dead then begin
+          (* failover: remap the dead cores' buckets; on the
+             shared-nothing rung their flow state follows the buckets to
+             the new owners.  A write-off remap moves flows between cores
+             exactly like a switch does, so its boundary is recorded and
+             the per-flow ordering check over [last_rebalance_points]
+             stays checkable *)
           let candidate = Nic.Reta.remap !table ~live in
           if Nic.Reta.diff !table candidate <> [] then begin
-            (match Adaptive.rung ctl with
-            | Maestro.Ladder.Shared_nothing ->
-                let dentries = Nic.Reta.entries candidate in
-                account
-                  (Balancer.migrate mplan ~hash:hash_pkt ~mask
-                     ~dest:(fun b -> dentries.(b))
-                     ~instances:!insts)
-            | _ -> ());
-            set_table candidate;
-            Telemetry.Counter.incr c_remaps;
-            (* a write-off remap moves flows between cores exactly like a
-               switch does — record the boundary so the per-flow ordering
-               invariant over [last_rebalance_points] stays checkable *)
-            if hi < npkts then points := hi :: !points
+            retable ~hi ~follow:(b.rung = Maestro.Ladder.Shared_nothing) candidate;
+            Telemetry.Counter.incr c_remaps
           end
         end;
-        let drops_now = t.dropped_batches in
-        let restarts_now = Supervisor.restarts t.supervisor in
-        let digest_now = t.scr_digest_bytes in
-        let live_counts =
-          Array.of_list
-            (List.filteri (fun c _ -> live.(c)) (Array.to_list rss_counts))
-        in
+        let ((drops, restarts, digest) as now) = marks () in
+        let drops0, restarts0, digest0 = !last in
+        last := now;
         let obs =
           {
-            Adaptive.imbalance = Rebalance.imbalance_of live_counts;
-            drops = drops_now - !drops0;
-            restarts = restarts_now - !restarts0;
-            digest_bytes = digest_now - !digest0;
+            Adaptive.imbalance =
+              Rebalance.imbalance_of
+                (Array.of_list (List.filteri (fun c _ -> live.(c)) (Array.to_list counts)));
+            drops = drops - drops0;
+            restarts = restarts - restarts0;
+            digest_bytes = digest - digest0;
           }
         in
-        drops0 := drops_now;
-        restarts0 := restarts_now;
-        digest0 := digest_now;
-        let crash_recovery = obs.Adaptive.restarts > 0 || !newly_dead in
-        (match Adaptive.observe ctl obs with
+        match Adaptive.observe ctl obs with
         | Adaptive.Stay | Adaptive.Suppressed _ -> ()
         | Adaptive.Switch _ when hi >= npkts -> () (* run is over *)
         | Adaptive.Switch target ->
-            if crash_recovery then
+            if obs.Adaptive.restarts > 0 || newly_dead then
               (* the old rung's recovery path just ran; switching on state
                  it may still be settling risks a torn conversion — defer
                  the switch and retry at the next barrier *)
               Adaptive.defer ctl target
             else begin
-              let from_r = Adaptive.rung ctl in
               Telemetry.Span.with_span "pool/switch" (fun () ->
-                  convert from_r target;
-                  enter target);
+                  convert target;
+                  enter ());
               Adaptive.commit ctl target;
               points := hi :: !points
             end)
-      done;
+  in
+  enter ();
+  let pos = ref 0 in
+  while !pos < npkts do
+    let hi = min (!pos + epoch_pkts) npkts in
+    Array.fill loads 0 (mask + 1) 0;
+    Array.fill counts 0 cores 0;
+    dispatch ~lo:!pos ~hi;
+    (* the epoch barrier IS the quiesce point: nothing is in flight when
+       the table changes, state moves or the rung switches, so per-flow
+       order is preserved by construction (FIFO per core within an
+       epoch) *)
+    wait_quiesce t ~cores;
+    pos := hi;
+    barrier ~hi
+  done;
+  (match policy with
+  | Switch ctl ->
       t.adaptive_switches <- t.adaptive_switches + Adaptive.switches ctl;
       t.adaptive_flaps <- t.adaptive_flaps + Adaptive.flap_suppressed ctl;
       t.adaptive_switch_epochs <- Adaptive.switch_epochs ctl;
-      t.adaptive_residency <- Adaptive.residency ctl;
-      finish !points
-  | Adaptive.Off -> (
-  let bound = bind t plan in
-  let engines = live_engines bound.engines in
-  let hashes = Array.map Nic.Rss.hash engines in
-  let nports = Array.length engines in
-  match bound.discipline with
-  | Replicated { prog; replayers } ->
-      (* State-compute replication: every live core consumes the FULL
-         global batch stream in arrival order over its own SPSC ring.
-         The owning core (round-robin over the batches) runs the complete
-         NF for the verdicts; every other core replays the batch's update
-         digest — derived from the packets at dispatch time — against its
-         own full replica by executing the NF's write-slice.  No core
-         ever waits for another: there is no shared state and no lock.
-         The digest stream is retained for the whole run so a respawned
-         worker can rebuild its replica from scratch before rejoining
-         (see [scr_crash_hook]). *)
-      let log = scr_log () in
-      (* batches of THIS run fully applied per core; written by whoever
-         executes the batch (worker, or the producer inline), read by the
-         producer only after joining the dead domain *)
-      let applied = Array.make cores 0 in
-      install
-        (scr_exec log ~own:(run_range bound.runners ~verdicts ~pkts) ~applied
-           ~replay:(fun core digest len -> Scr.apply_batch replayers.(core) digest ~npkts:len));
-      t.scr_crash_hook <-
-        Some
-          (fun core ->
-            t.scr_rebuilds <- t.scr_rebuilds + 1;
-            Telemetry.Counter.incr c_scr_rebuilds;
-            (* the run started from reset state, and the reset keeps the
-               replica's containers, so its runner and replayer stay bound
-               across it *)
-            Dsl.Instance.reset bound.insts.(core) nf;
-            for j = 0 to applied.(core) - 1 do
-              Scr.apply_batch replayers.(core) log.digest.(j) ~npkts:log.len.(j)
-            done);
-      Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      scr_stream t prog log ~lives:(lives ()) ~rr:(ref 0) ~assignment ~per_core ~pkts ~lo:0
-        ~hi:npkts;
-      wait_quiesce t ~cores;
-      finish []
-  | (Direct | Locked _) as discipline -> (
-      let lock =
-        match discipline with
-        | Locked { lock; writes } -> Some (lock, writes)
-        | Direct | Replicated _ -> None
-      in
-      lanes ?lock (fun c -> direct_step bound.runners.(c) ~verdicts ~pkts);
-      match rebalance with
-      | Balancer.Off ->
-          (* dispatch on the producer, exactly what the NIC does in hardware *)
-          let retas = Array.map Nic.Rss.reta engines in
-          stream t ~cores ~assignment ~per_core ~lo:0 ~hi:npkts (fun i ->
-              let port = port_of pkts ~nports i in
-              let h = hashes.(port) pkts.(i) in
-              if h < 0 then 0 else Nic.Reta.lookup retas.(port) h);
-          wait_quiesce t ~cores;
-          finish []
-      | Balancer.On cfg ->
-          let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
-          if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
-            invalid_arg "Pool.run: rebalancing requires equal-size port indirection tables";
-          (* ONE table shared by all ports: Maestro's symmetric per-port keys
-             give both directions of a flow the same hash, hence the same
-             bucket on every port, so a single rebalanced table keeps each
-             flow on exactly one core no matter the arrival port *)
-          let table = ref (Nic.Rss.reta engines.(0)) in
-          let set_table tab =
-            table := tab;
-            Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
-          in
-          set_table !table;
-          let mask = size - 1 in
-          let mplan = Balancer.migration_plan nf in
-          (* voluntary bucket moves need either no per-core flow state
-             (lock/TM share one instance, load-balance replicates read-only
-             state) or an exact migration; a partially-migratable
-             shared-nothing NF only moves buckets when a core write-off
-             forces it (state is then stranded exactly as in a plain remap) *)
-          let migrate_ok = strategy = Maestro.Plan.Shared_nothing && Balancer.exact mplan in
-          let voluntary_ok = strategy <> Maestro.Plan.Shared_nothing || Balancer.exact mplan in
-          let hash_pkt (pk : Packet.Pkt.t) =
-            let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-            Nic.Rss.hash_of engines.(port) pk
-          in
-          let bucket_loads = Array.make size 0.0 in
-          let epoch_counts = Array.make cores 0 in
-          (* per-bucket load accounting lives on the producer next to the
-             dispatch it already performs — zero worker-side cost, and
-             deterministic (a CI gate compares the resulting counters) *)
-          let core_of i =
-            let h = hashes.(port_of pkts ~nports i) pkts.(i) in
-            let q =
-              if h < 0 then 0
-              else begin
-                let b = h land mask in
-                bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
-                Nic.Reta.lookup !table h
-              end
-            in
-            epoch_counts.(q) <- epoch_counts.(q) + 1;
-            q
-          in
-          let points = ref [] in
-          let pos = ref 0 in
-          while !pos < npkts do
-            let hi = min (!pos + cfg.Balancer.epoch_pkts) npkts in
-            stream t ~cores ~assignment ~per_core ~lo:!pos ~hi core_of;
-            (* the epoch barrier IS the quiesce point: nothing is in flight
-               when the table changes or state moves, so per-flow order is
-               preserved by construction (FIFO per core within an epoch) *)
-            wait_quiesce t ~cores;
-            pos := hi;
-            if !pos < npkts then begin
-              (* supervisor integration: join any dead domain NOW, so a
-                 rebalance can never race a restart, and treat a fresh
-                 write-off as a forced rebalance *)
-              let newly_dead = ref false in
-              for core = 0 to cores - 1 do
-                match ensure_live t t.workers.(core) with
-                | `Failed ->
-                    if live.(core) then begin
-                      live.(core) <- false;
-                      newly_dead := true
-                    end
-                | `Ok -> ()
-              done;
-              let wanted =
-                voluntary_ok && Rebalance.imbalance_of epoch_counts > cfg.Balancer.threshold
-              in
-              if !newly_dead || wanted then begin
-                let candidate =
-                  if wanted then Nic.Reta.rebalance !table ~bucket_load:bucket_loads else !table
-                in
-                let candidate =
-                  if Array.for_all Fun.id live then candidate
-                  else Nic.Reta.remap candidate ~live
-                in
-                let moves = Nic.Reta.diff !table candidate in
-                if moves <> [] then
-                  Telemetry.Span.with_span "pool/rebalance" (fun () ->
-                      if migrate_ok then begin
-                        let dentries = Nic.Reta.entries candidate in
-                        let outcome =
-                          Balancer.migrate mplan ~hash:hash_pkt ~mask
-                            ~dest:(fun b -> dentries.(b))
-                            ~instances:bound.insts
-                        in
-                        t.migrated_flows <- t.migrated_flows + outcome.Balancer.moved_flows;
-                        t.migration_drops <- t.migration_drops + outcome.Balancer.dropped_flows;
-                        Telemetry.Counter.add c_moved_flows outcome.Balancer.moved_flows;
-                        Telemetry.Counter.add c_migration_drops outcome.Balancer.dropped_flows
-                      end;
-                      set_table candidate;
-                      t.rebalances <- t.rebalances + 1;
-                      Telemetry.Counter.incr c_rebalances;
-                      if !newly_dead then begin
-                        t.forced_rebalances <- t.forced_rebalances + 1;
-                        Telemetry.Counter.incr c_rebalances_forced
-                      end;
-                      t.migrated_buckets <- t.migrated_buckets + List.length moves;
-                      Telemetry.Counter.add c_moved_buckets (List.length moves);
-                      points := !pos :: !points)
-              end;
-              Array.fill bucket_loads 0 size 0.0;
-              Array.fill epoch_counts 0 cores 0
-            end
-          done;
-          finish !points))
+      t.adaptive_residency <- Adaptive.residency ctl
+  | Static | Rebalance _ -> ());
+  t.runs <- t.runs + 1;
+  t.total_pkts <- t.total_pkts + npkts;
+  t.last_per_core <- per_core;
+  t.last_assignment <- assignment;
+  t.last_points <- List.rev !points;
+  let total = Array.fold_left ( + ) 0 per_core in
+  t.last_share <-
+    (if total = 0 then Array.make cores 0.
+     else Array.map (fun c -> float_of_int c /. float_of_int total) per_core);
+  Telemetry.Counter.add c_pkts npkts;
+  verdicts
 
 let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) t plan pkts =
   Telemetry.Span.with_span "pool/run" @@ fun () ->
   let running = Atomic.make true in
+  (* idle workers keep no reference to a finished run's packets, whether
+     it returned or raised *)
+  Fun.protect ~finally:(fun () -> Array.iter (fun w -> w.exec <- no_exec) t.workers)
+  @@ fun () ->
   match execute ~running ~rebalance ~adaptive t plan pkts with
   | verdicts -> verdicts
   | exception e ->

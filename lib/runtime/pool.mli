@@ -57,11 +57,12 @@
     lock at the price of replicated memory and replay cycles.  Digest
     batches are never dropped (backpressure is forced to [Block] for
     SCR runs: a lost digest would silently diverge a replica), the
-    digest stream is retained for the duration of the run, and a worker
-    that dies mid-run has its replica {e rebuilt from the digest
-    stream} — reset to initial state, then replayed up to exactly the
-    batches it had applied — before the crashed batch is replayed
-    inline and the core rejoins ({!stats.scr_rebuilds}).
+    digest stream is retained while the run stays on the rung, and a
+    worker that dies mid-run has its replica {e rebuilt from the digest
+    stream} — reset to the state the SCR rung was entered with
+    (start-up state, or an adaptive switch's seed), then replayed up to
+    exactly the batches it had applied since — before the crashed batch
+    is replayed inline and the core rejoins ({!stats.scr_rebuilds}).
 
     {!run} executes any plan strategy without respawning: shared-nothing
     and load-balance get per-core state instances (capacity-split and
@@ -79,26 +80,27 @@
 
     As Maestro's generated NFs allocate their state once per core in
     [init()], a pool builds a plan's state once.  The first {!run} of a
-    plan checks and stages its NF, configures its port engines, creates
-    its instances and binds one runner per core (and, for SCR, one
-    replayer per replica): the pool's {e binding}.  Every later run of the
-    {e same} plan — the same {!Maestro.Plan.t} value, compared by
-    physical equality — waits for the pool to quiesce and resets those
-    instances in place ({!Dsl.Instance.reset}: a reset instance is
-    structurally equal to a fresh one), so each run still starts from
-    start-up state and returns what a run on a fresh pool returns.  This
-    covers the static shared-nothing, load-balance, lock/TM and SCR arms,
-    with or without [rebalance]; an [adaptive] run builds instances of
-    its own, because its rung conversions replace them mid-run.  A pool
+    plan checks and stages its NF and configures its port hashes, then
+    creates its instances and binds one runner per core (and, on the SCR
+    rung, one replayer per replica): the pool's {e binding}.  A later run
+    of the {e same} plan — the same {!Maestro.Plan.t} value, compared by
+    physical equality — reuses the staged NF; when it starts at the
+    capacity and on the rung the last run left the state at, it waits for
+    the pool to quiesce and resets those instances in place
+    ({!Dsl.Instance.reset}: a reset instance is structurally equal to a
+    fresh one), and otherwise it binds fresh ones.  Either way each run
+    starts from start-up state and returns what a run on a fresh pool
+    returns.  Static runs, with or without [rebalance], bind at the plan's
+    own capacity and rung; an [adaptive] run binds full-capacity
+    instances on its ladder's first rung, and its switches convert the
+    state and leave the binding on the rung the run ended on.  A pool
     holds one binding: a run of another plan replaces it, and {!shutdown}
     drops it.  Until then the binding keeps the plan's state alive between
-    runs (fw: a 65,536-slot chain and a 262,144-int key vector), and it
-    keeps the NF path (compiled or interpreted) and the RSS hash path that
-    the global defaults selected when it was built.
+    runs (fw: a 65,536-slot chain and a 262,144-int key vector).
 
     {2 Per-batch locking}
 
-    On the lock rung (static lock/TM plans and the adaptive arm's lock
+    On the lock rung (static lock/TM plans and adaptive runs' lock
     rung alike) a core takes the shared instance's lock once per batch —
     the write lock when the NF may write, the core's read lock otherwise —
     and releases it when the batch returns or raises.  Mutual exclusion
@@ -115,7 +117,8 @@
     When {!run} raises — that error, an NF [Runtime_error] that its inline
     replay raises again, or any other — the batches the run left queued
     retire without running before the exception leaves {!run}, so the
-    pool and its binding stay usable. *)
+    pool and its binding stay usable, and, as after a clean run, the idle
+    workers hold no reference to the run's packets or verdicts. *)
 
 val default_batch_size : int
 (** 32 — the DPDK burst size. *)
@@ -264,18 +267,22 @@ val run :
   Dsl.Interp.action array
 (** Execute a plan over a trace on the pool's persistent workers, over
     the pool's binding of the plan (built by the plan's first run, reset
-    in place by every later one; see {e Plan binding} above).
+    in place by a later one at the same capacity and rung; see {e Plan
+    binding} above).  A run is a loop of epochs: each epoch dispatches
+    its packets, quiesces and joins dead workers, then the run's barrier
+    policy acts.  A static run is one epoch over the whole trace;
+    [rebalance] and [adaptive] are the two barrier policies.
     Verdicts are returned in the original packet order; batches dropped
     by backpressure leave their packets' verdicts as [Dropped].  When
-    cores have failed permanently, the RSS indirection tables are
+    cores have failed permanently, the RSS indirection table is
     remapped so every packet lands on a live core.  Raises
     [Invalid_argument] when the plan wants more cores than the pool has
     (plans with fewer cores use a prefix of the workers), when every
     plan core has failed, or when a packet to be RSS-dispatched arrived
     on a port the NF does not have ({!Parallel.port_error}).
 
-    [rebalance] (default [Off], which is the zero-cost single-pass path)
-    turns on online RSS++ rebalancing: the trace is processed in epochs
+    [rebalance] (default [Off], the single-epoch path) turns on online
+    RSS++ rebalancing: the trace is processed in epochs
     of {!Balancer.config.epoch_pkts} packets with per-bucket load counted
     at dispatch; at each epoch boundary the pool quiesces (every
     submitted batch has retired) and, when max/mean core imbalance
@@ -285,8 +292,9 @@ val run :
     exactly-migratable shared-nothing plans the moved buckets' flow state
     is handed to the destination cores ({!Balancer.migrate}) so verdicts
     stay equal to sequential execution; lock/TM/load-balance plans only
-    retarget the table.  A rebalance never races a restart: dead domains
-    are joined at the boundary before any state moves.
+    retarget the table, and SCR plans, whose dispatch sprays batches
+    round-robin, run as static runs.  A rebalance never races a restart:
+    dead domains are joined at the boundary before any state moves.
 
     [adaptive] (default [Off]; mutually exclusive with [rebalance]) turns
     on online discipline switching: the trace is processed in epochs of

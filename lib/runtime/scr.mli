@@ -27,7 +27,7 @@ type t
 val prepare : ?compiled:bool -> Maestro.Scrspec.t -> t
 (** Stage the write-slice of an admissible spec ({!Maestro.Scrspec.admissible}).
     [compiled] selects the compiled or interpreted runner, defaulting to
-    {!Dsl.Compile.set_default}.  Raises [Invalid_argument] if the slice
+    the compiled one.  Raises [Invalid_argument] if the slice
     fails {!Dsl.Check.check} (impossible for a spec derived from a
     checked NF). *)
 

@@ -274,7 +274,6 @@ let test_chain_pool_fault_plan () =
   let plan = (Maestro.Pipeline.parallelize_exn ~request composed).Maestro.Pipeline.plan in
   let trace = hostile_trace ~seed:59 4_000 in
   let seq = Runtime.Parallel.run_sequential composed trace in
-  Dsl.Compile.set_default true;
   let pool = Runtime.Pool.create ~cores:4 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
   let verdicts = Runtime.Pool.run pool plan trace in
@@ -306,7 +305,6 @@ let test_chain_pool_rebalance () =
   let spec = { Traffic.Gen.default_spec with Traffic.Gen.pkts = 16_384; reply_fraction = 0.3 } in
   let trace = Traffic.Zipf.trace ~spec rng z ~flows:fs in
   let seq = Runtime.Parallel.run_sequential composed trace in
-  Dsl.Compile.set_default true;
   let pool = Runtime.Pool.create ~cores () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
   let mode = Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 2048; threshold = 1.05 } in

@@ -282,7 +282,6 @@ let test_pool_fault_plan_differential () =
   let request = { Maestro.Pipeline.default_request with cores = 4; seed = 3 } in
   let plan = (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan in
   let seq = Runtime.Parallel.run_sequential nf w.Sim.Workload.trace in
-  Dsl.Compile.set_default true;
   let pool = Runtime.Pool.create ~cores:4 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
   let verdicts = Runtime.Pool.run pool plan w.Sim.Workload.trace in
@@ -294,19 +293,13 @@ let test_pool_fault_plan_differential () =
     verdicts
 
 (* The interp runner honours the dispatch switch: with [?compiled:false]
-   (or the global default off) the runner is the interpreter itself. *)
+   the runner is the interpreter itself. *)
 let test_runner_dispatch () =
   let nf = Nfs.Registry.find_exn "fw" in
   let info = Dsl.Check.check_exn nf in
   let mk c = Dsl.Compile.make_runner ?compiled:c nf info (Dsl.Instance.create nf) in
   Alcotest.(check bool) "explicit on" true (Dsl.Compile.is_compiled (mk (Some true)));
-  Alcotest.(check bool) "explicit off" false (Dsl.Compile.is_compiled (mk (Some false)));
-  let before = Dsl.Compile.default_enabled () in
-  Fun.protect ~finally:(fun () -> Dsl.Compile.set_default before) @@ fun () ->
-  Dsl.Compile.set_default false;
-  Alcotest.(check bool) "default off" false (Dsl.Compile.is_compiled (mk None));
-  Dsl.Compile.set_default true;
-  Alcotest.(check bool) "default on" true (Dsl.Compile.is_compiled (mk None))
+  Alcotest.(check bool) "explicit off" false (Dsl.Compile.is_compiled (mk (Some false)))
 
 (* Re-binding one staged program over independent instances keeps their
    state disjoint (the pool binds a fresh instance per core). *)

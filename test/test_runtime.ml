@@ -449,6 +449,31 @@ let test_pool_rejects_unknown_port () =
           pool plan );
     ]
 
+(* A run that raises, like a clean one, leaves the idle workers holding no
+   reference to its packets: the trace is collectable once [run] returns
+   or raises. *)
+let test_pool_raise_releases_trace () =
+  let plan = plan_of ~cores:2 "fw" in
+  let pool = Runtime.Pool.create ~cores:2 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let run_probe ~bad =
+    let trace = mixed_trace 52 600 60 in
+    if bad then trace.(123) <- { (trace.(123)) with Packet.Pkt.port = 2 };
+    let probe = Weak.create 1 in
+    Weak.set probe 0 (Some trace);
+    (match Runtime.Pool.run pool plan trace with
+    | _ -> ()
+    | exception Invalid_argument _ -> ());
+    probe
+  in
+  List.iter
+    (fun (label, bad) ->
+      let probe = (Sys.opaque_identity run_probe) ~bad in
+      Gc.full_major ();
+      Gc.full_major ();
+      Alcotest.(check bool) (label ^ ": the trace is collected") false (Weak.check probe 0))
+    [ ("clean run", false); ("raising run", true) ]
+
 let test_rwlock_mutual_exclusion () =
   let lock = Runtime.Rwlock.create ~cores:4 in
   let counter = ref 0 in
@@ -595,6 +620,8 @@ let suite =
     Alcotest.test_case "pool rejects oversized plan" `Quick test_pool_rejects_oversized_plan;
     Alcotest.test_case "pool rejects a packet on an unknown port" `Quick
       test_pool_rejects_unknown_port;
+    Alcotest.test_case "pool releases a raising run's trace" `Quick
+      test_pool_raise_releases_trace;
     Alcotest.test_case "rwlock mutual exclusion" `Quick test_rwlock_mutual_exclusion;
     Alcotest.test_case "rwlock readers disjoint" `Quick test_rwlock_readers_disjoint;
     Alcotest.test_case "supervisor policy" `Quick test_supervisor_policy;
