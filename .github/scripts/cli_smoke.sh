@@ -40,6 +40,12 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
       --fault-plan 'crash@1:2' | tee cli-rebalance-crash.txt
     grep -q 'pool sequential agreement: 16384/16384' cli-rebalance-crash.txt
     grep -q 'pool recovery: 1 restarts' cli-rebalance-crash.txt
+    # README's per-epoch table, measured on one pool with rebalancing off
+    # and on
+    cli rebalance fw --cores 8 --pkts 24000 --epoch 4096 --threshold 1.1 --zipf 1.1 \
+      | tee cli-rebalance-table.txt
+    grep -q 'epoch | static imbalance | dynamic imbalance' cli-rebalance-table.txt
+    grep -Eq 'rebalances: [1-9][0-9]* ' cli-rebalance-table.txt
     ;;
 
   churn)

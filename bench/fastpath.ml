@@ -1,9 +1,8 @@
-(* Fast-path benchmarks: table-driven vs bit-by-bit Toeplitz, and the
-   persistent domain pool vs spawn-per-run execution.  Timings are recorded
-   as [_ns]-suffixed telemetry counters (machine-dependent, skipped by the
-   regression gate's default policy) together with the speedup ratios, and
-   written to BENCH_fastpath.json in the same schema as the per-NF
-   documents so `check_regression` can diff them. *)
+(* Fast-path benchmark: table-driven vs bit-by-bit Toeplitz.  Timings are
+   recorded as [_ns]-suffixed telemetry counters (machine-dependent,
+   skipped by the regression gate's default policy) together with the
+   speedup ratio, and written to BENCH_fastpath.json in the same schema as
+   the per-NF documents so `check_regression` can diff them. *)
 
 let c_ref_ns =
   Telemetry.Counter.make "fastpath.toeplitz_ref_ns_x100"
@@ -16,18 +15,6 @@ let c_compiled_ns =
 let c_toeplitz_speedup =
   Telemetry.Counter.make "fastpath.toeplitz_speedup_x100"
     ~doc:"compiled-over-reference Toeplitz speedup, x100"
-
-let c_spawn_ns =
-  Telemetry.Counter.make "fastpath.domains_spawn_ns_x100"
-    ~doc:"spawn-per-run shared-nothing execution, 1/100 ns per packet"
-
-let c_pool_ns =
-  Telemetry.Counter.make "fastpath.domains_pool_ns_x100"
-    ~doc:"pooled shared-nothing execution, 1/100 ns per packet"
-
-let c_pool_speedup =
-  Telemetry.Counter.make "fastpath.pool_speedup_x100"
-    ~doc:"pool-over-spawn execution speedup, x100"
 
 let iters_scale () =
   match Sys.getenv_opt "MAESTRO_BENCH_ITERS" with
@@ -69,33 +56,6 @@ let bench_toeplitz () =
     t_compiled speedup;
   (t_ref, t_compiled, speedup)
 
-let bench_pool () =
-  let request = { Maestro.Pipeline.default_request with cores = 4 } in
-  let plan =
-    (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn "fw")).Maestro.Pipeline.plan
-  in
-  let st = Random.State.make [| 97 |] in
-  let flows = Traffic.Gen.flows st 200 in
-  let trace =
-    Traffic.Gen.uniform ~spec:{ Traffic.Gen.default_spec with pkts = 4000 } st ~flows
-  in
-  let npkts = float_of_int (Array.length trace) in
-  let runs = scaled 30 in
-  let t_spawn =
-    time_ns runs (fun () -> ignore (Runtime.Domains.run_shared_nothing_spawning plan trace))
-    /. npkts
-  in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  let t_pool =
-    Fun.protect
-      ~finally:(fun () -> Runtime.Pool.shutdown pool)
-      (fun () -> time_ns runs (fun () -> ignore (Runtime.Pool.run pool plan trace)) /. npkts)
-  in
-  let speedup = t_spawn /. t_pool in
-  Format.printf "fw shared-nothing x4:  spawn %11.1f ns/pkt  pool %8.1f ns/pkt   %.1fx@." t_spawn
-    t_pool speedup;
-  (t_spawn, t_pool, speedup)
-
 let x100 v = int_of_float (Float.round (100.0 *. v))
 
 let run () =
@@ -104,14 +64,10 @@ let run () =
   Telemetry.reset ();
   Telemetry.disable ();
   let t_ref, t_compiled, toeplitz_speedup = bench_toeplitz () in
-  let t_spawn, t_pool, pool_speedup = bench_pool () in
   Telemetry.enable ();
   Telemetry.Counter.add c_ref_ns (x100 t_ref);
   Telemetry.Counter.add c_compiled_ns (x100 t_compiled);
   Telemetry.Counter.add c_toeplitz_speedup (x100 toeplitz_speedup);
-  Telemetry.Counter.add c_spawn_ns (x100 t_spawn);
-  Telemetry.Counter.add c_pool_ns (x100 t_pool);
-  Telemetry.Counter.add c_pool_speedup (x100 pool_speedup);
   let snap = Telemetry.snapshot () in
   Telemetry.disable ();
   Telemetry.reset ();

@@ -14,16 +14,6 @@ let check name ok =
   Printf.printf "%-58s %s\n%!" name (if ok then "ok" else "FAIL");
   if not ok then incr failures
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 let install spec =
   match Faults.parse spec with
   | Ok plan -> Faults.install plan
@@ -51,7 +41,7 @@ let () =
   let v = Runtime.Pool.run pool plan trace in
   Faults.clear ();
   let s = Runtime.Pool.stats pool in
-  check "crash: verdicts identical to sequential" (verdicts_equal seq v);
+  check "crash: verdicts identical to sequential" (seq = v);
   check "crash: worker restarted" (s.Runtime.Pool.restarts >= 1);
   check "crash: no permanent failure" (s.Runtime.Pool.failed_cores = []);
   Runtime.Pool.shutdown pool;
@@ -62,7 +52,7 @@ let () =
   install "crash@1:0x1000000";
   let v = Runtime.Pool.run pool plan trace in
   Faults.clear ();
-  check "give-up: verdicts identical to sequential" (verdicts_equal seq v);
+  check "give-up: verdicts identical to sequential" (seq = v);
   check "give-up: core 1 written off" (Runtime.Pool.failed_cores pool = [ 1 ]);
 
   (* 3. failover remap: rerun on the degraded pool — the dead core's RSS
@@ -72,7 +62,7 @@ let () =
   check "remap: dead core serves zero packets" (s.Runtime.Pool.last_per_core_pkts.(1) = 0);
   check "remap: zero lost flows"
     (Array.fold_left ( + ) 0 s.Runtime.Pool.last_per_core_pkts = Array.length trace);
-  check "remap: verdicts identical to sequential" (verdicts_equal seq v);
+  check "remap: verdicts identical to sequential" (seq = v);
   Runtime.Pool.shutdown pool;
 
   (* 4. backpressure: a frozen consumer with a tiny ring must terminate
@@ -92,7 +82,7 @@ let () =
         (s.Runtime.Pool.ring_full_stalls >= 1);
       (match bp with
       | Runtime.Pool.Block ->
-          check "backpressure block: lossless" (verdicts_equal seq v);
+          check "backpressure block: lossless" (seq = v);
           check "backpressure block: nothing dropped" (s.Runtime.Pool.dropped_batches = 0)
       | Runtime.Pool.Drop _ | Runtime.Pool.Shed ->
           check

@@ -314,14 +314,24 @@ let ext_rsspp () =
   let second = Traffic.Zipf.trace ~spec rng z ~flows:(List.rev fs) in
   let trace = Array.append first second in
   let plan = plan_for (Nfs.Registry.find_exn "fw") 8 in
-  let r = Runtime.Rebalance.study_exn plan trace ~epoch_pkts:6000 in
+  (* the pool with rebalancing off, then on at every epoch boundary *)
+  let pool = Runtime.Pool.create ~cores:8 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let imbalance rebalance =
+    ignore (Runtime.Pool.run ~rebalance pool plan trace);
+    let s = Runtime.Pool.stats pool in
+    ( Array.map Runtime.Balancer.imbalance_of
+        (Runtime.Balancer.epoch_counts ~cores:8 ~epoch_pkts:6000 s.Runtime.Pool.last_assignment),
+      s )
+  in
+  let static, _ = imbalance Runtime.Balancer.Off in
+  let dynamic, s =
+    imbalance (Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 6000; threshold = 0.0 })
+  in
   printf "epoch | static imbalance | dynamic imbalance@.";
-  Array.iteri
-    (fun e s ->
-      printf "%5d | %16.2f | %17.2f@." e s r.Runtime.Rebalance.dynamic_imbalance.(e))
-    r.Runtime.Rebalance.static_imbalance;
+  Array.iteri (fun e s -> printf "%5d | %16.2f | %17.2f@." e s dynamic.(e)) static;
   printf "migrations: %d buckets, %d flow states moved across cores@."
-    r.Runtime.Rebalance.migrated_buckets r.Runtime.Rebalance.migrated_flows
+    s.Runtime.Pool.migrated_buckets s.Runtime.Pool.migrated_flows
 
 let ext_churn () =
   header "Extension: churn smoke — SCR vs lock rung on the domain pool (BENCH_churn.json)";

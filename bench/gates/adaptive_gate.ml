@@ -64,16 +64,6 @@ let npkts = total_epochs * epoch_pkts
 let adaptive_mode =
   Runtime.Adaptive.(On { epoch_pkts; up = 2.0; down = 1.3; cooldown = 1 })
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 (* Build the trace from the installed plan's phase schedule.  The traffic
    is steady-state (established sessions, mostly LAN→WAN with a 15 %
    reply share): load churn comes from WHERE the packets concentrate,
@@ -103,42 +93,15 @@ let trace_of_phases rng ~flows phases =
   in
   Array.concat (go phases)
 
-(* rung of each 1-based epoch, given the committed switch schedule *)
-let rung_of_epoch switch_epochs ~initial epoch =
-  List.fold_left (fun acc (e, r) -> if epoch > e then r else acc) initial switch_epochs
-
 (* per-flow ordering between consecutive rebalance points, skipping SCR
    epochs (round-robin ownership is the mechanism there, not a bug) *)
 let ordering_violations trace (s : Runtime.Pool.stats) ~initial =
-  let points = Array.of_list s.Runtime.Pool.last_rebalance_points in
-  let flow_core = Hashtbl.create 4096 in
-  let seg = ref 0 and viol = ref 0 in
-  Array.iteri
-    (fun i pkt ->
-      while !seg < Array.length points && i >= points.(!seg) do
-        incr seg;
-        Hashtbl.reset flow_core
-      done;
-      let epoch = 1 + (i / epoch_pkts) in
-      if rung_of_epoch s.Runtime.Pool.switch_epochs ~initial epoch <> Maestro.Ladder.Scr
-      then begin
-        let flow = Packet.Flow.normalize (Packet.Flow.of_pkt pkt) in
-        let core = s.Runtime.Pool.last_assignment.(i) in
-        match Hashtbl.find_opt flow_core flow with
-        | None -> Hashtbl.add flow_core flow core
-        | Some c -> if c <> core then incr viol
-      end)
-    trace;
-  !viol
-
-(* per-core dispatch counts of one epoch, from a run's recorded assignment *)
-let epoch_counts (s : Runtime.Pool.stats) e =
-  let counts = Array.make cores 0 in
-  for i = e * epoch_pkts to ((e + 1) * epoch_pkts) - 1 do
-    let c = s.Runtime.Pool.last_assignment.(i) in
-    counts.(c) <- counts.(c) + 1
-  done;
-  counts
+  Runtime.Balancer.ordering_violations
+    ~exempt:(fun i ->
+      Runtime.Adaptive.rung_of_epoch ~initial s.Runtime.Pool.switch_epochs (1 + (i / epoch_pkts))
+      = Maestro.Ladder.Scr)
+    ~key:(fun i -> Packet.Flow.normalize (Packet.Flow.of_pkt trace.(i)))
+    ~points:s.Runtime.Pool.last_rebalance_points s.Runtime.Pool.last_assignment
 
 (* Per-epoch NF profiles: epoch [e] is profiled with the preceding epochs
    executed as warm-up, so a calm epoch late in the trace sees the
@@ -160,10 +123,11 @@ let epoch_profiles nf trace =
    so the trace's full session count). *)
 let model_time ~plan_for ~profiles ~table_flows trace (s : Runtime.Pool.stats) ~initial =
   let total_epochs = Array.length trace / epoch_pkts in
+  let counts = Runtime.Balancer.epoch_counts ~cores ~epoch_pkts s.Runtime.Pool.last_assignment in
   let seconds = ref 0.0 in
   for e = 0 to total_epochs - 1 do
-    let rung = rung_of_epoch s.Runtime.Pool.switch_epochs ~initial (e + 1) in
-    let shares = Sim.Throughput.shares_of_counts (epoch_counts s e) in
+    let rung = Runtime.Adaptive.rung_of_epoch ~initial s.Runtime.Pool.switch_epochs (e + 1) in
+    let shares = Sim.Throughput.shares_of_counts counts.(e) in
     let slice = Array.sub trace (e * epoch_pkts) epoch_pkts in
     let ev =
       Sim.Throughput.evaluate ~measured_shares:shares (plan_for rung) profiles.(e) slice
@@ -238,7 +202,7 @@ let run ?(out = "BENCH_adaptive.json") () =
   let pool = Runtime.Pool.create ~cores () in
   let v_ad, t_ad = timed ~adaptive:adaptive_mode pool sn_plan trace in
   let s = Runtime.Pool.stats pool in
-  check "adaptive: verdicts identical to sequential" (verdicts_equal seq v_ad);
+  check "adaptive: verdicts identical to sequential" (seq = v_ad);
   check "adaptive: switched down and back at least twice" (s.Runtime.Pool.switches >= 3);
   let res r = Option.value ~default:0 (List.assoc_opt r s.Runtime.Pool.rung_residency) in
   check "adaptive: calm phases ran sharded"
@@ -279,7 +243,7 @@ let run ?(out = "BENCH_adaptive.json") () =
   check "fault plan: workers crashed and recovered" (sf.Runtime.Pool.restarts >= 1);
   check "fault plan: still switched" (sf.Runtime.Pool.switches >= 1);
   check "fault plan: verdicts identical to sequential despite mid-switch crashes"
-    (verdicts_equal seq v_fault);
+    (seq = v_fault);
   let fault_restarts = sf.Runtime.Pool.restarts in
   let fault_rebuilds = sf.Runtime.Pool.scr_rebuilds in
   Runtime.Pool.shutdown pool;
@@ -290,7 +254,7 @@ let run ?(out = "BENCH_adaptive.json") () =
   let v_sn, t_sn = timed pool sn_plan trace in
   let s_sn = Runtime.Pool.stats pool in
   Runtime.Pool.shutdown pool;
-  check "static shared-nothing: verdicts identical to sequential" (verdicts_equal seq v_sn);
+  check "static shared-nothing: verdicts identical to sequential" (seq = v_sn);
   (* no verdict check for the lock baseline: its random-key RSS does not
      keep a session's two directions on one core, so cross-direction
      arrival order — which the sequential oracle fixes — is not preserved

@@ -42,16 +42,6 @@ let repeats = 3
    lock-equivalent behaviour *)
 let speed_gate = 1.0
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 (* warmed best-of-N wall clock for one pool run *)
 let best_of pool plan trace =
   ignore (Runtime.Pool.run pool plan trace);
@@ -98,7 +88,7 @@ let run ?(out = "BENCH_churn.json") () =
   let pool = Runtime.Pool.create ~cores () in
   let v_scr = Runtime.Pool.run pool scr_plan trace in
   let s = Runtime.Pool.stats pool in
-  check "scr: verdicts identical to sequential" (verdicts_equal seq v_scr);
+  check "scr: verdicts identical to sequential" (seq = v_scr);
   check "scr: every batch broadcast to every non-owner"
     (s.Runtime.Pool.scr_replays > 0
     && s.Runtime.Pool.scr_replays mod (cores - 1) = 0);

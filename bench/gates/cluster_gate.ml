@@ -30,16 +30,6 @@ let nflows = 2_048
 let body_pkts = 24_576
 let epoch_pkts = 2_048
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 let agreement a b =
   let n = min (Array.length a) (Array.length b) in
   let ok = ref 0 in
@@ -123,7 +113,7 @@ let run ?(out = "BENCH_cluster.json") () =
 
   (* scenario A: steady fleet, no churn *)
   let tier_a, v_a, s_a = run_scenario nf trace None in
-  check "steady: cluster verdicts identical to sequential" (verdicts_equal seq v_a);
+  check "steady: cluster verdicts identical to sequential" (seq = v_a);
   check "steady: front-tier key matches every packet" (s_a.Cluster.Tier.unmatched = 0);
   check "steady: no packet reached a down machine" (s_a.Cluster.Tier.dead_hits = 0);
   check "steady: no flow split across machines" (s_a.Cluster.Tier.affinity_violations = 0);
@@ -131,7 +121,7 @@ let run ?(out = "BENCH_cluster.json") () =
 
   (* scenario B: join then graceful leave, state migrated live *)
   let _, v_b, s_b = run_scenario nf trace (Some "join@4:4;leave@8:1") in
-  check "churn: verdicts survive join + leave migrations" (verdicts_equal seq v_b);
+  check "churn: verdicts survive join + leave migrations" (seq = v_b);
   check "churn: both events applied" (List.length s_b.Cluster.Tier.events = 2);
   List.iter
     (fun (e : Cluster.Tier.event_log) ->
@@ -155,7 +145,7 @@ let run ?(out = "BENCH_cluster.json") () =
   (* scenario C: machine failure, replica rebuilt from the digest log *)
   let tier_c, v_c, s_c = run_scenario nf trace (Some "fail@6:2") in
   check "fail: firewall admits a digest program" (Cluster.Tier.scr_admissible tier_c);
-  check "fail: verdicts survive the crash rebuild" (verdicts_equal seq v_c);
+  check "fail: verdicts survive the crash rebuild" (seq = v_c);
   check "fail: zero flows lost" (s_c.Cluster.Tier.lost_flows = 0);
   check "fail: replica rebuilt from digests" (s_c.Cluster.Tier.rebuilt_flows > 0);
   check "fail: no packet reached the dead machine" (s_c.Cluster.Tier.dead_hits = 0);

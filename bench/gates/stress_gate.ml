@@ -48,16 +48,6 @@ let flows_target =
 let cores = 4
 let churn_window = 4_096
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 let c_counter name doc v =
   let c = Telemetry.Counter.make name ~doc in
   Telemetry.Counter.add c v
@@ -188,7 +178,7 @@ let run ?(out = "BENCH_stress.json") () =
   let pooled = Runtime.Pool.run pool outcome.Maestro.Pipeline.plan trace in
   let pool_ms = ms_since t0 in
   Runtime.Pool.shutdown pool;
-  check "pool: verdicts at scale identical to sequential" (verdicts_equal seq pooled);
+  check "pool: verdicts at scale identical to sequential" (seq = pooled);
 
   c_counter "stress.flows" "concurrent flows established" nflows;
   c_counter "stress.trace_pkts" "packets in the stress trace" (Array.length trace);
@@ -210,7 +200,7 @@ let run ?(out = "BENCH_stress.json") () =
     churn_mean_x100;
   c_counter "stress.dchain_bulk_inserts" "recency-ordered allocate_at calls" !mig_ok;
   c_counter "stress.pool_agreement_pkts" "pool verdicts matching sequential (gated)"
-    (if verdicts_equal seq pooled then Array.length trace else 0);
+    (if seq = pooled then Array.length trace else 0);
   c_counter "stress.alloc_words_per_pkt_x100" "sequential-leg GC allocation per packet, x100"
     (int_of_float (Float.round (alloc_words_per_pkt *. 100.0)));
   c_counter "stress.seq_ms" "sequential leg wall clock, ms" seq_ms;

@@ -38,45 +38,17 @@ let check name ok =
   Printf.printf "%-58s %s\n%!" name (if ok then "ok" else "FAIL");
   if not ok then incr failures
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 (* flow-ordering violations: within each segment between consecutive
    rebalance points, a (normalized) flow dispatched to two different
-   cores could be reordered *)
+   cores could be reordered; fw's keys tie a flow's two directions *)
 let ordering_violations trace (s : Runtime.Pool.stats) =
-  let points = Array.of_list s.Runtime.Pool.last_rebalance_points in
-  let flow_core = Hashtbl.create 4096 in
-  let seg = ref 0 and viol = ref 0 in
-  Array.iteri
-    (fun i pkt ->
-      while !seg < Array.length points && i >= points.(!seg) do
-        incr seg;
-        Hashtbl.reset flow_core
-      done;
-      let flow = Packet.Flow.normalize (Packet.Flow.of_pkt pkt) in
-      let core = s.Runtime.Pool.last_assignment.(i) in
-      match Hashtbl.find_opt flow_core flow with
-      | None -> Hashtbl.add flow_core flow core
-      | Some c -> if c <> core then incr viol)
-    trace;
-  !viol
+  Runtime.Balancer.ordering_violations
+    ~key:(fun i -> Packet.Flow.normalize (Packet.Flow.of_pkt trace.(i)))
+    ~points:s.Runtime.Pool.last_rebalance_points s.Runtime.Pool.last_assignment
 
 let epoch_imbalances (s : Runtime.Pool.stats) =
-  Array.init epochs (fun e ->
-      let counts = Array.make cores 0 in
-      for i = e * epoch_pkts to ((e + 1) * epoch_pkts) - 1 do
-        let c = s.Runtime.Pool.last_assignment.(i) in
-        counts.(c) <- counts.(c) + 1
-      done;
-      Runtime.Rebalance.imbalance_of counts)
+  Array.map Runtime.Balancer.imbalance_of
+    (Runtime.Balancer.epoch_counts ~cores ~epoch_pkts s.Runtime.Pool.last_assignment)
 
 (* mean excess imbalance (max/mean - 1) over the epochs where the
    balancer has had a chance to act (after the first boundary) *)
@@ -111,7 +83,7 @@ let () =
   let v_static = Runtime.Pool.run pool plan trace in
   let s_static = Runtime.Pool.stats pool in
   Runtime.Pool.shutdown pool;
-  check "static: verdicts identical to sequential" (verdicts_equal seq v_static);
+  check "static: verdicts identical to sequential" (seq = v_static);
   check "static: every packet dispatched"
     (Array.fold_left ( + ) 0 s_static.Runtime.Pool.last_per_core_pkts = npkts);
 
@@ -121,7 +93,7 @@ let () =
   let v_dyn = Runtime.Pool.run ~rebalance:mode pool plan trace in
   let s_dyn = Runtime.Pool.stats pool in
   Runtime.Pool.shutdown pool;
-  check "dynamic: verdicts identical to sequential" (verdicts_equal seq v_dyn);
+  check "dynamic: verdicts identical to sequential" (seq = v_dyn);
   check "dynamic: every packet dispatched"
     (Array.fold_left ( + ) 0 s_dyn.Runtime.Pool.last_per_core_pkts = npkts);
   check "dynamic: balancer engaged" (s_dyn.Runtime.Pool.rebalances >= 1);

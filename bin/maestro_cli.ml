@@ -362,9 +362,11 @@ let run_cmd =
         Format.printf "state ops: %d reads, %d writes; %d read-pkts, %d write-pkts@."
           s.Runtime.Parallel.reads s.Runtime.Parallel.writes s.Runtime.Parallel.read_pkts
           s.Runtime.Parallel.write_pkts;
-        (* the same plan on real OCaml domains, fed through the persistent pool *)
-        Runtime.Pool.with_global ~batch_size ~backpressure ~cores:plan.Maestro.Plan.cores
-        @@ fun pool ->
+        (* the same plan on real OCaml domains, fed through a persistent pool *)
+        let pool =
+          Runtime.Pool.create ~batch_size ~backpressure ~cores:plan.Maestro.Plan.cores ()
+        in
+        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
         let dv = Runtime.Pool.run ~rebalance ~adaptive pool plan trace in
         let ps = Runtime.Pool.stats pool in
         let dagree = ref 0 in
@@ -476,13 +478,16 @@ let run_cmd =
       $ batch_size $ backpressure $ fault_plan $ rebalance_arg $ adaptive_arg $ stats_arg
       $ trace_json_arg)
 
-(* --- rebalance (offline study) ---------------------------------------------- *)
+(* --- rebalance (measured on the pool) ----------------------------------------- *)
 
 let rebalance_cmd =
   let run name chain cores seed pkts flows epoch threshold exponent stats trace_json =
     match find_target name chain with
     | Error e ->
         Format.eprintf "%s@." e;
+        exit 1
+    | Ok _ when epoch < 1 ->
+        Format.eprintf "error: --epoch must be >= 1@.";
         exit 1
     | Ok target ->
         let nf = target_nf target in
@@ -494,25 +499,37 @@ let rebalance_cmd =
         let fs = Traffic.Gen.flows rng flows in
         let spec = { Traffic.Gen.default_spec with Traffic.Gen.pkts } in
         let trace = Traffic.Zipf.trace ~spec rng z ~flows:fs in
-        (match Runtime.Rebalance.study ~threshold plan trace ~epoch_pkts:epoch with
-        | Error e ->
-            Format.eprintf "error: %s@." e;
-            exit 1
-        | Ok r ->
-            Format.printf "strategy: %s on %d cores; Zipf(%.2f), %d flows, epoch %d@."
-              (Maestro.Plan.strategy_name plan.Maestro.Plan.strategy)
-              cores exponent flows epoch;
-            Format.printf "epoch | static imbalance | dynamic imbalance@.";
-            Array.iteri
-              (fun e s ->
-                Format.printf "%5d | %16.2f | %17.2f@." e s
-                  r.Runtime.Rebalance.dynamic_imbalance.(e))
-              r.Runtime.Rebalance.static_imbalance;
-            Format.printf "rebalances: %d (threshold %.2f); %d buckets, %d flow states moved@."
-              r.Runtime.Rebalance.rebalances threshold r.Runtime.Rebalance.migrated_buckets
-              r.Runtime.Rebalance.migrated_flows)
+        let seq = Runtime.Parallel.run_sequential nf trace in
+        (* the same trace on one pool with rebalancing off, then on *)
+        let pool = Runtime.Pool.create ~cores:plan.Maestro.Plan.cores () in
+        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        let measure rebalance =
+          let v = Runtime.Pool.run ~rebalance pool plan trace in
+          let s = Runtime.Pool.stats pool in
+          let imbalance =
+            Array.map Runtime.Balancer.imbalance_of
+              (Runtime.Balancer.epoch_counts ~cores:plan.Maestro.Plan.cores ~epoch_pkts:epoch
+                 s.Runtime.Pool.last_assignment)
+          in
+          let agree = Array.fold_left ( + ) 0 (Array.map2 (fun a b -> Bool.to_int (a = b)) seq v) in
+          (imbalance, s, agree)
+        in
+        let static, _, static_agree = measure Runtime.Balancer.Off in
+        let dynamic, s, dynamic_agree =
+          measure (Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = epoch; threshold })
+        in
+        Format.printf "strategy: %s on %d cores; Zipf(%.2f), %d flows, epoch %d@."
+          (Maestro.Plan.strategy_name plan.Maestro.Plan.strategy)
+          cores exponent flows epoch;
+        Format.printf "epoch | static imbalance | dynamic imbalance@.";
+        Array.iteri (fun e s -> Format.printf "%5d | %16.2f | %17.2f@." e s dynamic.(e)) static;
+        Format.printf "rebalances: %d (threshold %.2f); %d buckets, %d flow states moved@."
+          s.Runtime.Pool.rebalances threshold s.Runtime.Pool.migrated_buckets
+          s.Runtime.Pool.migrated_flows;
+        Format.printf "sequential agreement: static %d/%d, rebalanced %d/%d@." static_agree
+          (Array.length trace) dynamic_agree (Array.length trace)
   in
-  let pkts = Arg.(value & opt int 24_000 & info [ "pkts" ] ~doc:"Packets to study.") in
+  let pkts = Arg.(value & opt int 24_000 & info [ "pkts" ] ~doc:"Packets to replay.") in
   let flows = Arg.(value & opt int 1_000 & info [ "flows" ] ~doc:"Flows in the workload.") in
   let epoch =
     Arg.(value & opt int 4096 & info [ "epoch" ] ~docv:"N" ~doc:"Packets per rebalance epoch.")
@@ -521,9 +538,7 @@ let rebalance_cmd =
     Arg.(
       value & opt float 0.0
       & info [ "threshold" ] ~docv:"F"
-          ~doc:
-            "Max/mean imbalance above which an epoch boundary rebalances (0 = always; pass \
-             the live balancer's threshold to reproduce its decisions).")
+          ~doc:"Max/mean imbalance above which an epoch boundary rebalances (0 = always).")
   in
   let exponent =
     Arg.(value & opt float 1.1 & info [ "zipf" ] ~docv:"S" ~doc:"Zipf exponent of the workload.")
@@ -531,9 +546,8 @@ let rebalance_cmd =
   Cmd.v
     (Cmd.info "rebalance"
        ~doc:
-         "Offline study of dynamic RSS++ rebalancing: replay a Zipfian trace through static \
-          and dynamically rebalanced indirection tables and report per-epoch imbalance and \
-          migration costs.")
+         "Dynamic RSS++ rebalancing, measured: run a Zipfian trace on the domain pool with \
+          rebalancing off and on and report each epoch's imbalance and the migration costs.")
     Term.(
       const run $ nf_arg $ chain_arg $ cores_arg $ seed_arg $ pkts $ flows $ epoch $ threshold
       $ exponent $ stats_arg $ trace_json_arg)

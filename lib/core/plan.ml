@@ -19,9 +19,9 @@ type t = {
   warnings : string list;
 }
 
-let rss_engine ?reta t port =
+let rss_engine t port =
   let { key; field_set } = t.rss.(port) in
-  Nic.Rss.configure ?reta ~nic:t.nic ~key ~sets:[ field_set ] ~queues:t.cores ()
+  Nic.Rss.configure ~nic:t.nic ~key ~sets:[ field_set ] ~queues:t.cores ()
 
 let state_divisor t =
   match t.strategy with

@@ -38,8 +38,8 @@ type t = {
   warnings : string list;  (** Maestro's feedback to the developer *)
 }
 
-val rss_engine : ?reta:Nic.Reta.t -> t -> int -> Nic.Rss.t
-(** The configured RSS engine for one port, defaulting to a round-robin
+val rss_engine : t -> int -> Nic.Rss.t
+(** The configured RSS engine for one port, with a round-robin
     indirection table over [cores] queues. *)
 
 val state_divisor : t -> int

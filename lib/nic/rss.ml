@@ -40,7 +40,7 @@ let set_hasher ~compiled ~key ~ckey s =
   else fun p ->
     match Field_set.hash_input s p with Some d -> Toeplitz.hash_int ~key d | None -> -1
 
-let configure ?(nic = Model.E810) ?reta ?(compiled = true) ~key ~sets ~queues () =
+let configure ?(nic = Model.E810) ?(compiled = true) ~key ~sets ~queues () =
   if Bitvec.length key <> 8 * Model.key_bytes nic then
     invalid_arg
       (Printf.sprintf "Rss.configure: key must be %d bytes for %s" (Model.key_bytes nic)
@@ -53,13 +53,7 @@ let configure ?(nic = Model.E810) ?reta ?(compiled = true) ~key ~sets ~queues ()
              Field_set.pp s))
     sets;
   if queues < 1 || queues > Model.max_queues nic then invalid_arg "Rss.configure: queues";
-  let reta =
-    match reta with
-    | Some r ->
-        if Reta.queues r <> queues then invalid_arg "Rss.configure: reta queue count";
-        r
-    | None -> Reta.create ~size:(Model.reta_size nic) ~queues ()
-  in
+  let reta = Reta.create ~size:(Model.reta_size nic) ~queues () in
   let ckey = lazy (Toeplitz.Key.compile key) in
   let hash =
     lazy

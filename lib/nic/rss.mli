@@ -6,7 +6,6 @@ type t
 
 val configure :
   ?nic:Model.t ->
-  ?reta:Reta.t ->
   ?compiled:bool ->
   key:Bitvec.t ->
   sets:Field_set.t list ->
@@ -15,8 +14,8 @@ val configure :
   t
 (** Raises [Invalid_argument] when the key length differs from the NIC's,
     when a set is unsupported by the NIC, or when [queues] exceeds the NIC's
-    maximum.  [nic] defaults to {!Model.E810}; [reta] defaults to a
-    round-robin table.  [compiled] (default [true]) selects the
+    maximum.  [nic] defaults to {!Model.E810}; the indirection table is
+    round-robin.  [compiled] (default [true]) selects the
     table-driven {!hasher} over the bit-by-bit reference
     ({!Field_set.hash_input} and {!Toeplitz.hash}), which tests keep as the
     oracle.  Both paths are bit-exact, so dispatch decisions never depend

@@ -147,6 +147,9 @@ let switches t = t.switches
 let flap_suppressed t = t.flap_suppressed
 let switch_epochs t = List.rev t.switch_epochs
 
+let rung_of_epoch ~initial switches epoch =
+  List.fold_left (fun acc (e, r) -> if epoch > e then r else acc) initial switches
+
 let residency t =
   List.filter_map
     (fun r ->

@@ -115,6 +115,12 @@ val flap_suppressed : t -> int
 val switch_epochs : t -> (int * Maestro.Ladder.rung) list
 (** Committed switches in order: (1-based epoch index, rung adopted). *)
 
+val rung_of_epoch :
+  initial:Maestro.Ladder.rung -> (int * Maestro.Ladder.rung) list -> int -> Maestro.Ladder.rung
+(** [rung_of_epoch ~initial switches e]: the rung 1-based epoch [e] of a
+    run ran on, given the rung the run started on and its {!switch_epochs}
+    — a switch committed at epoch [s] takes effect from epoch [s + 1]. *)
+
 val residency : t -> (Maestro.Ladder.rung * int) list
 (** Epochs spent on each rung, fastest first (admissible rungs always
     listed, others only when visited). *)

@@ -534,3 +534,38 @@ let migrate_by plan ~hash ~owner ~instances =
 
 let migrate plan ~hash ~mask ~dest ~instances =
   migrate_by plan ~hash ~owner:(fun h -> dest (h land mask)) ~instances
+
+(* --- dispatch records ------------------------------------------------------- *)
+
+let imbalance_of counts =
+  let total = Array.fold_left ( + ) 0 counts in
+  if total = 0 then 1.0
+  else
+    let mean = float_of_int total /. float_of_int (Array.length counts) in
+    float_of_int (Array.fold_left max 0 counts) /. mean
+
+let epoch_counts ~cores ~epoch_pkts assignment =
+  let n = Array.length assignment in
+  Array.init ((n + epoch_pkts - 1) / epoch_pkts) (fun e ->
+      let counts = Array.make cores 0 in
+      for i = e * epoch_pkts to min n ((e + 1) * epoch_pkts) - 1 do
+        counts.(assignment.(i)) <- counts.(assignment.(i)) + 1
+      done;
+      counts)
+
+let ordering_violations ?(exempt = fun _ -> false) ~key ~points assignment =
+  let core_of = Hashtbl.create 1024 in
+  let points = ref points and viol = ref 0 in
+  Array.iteri
+    (fun i core ->
+      while match !points with p :: _ -> i >= p | [] -> false do
+        points := List.tl !points;
+        Hashtbl.reset core_of
+      done;
+      if not (exempt i) then
+        let k = key i in
+        match Hashtbl.find_opt core_of k with
+        | None -> Hashtbl.add core_of k core
+        | Some c -> if c <> core then incr viol)
+    assignment;
+  !viol

@@ -132,3 +132,26 @@ val migrate :
     [migrate_by plan ~hash ~owner:(fun h -> dest (h land mask)) ~instances]
     — the single-machine indirection-table form used by the pool's
     rebalancer. *)
+
+(** {1 Dispatch records}
+
+    Pure readings of what {!Pool.stats} records of a run: the core each
+    packet was dispatched to ([last_assignment]) and the packet offsets
+    where the run changed its table or rung ([last_rebalance_points]). *)
+
+val imbalance_of : int array -> float
+(** Max over mean of per-core packet counts; 1.0 when every count is 0. *)
+
+val epoch_counts : cores:int -> epoch_pkts:int -> int array -> int array array
+(** [epoch_counts ~cores ~epoch_pkts assignment] cuts a run's per-packet
+    core assignment into epochs of [epoch_pkts] packets, the last one
+    possibly partial, and counts each epoch's packets per core. *)
+
+val ordering_violations :
+  ?exempt:(int -> bool) -> key:(int -> 'k) -> points:int list -> int array -> int
+(** [ordering_violations ~key ~points assignment] counts the packets [i]
+    whose [key i] (a flow, or an RSS bucket) was dispatched earlier in the
+    same segment between two consecutive [points] to another core — the
+    per-flow order the quiesce protocol guarantees is then at risk.
+    Packets with [exempt i] are skipped: on the SCR rung the round-robin
+    spray moves ownership per batch by design. *)

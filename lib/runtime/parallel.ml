@@ -25,12 +25,7 @@ let empty_stats ~cores =
     tm_rw_sets = [];
   }
 
-let imbalance s =
-  let total = Array.fold_left ( + ) 0 s.per_core_pkts in
-  if total = 0 then 1.0
-  else
-    let mean = float_of_int total /. float_of_int s.cores in
-    float_of_int (Array.fold_left max 0 s.per_core_pkts) /. mean
+let imbalance s = Balancer.imbalance_of s.per_core_pkts
 
 type result = { verdicts : Dsl.Interp.action array; stats : stats }
 
@@ -76,16 +71,12 @@ let observe ops (e : Dsl.Interp.op_event) =
   in
   if counts_as_write then ops.w <- ops.w + 1 else ops.r <- ops.r + 1
 
-let run ?reta (plan : Maestro.Plan.t) pkts =
+let run (plan : Maestro.Plan.t) pkts =
   Telemetry.Span.with_span "runtime/run" @@ fun () ->
   let nf = plan.Maestro.Plan.nf in
   let info = Dsl.Check.check_exn nf in
   let cores = plan.Maestro.Plan.cores in
-  let engines =
-    Array.init nf.Dsl.Ast.devices (fun port ->
-        let r = Option.map (fun retas -> retas.(port)) reta in
-        Maestro.Plan.rss_engine ?reta:r plan port)
-  in
+  let engines = Array.init nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan) in
   let shared_nothing = plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing in
   let scr = plan.Maestro.Plan.strategy = Maestro.Plan.Scr in
   let per_core_state = shared_nothing || scr in
@@ -187,13 +178,9 @@ let run ?reta (plan : Maestro.Plan.t) pkts =
       };
   }
 
-let dispatch_counts ?reta (plan : Maestro.Plan.t) pkts =
+let dispatch_counts (plan : Maestro.Plan.t) pkts =
   let nf = plan.Maestro.Plan.nf in
-  let engines =
-    Array.init nf.Dsl.Ast.devices (fun port ->
-        let r = Option.map (fun retas -> retas.(port)) reta in
-        Maestro.Plan.rss_engine ?reta:r plan port)
-  in
+  let engines = Array.init nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan) in
   let counts = Array.make plan.Maestro.Plan.cores 0 in
   Array.iter
     (fun pkt ->

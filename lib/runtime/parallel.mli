@@ -35,17 +35,19 @@ type stats = {
 val empty_stats : cores:int -> stats
 
 val imbalance : stats -> float
-(** max/mean of the per-core packet counts (1.0 = perfectly even). *)
+(** {!Balancer.imbalance_of} the per-core packet counts (1.0 = perfectly
+    even). *)
 
 type result = { verdicts : Dsl.Interp.action array; stats : stats }
 
 val run_sequential : Dsl.Ast.t -> Packet.Pkt.t array -> Dsl.Interp.action array
+(** The sequential interpreter: the verdict oracle every parallel
+    execution is checked against. *)
 
-val run : ?reta:Nic.Reta.t array -> Maestro.Plan.t -> Packet.Pkt.t array -> result
-(** Execute the plan over the trace.  [reta] overrides the per-port
-    indirection tables (for RSS++-style rebalanced tables, Fig. 5).  A
-    packet to be RSS-dispatched from a port outside the NF's devices
-    raises {!port_error}'s [Invalid_argument]. *)
+val run : Maestro.Plan.t -> Packet.Pkt.t array -> result
+(** Execute the plan over the trace, under the plan's own per-port RSS
+    engines.  A packet to be RSS-dispatched from a port outside the NF's
+    devices raises {!port_error}'s [Invalid_argument]. *)
 
 val port_error : devices:int -> int -> int -> 'a
 (** [port_error ~devices i port] raises the [Invalid_argument] for packet
@@ -54,6 +56,6 @@ val port_error : devices:int -> int -> int -> 'a
     port has no RSS engine.  Each checks the port where it already reads
     it, so the check costs two comparisons and no extra pass. *)
 
-val dispatch_counts : ?reta:Nic.Reta.t array -> Maestro.Plan.t -> Packet.Pkt.t array -> int array
+val dispatch_counts : Maestro.Plan.t -> Packet.Pkt.t array -> int array
 (** Per-core packet counts under the plan's RSS configuration, without
     executing the NF. *)

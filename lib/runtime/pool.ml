@@ -1,11 +1,10 @@
 (* Persistent worker-domain pool fed by bounded SPSC rings of packet
-   batches.  Spawning an OCaml domain costs tens of microseconds — paid on
-   every call by the old spawn-per-run [Domains] entry points, which
-   dominated short runs the way per-packet dispatch cost dominates the
-   stateful-NF studies this repo models.  The pool spawns [cores] domains
-   once and feeds them DPDK-burst-style batches (default 32 packets)
-   through single-producer single-consumer rings, so repeated runs pay
-   only the enqueue/dequeue cost.
+   batches.  Spawning an OCaml domain costs tens of microseconds, which
+   would dominate short runs the way per-packet dispatch cost dominates
+   the stateful-NF studies this repo models.  The pool spawns [cores]
+   domains once and feeds them DPDK-burst-style batches (default 32
+   packets) through single-producer single-consumer rings, so repeated
+   runs pay only the enqueue/dequeue cost.
 
    The pool is supervised (paper §4.4's failure story made executable):
    every worker loop runs behind an exception barrier; the producer — the
@@ -622,15 +621,6 @@ let wait_quiesce t ~cores =
 
 (* --- streamed dispatch ------------------------------------------------------ *)
 
-(* Conservative static write classification, shared by the lock and TM
-   disciplines: OCaml has no transactional rollback, so a packet that *may*
-   write on any path takes the write lock up front.  The speculative
-   read→restart discipline is modeled deterministically in {!Parallel.run};
-   this runtime demonstrates race-free real-domain execution.  The
-   classification itself is {!Maestro.Scrspec}'s — the same walk that
-   derives the SCR write-slice. *)
-let nf_statically_writes = Maestro.Scrspec.nf_writes
-
 (* Ready the plan cores' lanes for a run of [npkts] packets.  A lane only
    holds positions that are being filled, queued or in flight — at most
    ring-capacity + 2 batches, since the batch being filled and the one
@@ -796,6 +786,15 @@ let scr_stream t prog log ~lives ~rr ~assignment ~per_core ~pkts ~lo ~hi =
 
 (* --- plan execution --------------------------------------------------------- *)
 
+(* The first core [live] marks: where the producer sends the packets that
+   no field set matches.  A loop, so finding it allocates nothing. *)
+let first_live live =
+  let c = ref 0 in
+  while not live.(!c) do
+    incr c
+  done;
+  !c
+
 (* The rung a plan's own runs execute on: load-balance plans run like
    shared-nothing ones, over per-core read-only replicas, and TM plans on
    the lock rung. *)
@@ -852,7 +851,14 @@ let bind_plan t (plan : Maestro.Plan.t) ~divide ~rung =
                     invalid_arg
                       (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e));
             lock = Rwlock.create ~cores;
-            writes = nf_statically_writes nf;
+            (* conservative static write classification, shared by the
+               lock and TM disciplines: OCaml has no transactional
+               rollback, so a batch that may write on any path takes the
+               write lock up front (the speculative read→restart
+               discipline is modeled in {!Parallel.run}).  It is
+               {!Maestro.Scrspec}'s, the walk that derives the SCR
+               write-slice. *)
+            writes = Maestro.Scrspec.nf_writes nf;
             divide = 0;
             rung;
             insts = [||];
@@ -951,7 +957,8 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
     table := Nic.Reta.remap !table ~live
   end;
   let mask = Nic.Reta.size !table - 1 in
-  (* never empty: a barrier that writes off the last live core raises *)
+  (* never empty: a barrier that writes off the last live core keeps the
+     epoch's cores, which then run inline on the producer *)
   let lives () = Array.of_list (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id)) in
   let install ?(recover = ignore) exec =
     for c = 0 to cores - 1 do
@@ -1072,6 +1079,9 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
      and deterministic (a CI gate compares the resulting counters) *)
   let loads = Array.make (mask + 1) 0 in
   let counts = Array.make cores 0 in
+  (* where packets that no field set matches go, moved on at a barrier
+     that writes it off *)
+  let unhashed = ref (first_live live) in
   let rss_core i =
     (* the rx port is checked where the producer reads it to pick the
        port's hash *)
@@ -1079,7 +1089,7 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
     if port < 0 || port >= nports then Parallel.port_error ~devices:nports i port;
     let h = hashes.(port) pkts.(i) in
     let q =
-      if h < 0 then 0
+      if h < 0 then !unhashed
       else begin
         let bk = h land mask in
         loads.(bk) <- loads.(bk) + 1;
@@ -1132,7 +1142,13 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
       if ensure_live t t.workers.(core) = `Failed then live.(core) <- false
     done;
     let newly_dead = live <> was_live in
+    let any_live = Array.exists Fun.id live in
+    (* with no live core left the barrier does nothing: the rest of the
+       run executes inline on the epoch's cores, whose state is current,
+       as a static run does *)
+    if any_live then unhashed := first_live live else Array.blit was_live 0 live 0 cores;
     match policy with
+    | _ when not any_live -> ()
     | Static -> ()
     | Rebalance _ when hi >= npkts -> ()
     | Rebalance cfg ->
@@ -1145,7 +1161,7 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
         let sharded = plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing in
         let exact = Balancer.exact (Lazy.force b.mplan) in
         let wanted =
-          ((not sharded) || exact) && Rebalance.imbalance_of counts > cfg.Balancer.threshold
+          ((not sharded) || exact) && Balancer.imbalance_of counts > cfg.Balancer.threshold
         in
         (* a fresh write-off is a forced rebalance *)
         if newly_dead || wanted then begin
@@ -1189,7 +1205,7 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
         let obs =
           {
             Adaptive.imbalance =
-              Rebalance.imbalance_of
+              Balancer.imbalance_of
                 (Array.of_list (List.filteri (fun c _ -> live.(c)) (Array.to_list counts)));
             drops = drops - drops0;
             restarts = restarts - restarts0;
@@ -1263,42 +1279,3 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) t plan pkts =
       Atomic.set running false;
       wait_quiesce t ~cores:t.cores;
       raise e
-
-(* --- the process-global pool ------------------------------------------------- *)
-
-let global : t option ref = ref None
-let global_mutex = Mutex.create ()
-
-let shutdown_global () =
-  Mutex.lock global_mutex;
-  (match !global with
-  | Some pool ->
-      shutdown pool;
-      global := None
-  | None -> ());
-  Mutex.unlock global_mutex
-
-let () = at_exit shutdown_global
-
-let with_global ?batch_size ?backpressure ~cores f =
-  Mutex.lock global_mutex;
-  let pool =
-    match !global with
-    | Some pool
-      when pool.cores >= cores
-           && (match batch_size with None -> true | Some b -> b = pool.batch_size)
-           && (match backpressure with None -> true | Some bp -> bp = pool.backpressure)
-           && failed_cores pool = [] ->
-        pool
-    | Some pool ->
-        shutdown pool;
-        let pool = create ?batch_size ?backpressure ~cores:(max cores pool.cores) () in
-        global := Some pool;
-        pool
-    | None ->
-        let pool = create ?batch_size ?backpressure ~cores () in
-        global := Some pool;
-        pool
-  in
-  Mutex.unlock global_mutex;
-  f pool

@@ -1,13 +1,13 @@
 (** A persistent, {e supervised} pool of worker domains fed by bounded
     SPSC rings of packet batches.
 
-    The spawn-per-run entry points in {!Domains} paid a domain-spawn per
-    core per call; this pool spawns [cores] domains {e once} and feeds
-    them batches (default {!default_batch_size} packets, mirroring DPDK
-    burst mode) through single-producer single-consumer rings, so
-    repeated runs cost only enqueue/dequeue.  Idle workers block on a
-    condition variable — an idle pool burns no CPU — and the producer
-    signals a worker only when it is blocked.
+    Spawning a domain costs tens of microseconds, so the pool spawns
+    [cores] domains {e once} and feeds them batches (default
+    {!default_batch_size} packets, mirroring DPDK burst mode) through
+    single-producer single-consumer rings, so repeated runs cost only
+    enqueue/dequeue.  Idle workers block on a condition variable — an
+    idle pool burns no CPU — and the producer signals a worker only when
+    it is blocked.
 
     {2 Streamed dispatch}
 
@@ -72,9 +72,10 @@
     static write classification (OCaml has no transactional rollback, so
     the TM discipline degrades to the lock discipline on real domains —
     the speculative/transactional behavior is modeled deterministically
-    in {!Parallel.run}).  Verdicts are bit-identical to the spawn-per-run
-    paths and, for shared-nothing and SCR plans, to sequential
-    execution.
+    in {!Parallel.run}).  Verdicts equal sequential execution
+    ({!Parallel.run_sequential}) for every plan but sharded NAT, whose
+    cores allocate their own ports, and cores that write under one lock
+    in the order they win it.
 
     {2 Plan binding}
 
@@ -118,7 +119,12 @@
     replay raises again, or any other — the batches the run left queued
     retire without running before the exception leaves {!run}, so the
     pool and its binding stay usable, and, as after a clean run, the idle
-    workers hold no reference to the run's packets or verdicts. *)
+    workers hold no reference to the run's packets or verdicts.
+
+    A run that writes off the last live plan core finishes inline on the
+    producer, static, rebalancing and adaptive alike: its later barriers
+    do nothing.  The next run raises [Invalid_argument] ("every core of
+    the plan has failed permanently"). *)
 
 val default_batch_size : int
 (** 32 — the DPDK burst size. *)
@@ -275,11 +281,14 @@ val run :
     Verdicts are returned in the original packet order; batches dropped
     by backpressure leave their packets' verdicts as [Dropped].  When
     cores have failed permanently, the RSS indirection table is
-    remapped so every packet lands on a live core.  Raises
+    remapped so every packet lands on a live core; packets that no field
+    set matches go to the first live plan core.  Raises
     [Invalid_argument] when the plan wants more cores than the pool has
     (plans with fewer cores use a prefix of the workers), when every
-    plan core has failed, or when a packet to be RSS-dispatched arrived
-    on a port the NF does not have ({!Parallel.port_error}).
+    plan core failed before the run, or when a packet to be
+    RSS-dispatched arrived on a port the NF does not have
+    ({!Parallel.port_error}).  Cores that fail during the run do not make
+    it raise: once none is left, the rest of the run executes inline.
 
     [rebalance] (default [Off], the single-epoch path) turns on online
     RSS++ rebalancing: the trace is processed in epochs
@@ -318,18 +327,3 @@ val stats : t -> stats
 val shutdown : t -> unit
 (** Stop and join every worker and drop the pool's plan binding.
     Idempotent; the pool must not be used afterwards. *)
-
-val with_global : ?batch_size:int -> ?backpressure:backpressure -> cores:int -> (t -> 'a) -> 'a
-(** Run [f] against the shared process-wide pool, growing it (respawn
-    happens only when the requested core count exceeds the current pool,
-    a different [batch_size] or [backpressure] is requested, or a
-    previous run left permanently failed cores) and creating it on first
-    use.  The global pool is shut down automatically [at_exit]. *)
-
-val shutdown_global : unit -> unit
-(** Tear down the process-wide pool now (it is recreated on the next
-    {!with_global}). *)
-
-val nf_statically_writes : Dsl.Ast.t -> bool
-(** Conservative static classification used by the lock/TM disciplines:
-    [true] when any path of the NF's packet handler writes state. *)

@@ -31,4 +31,5 @@ let () =
       ("sat", Test_sat.suite);
       ("telemetry", Test_telemetry.suite);
       ("benchdiff", Test_benchdiff.suite);
+      ("harness", Test_differential.suite);
     ]

@@ -1,8 +1,10 @@
 (* Adaptive discipline switching: the hysteresis controller must never
-   flap, admissibility must stay pinned to what compile time derived, and
-   a live pool that switches rungs mid-trace — even with workers crashing
-   in the switch epoch, in either order — must keep its verdicts equal to
-   the sequential interpreter. *)
+   flap, admissibility must stay pinned to what compile time derived, a
+   live pool steps down under skew and back on calm traffic, never
+   switches on calm traffic alone, and a crash in a switch epoch defers
+   the switch.  That every adaptive run, crashing or not, agrees with the
+   sequential interpreter is the differential harness's check; the
+   stats-pinned table pins the switch schedules. *)
 
 open Runtime.Adaptive
 
@@ -11,16 +13,6 @@ let rng seed = Random.State.make [| seed |]
 let plan_of ?(cores = 4) ?(strategy = `Auto) name =
   let request = { Maestro.Pipeline.default_request with cores; strategy } in
   (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn name)).Maestro.Pipeline.plan
-
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
 
 (* deterministic phase traces over ONE flow population: calm spreads the
    packets uniformly, skew concentrates them Zipf(2.5) on the heaviest
@@ -184,43 +176,13 @@ let test_commit_rejects_inadmissible () =
     (Invalid_argument "Adaptive.commit: rung not admissible") (fun () ->
       commit ctl Maestro.Ladder.Scr)
 
-(* --- live pool: calm → skew → calm ----------------------------------------- *)
-
-(* rung of each epoch, from the initial rung and the committed switches:
-   a switch at epoch E takes effect from epoch E+1 *)
-let rung_of_epoch switch_epochs ~initial epoch =
-  List.fold_left
-    (fun acc (e, r) -> if epoch > e then r else acc)
-    initial switch_epochs
-
-(* per-flow ordering across switches: between two consecutive rebalance
-   points every flow lands on one core — except on SCR epochs, where the
-   round-robin spray moves OWNERSHIP per batch by design while each
-   replica still applies the global stream in order *)
-let ordering_violations trace (s : Runtime.Pool.stats) ~epoch_pkts ~initial =
-  let points = Array.of_list s.Runtime.Pool.last_rebalance_points in
-  let flow_core = Hashtbl.create 1024 in
-  let seg = ref 0 and viol = ref 0 in
-  Array.iteri
-    (fun i pkt ->
-      while !seg < Array.length points && i >= points.(!seg) do
-        incr seg;
-        Hashtbl.reset flow_core
-      done;
-      let epoch = 1 + (i / epoch_pkts) in
-      if rung_of_epoch s.Runtime.Pool.switch_epochs ~initial epoch <> Maestro.Ladder.Scr
-      then begin
-        let flow = Packet.Flow.normalize (Packet.Flow.of_pkt pkt) in
-        let core = s.Runtime.Pool.last_assignment.(i) in
-        match Hashtbl.find_opt flow_core flow with
-        | None -> Hashtbl.add flow_core flow core
-        | Some c -> if c <> core then incr viol
-      end)
-    trace;
-  !viol
+(* --- live pool ---------------------------------------------------------------- *)
 
 let pool_mode = On { epoch_pkts = 1024; up = 2.0; down = 1.3; cooldown = 1 }
 
+(* calm → skew → calm: the pool steps down to SCR under the skew and
+   climbs back; the differential harness checks the verdicts and the
+   per-bucket order across the switches *)
 let test_pool_switches_with_traffic () =
   let plan = plan_of ~cores:4 "fw" in
   let flows = Traffic.Gen.flows (rng 7) 1024 in
@@ -232,11 +194,11 @@ let test_pool_switches_with_traffic () =
         calm_trace (rng 13) ~flows ~pkts:6144;
       ]
   in
-  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let v = Runtime.Pool.run ~adaptive:pool_mode pool plan trace in
-  let s = Runtime.Pool.stats pool in
+  let shape = Test_differential.shape 4 in
+  Test_differential.with_pool shape @@ fun pool ->
+  let s =
+    Test_differential.check_run ~policy:Test_differential.Adaptive shape pool "fw" plan trace
+  in
   Alcotest.(check bool) "switched down and back" true (s.Runtime.Pool.switches >= 2);
   (match s.Runtime.Pool.switch_epochs with
   | (_, Maestro.Ladder.Scr) :: _ -> ()
@@ -256,10 +218,7 @@ let test_pool_switches_with_traffic () =
      in
      asc s.Runtime.Pool.switch_epochs);
   Alcotest.(check int) "one rebalance point per switch" s.Runtime.Pool.switches
-    (List.length s.Runtime.Pool.last_rebalance_points);
-  Alcotest.(check int) "zero flow-ordering violations" 0
-    (ordering_violations trace s ~epoch_pkts:1024 ~initial:Maestro.Ladder.Shared_nothing);
-  Alcotest.(check bool) "verdicts == sequential across switches" true (verdicts_equal seq v)
+    (List.length s.Runtime.Pool.last_rebalance_points)
 
 let test_pool_calm_never_switches () =
   let plan = plan_of ~cores:4 "fw" in
@@ -275,12 +234,10 @@ let test_pool_calm_never_switches () =
     "whole run on the plan's rung"
     Maestro.Ladder.[ (Shared_nothing, 4); (Scr, 0); (Lock_based, 0); (Serial, 0) ]
     s.Runtime.Pool.rung_residency;
-  Alcotest.(check bool) "verdicts == sequential" true (verdicts_equal seq v)
+  Alcotest.(check bool) "verdicts == sequential" true (seq = v)
 
-(* --- crashes in the switch epoch, both orders ------------------------------ *)
-
-(* order 1: the crash is recovered FIRST (old rung's replay path), the
-   switch is deferred to the next barrier.  Skew from packet zero makes
+(* The crash is recovered FIRST (old rung's replay path), the switch is
+   deferred to the next barrier.  Skew from packet zero makes
    the very first barrier decide a switch, and every core's first batch
    crashes, so the switch epoch is guaranteed to also be a crash epoch. *)
 let test_pool_crash_defers_switch () =
@@ -303,104 +260,7 @@ let test_pool_crash_defers_switch () =
       Alcotest.(check bool) "switch deferred past the crash epoch" true (e >= 2)
   | [] -> Alcotest.fail "no switch committed");
   Alcotest.(check bool) "verdicts == sequential despite crash + deferred switch" true
-    (verdicts_equal seq v)
-
-(* order 2: the switch commits FIRST, the crash lands on the NEW rung —
-   the SCR replica is rebuilt from the seeded snapshot plus the digest
-   log since rung entry.  The batch threshold (60) is unreachable before
-   the switch (calm epochs give ~8 batches/core, the skew epoch at most
-   ~26 more) and certain after it (SCR feeds every core every batch). *)
-let test_pool_crash_after_switch_rebuilds_replica () =
-  let plan = plan_of ~cores:4 "fw" in
-  let flows = Traffic.Gen.flows (rng 10) 1024 in
-  let trace =
-    Array.concat
-      [ calm_trace (rng 41) ~flows ~pkts:2048; skew_trace (rng 42) ~flows ~pkts:8192 ]
-  in
-  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
-  (match Faults.parse "crash@2:60" with
-  | Error e -> Alcotest.fail e
-  | Ok p -> Faults.install p);
-  Fun.protect ~finally:Faults.clear @@ fun () ->
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let v = Runtime.Pool.run ~adaptive:pool_mode pool plan trace in
-  let s = Runtime.Pool.stats pool in
-  Alcotest.(check bool) "switched to SCR" true
-    (List.exists (fun (_, r) -> r = Maestro.Ladder.Scr) s.Runtime.Pool.switch_epochs);
-  Alcotest.(check bool) "crash recovered on the new rung" true (s.Runtime.Pool.restarts >= 1);
-  Alcotest.(check bool) "replica rebuilt from snapshot + digest log" true
-    (s.Runtime.Pool.scr_rebuilds >= 1);
-  Alcotest.(check bool) "verdicts == sequential despite mid-rung rebuild" true
-    (verdicts_equal seq v)
-
-(* --- switching on a written-off core set ----------------------------------- *)
-
-let test_pool_switch_on_written_off_cores () =
-  let plan = plan_of ~cores:4 "fw" in
-  let flows = Traffic.Gen.flows (rng 14) 1024 in
-  let trace =
-    Array.concat
-      [
-        calm_trace (rng 51) ~flows ~pkts:3072;
-        skew_trace (rng 52) ~flows ~pkts:4096;
-        calm_trace (rng 53) ~flows ~pkts:3072;
-      ]
-  in
-  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
-  (* zero restart budget: the first death writes core 1 off permanently,
-     so every later conversion runs over a 3-core live set *)
-  (match Faults.parse "crash@1:8" with
-  | Error e -> Alcotest.fail e
-  | Ok p -> Faults.install p);
-  Fun.protect ~finally:Faults.clear @@ fun () ->
-  let pool =
-    Runtime.Pool.create
-      ~supervisor:{ Runtime.Supervisor.default_config with max_restarts = 0 }
-      ~cores:4 ()
-  in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let v = Runtime.Pool.run ~adaptive:pool_mode pool plan trace in
-  let s = Runtime.Pool.stats pool in
-  Alcotest.(check (list int)) "core 1 written off" [ 1 ] s.Runtime.Pool.failed_cores;
-  Alcotest.(check bool) "still switched under skew" true (s.Runtime.Pool.switches >= 1);
-  (* after the write-off boundary no packet may land on the dead core *)
-  let dead_after =
-    match List.sort compare s.Runtime.Pool.last_rebalance_points with
-    | [] -> 0
-    | p :: _ ->
-        let n = ref 0 in
-        Array.iteri
-          (fun i c -> if i >= p && c = 1 then incr n)
-          s.Runtime.Pool.last_assignment;
-        !n
-  in
-  Alcotest.(check int) "no packets on the dead core after remap" 0 dead_after;
-  Alcotest.(check bool) "verdicts == sequential over the shrunken pool" true
-    (verdicts_equal seq v)
-
-(* --- lock plans: restart pressure reaches serial and climbs back ----------- *)
-
-let test_pool_lock_plan_descends_to_serial () =
-  let plan = plan_of ~cores:4 ~strategy:`Force_locks "fw" in
-  let flows = Traffic.Gen.flows (rng 15) 1024 in
-  let trace = calm_trace (rng 61) ~flows ~pkts:6144 in
-  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
-  (match Faults.parse "crash@0:4" with
-  | Error e -> Alcotest.fail e
-  | Ok p -> Faults.install p);
-  Fun.protect ~finally:Faults.clear @@ fun () ->
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let v = Runtime.Pool.run ~adaptive:pool_mode pool plan trace in
-  let s = Runtime.Pool.stats pool in
-  let res r = Option.value ~default:0 (List.assoc_opt r s.Runtime.Pool.rung_residency) in
-  Alcotest.(check bool) "restart pressure reached serial" true
-    (res Maestro.Ladder.Serial >= 1);
-  Alcotest.(check bool) "calm epochs climbed back to the lock rung" true
-    (List.exists (fun (_, r) -> r = Maestro.Ladder.Lock_based) s.Runtime.Pool.switch_epochs);
-  Alcotest.(check int) "never above the plan's rung" 0 (res Maestro.Ladder.Shared_nothing);
-  Alcotest.(check bool) "verdicts == sequential" true (verdicts_equal seq v)
+    (seq = v)
 
 let suite =
   [
@@ -417,10 +277,4 @@ let suite =
     Alcotest.test_case "pool: calm traffic never switches" `Slow test_pool_calm_never_switches;
     Alcotest.test_case "pool: crash in the switch epoch defers the switch" `Slow
       test_pool_crash_defers_switch;
-    Alcotest.test_case "pool: crash after the switch rebuilds the SCR replica" `Slow
-      test_pool_crash_after_switch_rebuilds_replica;
-    Alcotest.test_case "pool: switching over a written-off core set" `Slow
-      test_pool_switch_on_written_off_cores;
-    Alcotest.test_case "pool: lock plan descends to serial and climbs back" `Slow
-      test_pool_lock_plan_descends_to_serial;
   ]

@@ -1,7 +1,11 @@
 (* Plan binding and per-batch locking.  The first run of a plan builds its
    state and later runs of the same plan reset that state in place, so
-   every run must still look like a run on a fresh pool; the lock rung
-   takes its lock once per batch and never leaves it held. *)
+   every run must still look like a run on a fresh pool: the differential
+   harness compares every reused pool's run with a fresh pool's, here on
+   fixed sequences of plans, modes and crashes.  A reset instance equals a
+   fresh one, every stats field of every mode, rung and recovery path is
+   pinned, and the lock rung takes its lock once per batch and never
+   leaves it held. *)
 
 let rng seed = Random.State.make [| seed |]
 
@@ -10,16 +14,6 @@ let plan_of ?(cores = 2) ?(strategy = `Auto) (nf : Dsl.Ast.t) =
   (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan
 
 let registry_plan ?cores ?strategy name = plan_of ?cores ?strategy (Nfs.Registry.find_exn name)
-
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
 
 let mixed_trace ?(reply_fraction = Traffic.Gen.default_spec.Traffic.Gen.reply_fraction) seed
     npkts nflows =
@@ -68,7 +62,7 @@ let test_reset_equals_create () =
           Alcotest.failf "%s, divide %d: the reset instance differs from a fresh one" label divide;
         let fresh = Dsl.Compile.bind_runner staged (Dsl.Instance.create ~divide nf) in
         let again = outcomes r trace in
-        if not (Array.for_all2 verdicts_equal (outcomes fresh trace) again) then
+        if outcomes fresh trace <> again then
           Alcotest.failf "%s, divide %d: the runner bound before the reset diverges" label divide)
       [ 1; 4 ]
   in
@@ -84,52 +78,15 @@ let test_reset_equals_create () =
 
 (* --- runs on a bound pool ----------------------------------------------------- *)
 
-(* What one run adds to its pool's stats: lifetime counters as deltas,
-   plus the run's own dispatch record and, for an adaptive run, its
-   switches and rung residency (a static run leaves the previous adaptive
-   run's in place). *)
-let run_stats ?adaptive (s0 : Runtime.Pool.stats) (s1 : Runtime.Pool.stats) =
-  let open Runtime.Pool in
-  ( [
-      s1.runs - s0.runs;
-      s1.batches - s0.batches;
-      s1.pkts - s0.pkts;
-      s1.ring_full_stalls - s0.ring_full_stalls;
-      s1.dropped_pkts - s0.dropped_pkts;
-      s1.restarts - s0.restarts;
-      s1.inline_batches - s0.inline_batches;
-      s1.rebalances - s0.rebalances;
-      s1.migrated_buckets - s0.migrated_buckets;
-      s1.migrated_flows - s0.migrated_flows;
-      s1.migration_drops - s0.migration_drops;
-      s1.scr_replays - s0.scr_replays;
-      s1.scr_rebuilds - s0.scr_rebuilds;
-      s1.scr_digest_bytes - s0.scr_digest_bytes;
-      s1.switches - s0.switches;
-      s1.flap_suppressed - s0.flap_suppressed;
-    ],
-    (s1.last_per_core_pkts, s1.last_assignment, s1.last_rebalance_points),
-    Option.map (fun _ -> (s1.switch_epochs, s1.rung_residency)) adaptive )
+(* One run on [pool], checked by the differential harness: against the
+   sequential NF and, on a pool that ran before, against the same run on
+   a fresh pool; the pool's stats after it. *)
+let check_run ?policy ?fault ?order_free pool name plan trace =
+  Test_differential.check_run ?policy ?fault ?order_free
+    (Test_differential.shape ~threshold:0.0 (Runtime.Pool.cores pool))
+    pool name plan trace
 
-let pool_run ?rebalance ?adaptive pool plan trace =
-  let s0 = Runtime.Pool.stats pool in
-  let v = Runtime.Pool.run ?rebalance ?adaptive pool plan trace in
-  (v, run_stats ?adaptive s0 (Runtime.Pool.stats pool))
-
-let with_pool ~cores f =
-  let pool = Runtime.Pool.create ~cores () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) (fun () -> f pool)
-
-(* A run of [plan] on [pool] returns the verdicts and adds the stats that
-   the same run on a fresh pool does. *)
-let same_as_fresh label ?rebalance ?adaptive pool plan trace =
-  let v, st = pool_run ?rebalance ?adaptive pool plan trace in
-  let fv, fst =
-    with_pool ~cores:(Runtime.Pool.cores pool) (fun fresh ->
-        pool_run ?rebalance ?adaptive fresh plan trace)
-  in
-  Alcotest.(check bool) (label ^ ": verdicts as on a fresh pool") true (verdicts_equal fv v);
-  Alcotest.(check bool) (label ^ ": stats as on a fresh pool") true (st = fst)
+let with_pool ~cores f = Test_differential.with_pool (Test_differential.shape cores) f
 
 let test_three_runs_one_plan () =
   List.iter
@@ -140,11 +97,9 @@ let test_three_runs_one_plan () =
         (Maestro.Plan.strategy_name expected)
         (Maestro.Plan.strategy_name plan.Maestro.Plan.strategy);
       with_pool ~cores (fun pool ->
-          List.iteri
-            (fun k (seed, npkts) ->
-              same_as_fresh
-                (Printf.sprintf "%s run %d" name (k + 1))
-                pool plan (mixed_trace seed npkts 150))
+          List.iter
+            (fun (seed, npkts) ->
+              ignore (check_run pool name plan (mixed_trace seed npkts 150) : Runtime.Pool.stats))
             [ (61, 1_500); (62, 700); (63, 2_000) ]))
     [
       ("nat", `Auto, 2, Maestro.Plan.Shared_nothing);
@@ -177,14 +132,12 @@ let calm_skew_calm ~seed =
    static run after it must not see any of it. *)
 let test_rebalance_then_static () =
   let plan = registry_plan ~cores:4 "fw" in
-  let rebalance = Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 1024; threshold = 0.0 } in
   with_pool ~cores:4 (fun pool ->
-      let migrated () = (Runtime.Pool.stats pool).Runtime.Pool.migrated_flows in
-      same_as_fresh "static" pool plan (zipf_trace 81 ~pkts:3_000);
-      let before = migrated () in
-      same_as_fresh "rebalanced" ~rebalance pool plan (zipf_trace 82 ~pkts:6_144);
-      Alcotest.(check bool) "the rebalanced run migrated flows" true (migrated () > before);
-      same_as_fresh "static after rebalance" pool plan (zipf_trace 83 ~pkts:3_000))
+      let run ?policy seed pkts = check_run ?policy pool "fw" plan (zipf_trace seed ~pkts) in
+      let before = (run 81 3_000).Runtime.Pool.migrated_flows in
+      let after = (run ~policy:Test_differential.Rebalance 82 6_144).Runtime.Pool.migrated_flows in
+      Alcotest.(check bool) "the rebalanced run migrated flows" true (after > before);
+      ignore (run 83 3_000 : Runtime.Pool.stats))
 
 (* A crash mid-run restarts a worker (and, under SCR, rebuilds its replica
    by a reset and a replay of the digest log); the clean run after it
@@ -195,50 +148,45 @@ let test_crash_then_clean () =
       let plan = registry_plan ~cores:4 ~strategy "fw" in
       let label = Maestro.Plan.strategy_name plan.Maestro.Plan.strategy in
       with_pool ~cores:4 (fun pool ->
-          same_as_fresh (label ^ " before") pool plan (mixed_trace 91 1_500 150);
-          let trace = mixed_trace 92 1_500 150 in
+          let run ?fault seed = check_run ?fault pool "fw" plan (mixed_trace seed 1_500 150) in
+          ignore (run 91 : Runtime.Pool.stats);
           (match Faults.parse "crash@1:2" with
           | Ok p -> Faults.install p
           | Error e -> Alcotest.fail e);
-          let v = Fun.protect ~finally:Faults.clear (fun () -> Runtime.Pool.run pool plan trace) in
-          Alcotest.(check int) (label ^ ": one restart") 1
-            (Runtime.Pool.stats pool).Runtime.Pool.restarts;
-          let clean = with_pool ~cores:4 (fun fresh -> Runtime.Pool.run fresh plan trace) in
-          Alcotest.(check bool) (label ^ ": crashed run as a clean one") true (verdicts_equal clean v);
-          same_as_fresh (label ^ " after the crash") pool plan (mixed_trace 93 1_500 150)))
+          let s =
+            Fun.protect ~finally:Faults.clear (fun () -> run ~fault:Test_differential.Crash 92)
+          in
+          Alcotest.(check int) (label ^ ": one restart") 1 s.Runtime.Pool.restarts;
+          ignore (run 93 : Runtime.Pool.stats)))
     [ `Auto; `Force_scr ]
 
 (* An adaptive run binds its plan like a static run: adaptive, static,
    adaptive and adaptive runs of one plan on one pool each return what the
    same run returns on a fresh pool, whatever capacity and rung the run
-   before it left the binding at. *)
+   before it left the binding at.  The traces run LAN to WAN only, so the
+   lock rung agrees with the sequential NF too. *)
 let test_adaptive_on_bound_pool () =
-  let adaptive = Test_adaptive.pool_mode in
   List.iter
     (fun strategy ->
       let plan = registry_plan ~cores:4 ~strategy "fw" in
-      let label = Maestro.Plan.strategy_name plan.Maestro.Plan.strategy in
       with_pool ~cores:4 (fun pool ->
           List.iteri
-            (fun k adaptive ->
-              same_as_fresh
-                (Printf.sprintf "%s run %d" label (k + 1))
-                ?adaptive pool plan
-                (calm_skew_calm ~seed:(20 + (10 * k))))
-            [ Some adaptive; None; Some adaptive; Some adaptive ]))
+            (fun k policy ->
+              ignore
+                (check_run ~policy ~order_free:true pool "fw" plan
+                   (calm_skew_calm ~seed:(20 + (10 * k)))
+                  : Runtime.Pool.stats))
+            Test_differential.[ Adaptive; Static; Adaptive; Adaptive ]))
     [ `Auto; `Force_locks; `Force_scr ]
 
 (* Each run on a different plan replaces the pool's binding. *)
 let test_alternating_plans () =
-  let nat = registry_plan ~cores:2 "nat" in
-  let fw = registry_plan ~cores:1 ~strategy:`Force_locks "fw" in
+  let nat = ("nat", registry_plan ~cores:2 "nat") in
+  let fw = ("fw", registry_plan ~cores:1 ~strategy:`Force_locks "fw") in
   with_pool ~cores:2 (fun pool ->
       List.iteri
-        (fun k plan ->
-          same_as_fresh
-            (Printf.sprintf "alternating run %d" (k + 1))
-            pool plan
-            (mixed_trace (100 + k) 1_200 150))
+        (fun k (name, plan) ->
+          ignore (check_run pool name plan (mixed_trace (100 + k) 1_200 150) : Runtime.Pool.stats))
         [ nat; fw; nat; fw; fw; nat ])
 
 (* --- the pool's observable behaviour, pinned ------------------------------------ *)
@@ -424,6 +372,13 @@ let pinned_cases =
        rebalances 0/0 migrated 0/0/0 share [0.25;0.25;0.25;0.25] \
        assignment 6144/28561920 points [] scr 576/0/122880 switches 0/0 [] \
        residency []" );
+    ( "fw,fw", `Auto, `Rebalance, "",
+      "runs 1 batches 201 pkts 6144 stalls 0 per-core [1294;1662;1256;1932] \
+       dropped 0/0 [0;0;0;0] restarts 0 failed [] inline 0 \
+       rebalances 5/0 migrated 105/238/0 \
+       share [0.21061197916666666;0.2705078125;0.20442708333333334;0.314453125] \
+       assignment 6144/29597826 points [1024;2048;3072;4096;5120] scr 0/0/0 \
+       switches 0/0 [] residency []" );
     ( "fw", `Force_scr, `Adaptive, "",
       "runs 1 batches 1792 pkts 14336 stalls 0 per-core [3584;3584;3584;3584] \
        dropped 0/0 [0;0;0;0] restarts 0 failed [] inline 0 \
@@ -441,7 +396,14 @@ let test_pinned_stats () =
   let zipf = zipf_trace 82 ~pkts:6_144 and calm_skew = calm_skew_calm ~seed:7 in
   List.iter
     (fun (name, strategy, mode, fault, expect) ->
-      let plan = registry_plan ~cores:4 ~strategy name in
+      (* "a,b": the fused chain of registry NFs a and b *)
+      let plan =
+        match String.split_on_char ',' name with
+        | [ _ ] -> registry_plan ~cores:4 ~strategy name
+        | stages ->
+            plan_of ~cores:4 ~strategy
+              (Dsl.Chain.nf (Result.get_ok (Nfs.Registry.compose_chain stages)))
+      in
       let label =
         String.concat " "
           (List.filter (( <> ) "")
@@ -481,7 +443,7 @@ let test_pinned_stats () =
         (pinned_stats ~batches:(not write_off) stats);
       if not ((name = "nat" || strategy = `Force_locks) && mode <> `Adaptive) then
         Alcotest.(check bool) (label ^ ": verdicts == sequential") true
-          (verdicts_equal (Runtime.Parallel.run_sequential plan.Maestro.Plan.nf trace) v))
+          (Runtime.Parallel.run_sequential plan.Maestro.Plan.nf trace = v))
     pinned_cases
 
 (* --- per-batch locking -------------------------------------------------------- *)
@@ -500,12 +462,13 @@ let test_lock_once_per_batch () =
   Telemetry.reset ();
   Telemetry.enable ();
   Fun.protect ~finally:Telemetry.disable @@ fun () ->
-  with_pool ~cores:2 (fun pool ->
+  let pool = Runtime.Pool.create ~cores:2 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) (fun () ->
       let run label =
         let s0 = Runtime.Pool.stats pool and a0 = Telemetry.Counter.value c_acquisitions in
         let v = Runtime.Pool.run pool plan trace in
         let s1 = Runtime.Pool.stats pool in
-        Alcotest.(check bool) (label ^ ": verdicts") true (verdicts_equal seq v);
+        Alcotest.(check bool) (label ^ ": verdicts") true (seq = v);
         let batches = s1.Runtime.Pool.batches - s0.Runtime.Pool.batches in
         Alcotest.(check int) (label ^ ": one acquisition per batch") batches
           (Telemetry.Counter.value c_acquisitions - a0);
@@ -564,9 +527,7 @@ let test_raise_mid_batch_frees_lock () =
   | exception Dsl.Interp.Runtime_error _ -> ());
   let clean = trace (-1) in
   Alcotest.(check bool) "clean run after the raise == sequential" true
-    (verdicts_equal
-       (Runtime.Parallel.run_sequential raising_nf clean)
-       (Runtime.Pool.run pool plan clean))
+    (Runtime.Parallel.run_sequential raising_nf clean = Runtime.Pool.run pool plan clean)
 
 let suite =
   [

@@ -1,9 +1,10 @@
 (* Service-chain composition (Dsl.Chain): compose-time validation, the
    3-way differential (fused compiled closure ≡ composed-AST interpreter
    ≡ per-stage interpreter-composition oracle, verdicts AND op-event
-   streams), the joint-sharding outcomes of the shipped chains, and
-   chain execution on the supervised pool under injected crashes and
-   online rebalancing. *)
+   streams), the joint-sharding outcomes of the shipped chains, and the
+   differential harness's checks on a fused chain in the model and on the
+   supervised pool under injected crashes and online rebalancing (the
+   shipped chains are also targets of its random cells). *)
 
 open Dsl.Ast
 
@@ -235,54 +236,37 @@ let test_chain_stages_shard_alone () =
 
 (* --- the chain on the runtime ------------------------------------------------ *)
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
+let chain_plan ?(seed = Maestro.Pipeline.default_request.Maestro.Pipeline.seed) composed =
+  let request = { Maestro.Pipeline.default_request with cores = 4; seed } in
+  (Maestro.Pipeline.parallelize_exn ~request composed).Maestro.Pipeline.plan
 
 (* The composed chain behind Runtime.Parallel: the deterministic model's
    verdicts equal the sequential composed run, which differential3
    already tied to the per-stage oracle. *)
 let test_chain_parallel_model () =
   let chain = Nfs.Scenarios.chain_policer_fw_nat () in
-  let composed = Dsl.Chain.nf chain in
-  let request = { Maestro.Pipeline.default_request with cores = 4 } in
-  let plan = (Maestro.Pipeline.parallelize_exn ~request composed).Maestro.Pipeline.plan in
-  let trace = hostile_trace ~seed:53 4_000 in
-  let seq = Runtime.Parallel.run_sequential composed trace in
-  let par = Runtime.Parallel.run plan trace in
-  Alcotest.(check bool) "parallel model == sequential composed" true
-    (verdicts_equal seq par.Runtime.Parallel.verdicts)
+  let plan = chain_plan (Dsl.Chain.nf chain) in
+  ignore
+    (Test_differential.check_model_run chain.Dsl.Chain.name plan (hostile_trace ~seed:53 4_000)
+      : Runtime.Parallel.result)
 
 (* Crash/replay semantics hold for a fused chain: under a seeded fault
-   plan the supervised pool still reproduces the sequential composed
-   verdict for every packet (the chain landed on the SCR rung, where
-   pool verdicts are exactly sequential). *)
+   plan the supervised pool still agrees with the sequential composed
+   run. *)
 let test_chain_pool_fault_plan () =
   (match Faults.parse "crash@1:2; crash@2:5" with
   | Ok plan -> Faults.install plan
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Faults.clear @@ fun () ->
   let chain = Nfs.Scenarios.chain_policer_fw_nat () in
-  let composed = Dsl.Chain.nf chain in
-  let request = { Maestro.Pipeline.default_request with cores = 4; seed = 3 } in
-  let plan = (Maestro.Pipeline.parallelize_exn ~request composed).Maestro.Pipeline.plan in
-  let trace = hostile_trace ~seed:59 4_000 in
-  let seq = Runtime.Parallel.run_sequential composed trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let verdicts = Runtime.Pool.run pool plan trace in
-  let stats = Runtime.Pool.stats pool in
-  Alcotest.(check bool) "at least one restart" true (stats.Runtime.Pool.restarts >= 1);
-  Array.iteri
-    (fun i v ->
-      if v <> seq.(i) then Alcotest.failf "pool verdict %d diverges from sequential" i)
-    verdicts
+  let plan = chain_plan ~seed:3 (Dsl.Chain.nf chain) in
+  let shape = Test_differential.shape 4 in
+  Test_differential.with_pool shape @@ fun pool ->
+  let stats =
+    Test_differential.check_run ~fault:Test_differential.Crash shape pool chain.Dsl.Chain.name plan
+      (hostile_trace ~seed:59 4_000)
+  in
+  Alcotest.(check bool) "at least one restart" true (stats.Runtime.Pool.restarts >= 1)
 
 (* Online rebalancing migrates a fused chain's namespaced state exactly
    like a single NF's: fw→fw is shared-nothing with an exact migration
@@ -294,9 +278,7 @@ let test_chain_pool_rebalance () =
       [ Nfs.Registry.find_exn "fw"; Nfs.Registry.find_exn "fw" ]
   in
   let composed = Dsl.Chain.nf chain in
-  let cores = 4 in
-  let request = { Maestro.Pipeline.default_request with cores } in
-  let plan = (Maestro.Pipeline.parallelize_exn ~request composed).Maestro.Pipeline.plan in
+  let plan = chain_plan composed in
   Alcotest.(check bool) "fw->fw is shared-nothing" true
     (plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing);
   let rng = Random.State.make [| 0x9e1 |] in
@@ -304,16 +286,13 @@ let test_chain_pool_rebalance () =
   let fs = Traffic.Gen.flows rng 600 in
   let spec = { Traffic.Gen.default_spec with Traffic.Gen.pkts = 16_384; reply_fraction = 0.3 } in
   let trace = Traffic.Zipf.trace ~spec rng z ~flows:fs in
-  let seq = Runtime.Parallel.run_sequential composed trace in
-  let pool = Runtime.Pool.create ~cores () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let mode = Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 2048; threshold = 1.05 } in
-  let verdicts = Runtime.Pool.run ~rebalance:mode pool plan trace in
-  let stats = Runtime.Pool.stats pool in
-  Alcotest.(check bool) "verdicts identical to sequential composed" true
-    (verdicts_equal seq verdicts);
-  let mplan = Runtime.Balancer.migration_plan composed in
-  if Runtime.Balancer.exact mplan then begin
+  let shape = Test_differential.shape ~epoch:2048 ~threshold:1.05 4 in
+  Test_differential.with_pool shape @@ fun pool ->
+  let stats =
+    Test_differential.check_run ~policy:Test_differential.Rebalance shape pool
+      chain.Dsl.Chain.name plan trace
+  in
+  if Runtime.Balancer.exact (Runtime.Balancer.migration_plan composed) then begin
     Alcotest.(check bool) "balancer engaged" true (stats.Runtime.Pool.rebalances >= 1);
     Alcotest.(check bool) "chain state migrated" true (stats.Runtime.Pool.migrated_flows >= 1)
   end

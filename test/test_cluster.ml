@@ -1,5 +1,6 @@
 (* Cluster front tier: maglev table properties, machine-churn fault
-   events, and end-to-end tier runs against the sequential oracle. *)
+   events, and the rungs a tier refuses.  Tier runs under join, leave and
+   failure are the differential harness's cells. *)
 
 let with_fault_plan spec f =
   (match Faults.parse spec with
@@ -76,71 +77,6 @@ let small_config machines =
     request = { Maestro.Pipeline.default_request with cores = 2 };
   }
 
-let small_trace ?(flows = 128) ?(pkts = 2_048) seed =
-  let rng = Random.State.make [| seed |] in
-  let fs = Traffic.Gen.flows rng flows in
-  let spec = { Traffic.Gen.default_spec with Traffic.Gen.pkts } in
-  fst (Traffic.Gen.steady_uniform ~spec rng ~flows:fs)
-
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) ->
-             pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
-let test_tier_steady_matches_sequential () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = small_trace 11 in
-  match Cluster.Tier.build ~config:(small_config 3) nf with
-  | Error e -> Alcotest.fail e
-  | Ok tier ->
-      let verdicts, stats = Cluster.Tier.run tier trace in
-      Alcotest.(check bool) "verdicts = sequential" true
-        (verdicts_equal (Runtime.Parallel.run_sequential nf trace) verdicts);
-      Alcotest.(check int) "no dead hits" 0 stats.Cluster.Tier.dead_hits;
-      Alcotest.(check int) "no split flows" 0 stats.Cluster.Tier.affinity_violations;
-      Alcotest.(check int) "every packet matched" 0 stats.Cluster.Tier.unmatched;
-      Alcotest.(check int) "all machines up" 3
-        (List.length (Cluster.Tier.live_machines tier))
-
-let test_tier_survives_failure () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = small_trace 23 in
-  with_fault_plan "fail@1:1" @@ fun () ->
-  match Cluster.Tier.build ~config:(small_config 3) nf with
-  | Error e -> Alcotest.fail e
-  | Ok tier ->
-      Alcotest.(check bool) "fw admits digests" true (Cluster.Tier.scr_admissible tier);
-      let verdicts, stats = Cluster.Tier.run tier trace in
-      Alcotest.(check bool) "verdicts survive the crash" true
-        (verdicts_equal (Runtime.Parallel.run_sequential nf trace) verdicts);
-      Alcotest.(check int) "zero lost flows" 0 stats.Cluster.Tier.lost_flows;
-      Alcotest.(check bool) "rebuilt from digests" true
-        (stats.Cluster.Tier.rebuilt_flows > 0);
-      Alcotest.(check int) "dead machine serves nothing" 0 stats.Cluster.Tier.dead_hits;
-      Alcotest.(check (list int)) "survivors" [ 0; 2 ] (Cluster.Tier.live_machines tier)
-
-let test_tier_join_and_leave () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = small_trace 31 in
-  with_fault_plan "join@1:3;leave@2:0" @@ fun () ->
-  match Cluster.Tier.build ~config:(small_config 3) nf with
-  | Error e -> Alcotest.fail e
-  | Ok tier ->
-      let verdicts, stats = Cluster.Tier.run tier trace in
-      Alcotest.(check bool) "verdicts survive the churn" true
-        (verdicts_equal (Runtime.Parallel.run_sequential nf trace) verdicts);
-      Alcotest.(check int) "two events" 2 (List.length stats.Cluster.Tier.events);
-      Alcotest.(check bool) "migration happened" true (stats.Cluster.Tier.moved_flows > 0);
-      Alcotest.(check int) "nothing dropped" 0 stats.Cluster.Tier.dropped_flows;
-      Alcotest.(check (list int)) "final fleet" [ 1; 2; 3 ]
-        (Cluster.Tier.live_machines tier)
-
 let test_tier_rejects_shared_state_rungs () =
   let nf = Nfs.Registry.find_exn "fw" in
   let config =
@@ -162,9 +98,6 @@ let suite =
     Alcotest.test_case "machine events parse" `Quick test_machine_events_parse;
     Alcotest.test_case "machine events reject malformed" `Quick
       test_machine_events_reject_malformed;
-    Alcotest.test_case "tier steady = sequential" `Quick test_tier_steady_matches_sequential;
-    Alcotest.test_case "tier survives failure" `Quick test_tier_survives_failure;
-    Alcotest.test_case "tier join and leave" `Quick test_tier_join_and_leave;
     Alcotest.test_case "tier rejects shared-state rungs" `Quick
       test_tier_rejects_shared_state_rungs;
   ]

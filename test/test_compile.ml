@@ -269,28 +269,25 @@ let test_vpp_nat44_agrees_with_compiled () =
       Alcotest.(check bool) (Printf.sprintf "verdict %d" i) true same)
     vpp_verdicts
 
-(* Crash/replay semantics from PR 3 hold with the compiled path: under a
-   seeded fault plan the supervised pool (workers on compiled closures)
-   still reproduces the sequential interpreter verdict for every packet. *)
+(* Crash/replay semantics hold with the compiled path: under a seeded
+   fault plan the supervised pool (workers on compiled closures) still
+   agrees with the sequential interpreter, by the differential harness's
+   checks. *)
 let test_pool_fault_plan_differential () =
   (match Faults.parse "crash@1:2; crash@2:5" with
   | Ok plan -> Faults.install plan
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Faults.clear @@ fun () ->
   let w = Sim.Workload.read_heavy ~pkts:4_000 ~flows:400 "fw" in
-  let nf = w.Sim.Workload.nf in
   let request = { Maestro.Pipeline.default_request with cores = 4; seed = 3 } in
-  let plan = (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan in
-  let seq = Runtime.Parallel.run_sequential nf w.Sim.Workload.trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let verdicts = Runtime.Pool.run pool plan w.Sim.Workload.trace in
-  let stats = Runtime.Pool.stats pool in
-  Alcotest.(check bool) "at least one restart" true (stats.Runtime.Pool.restarts >= 1);
-  Array.iteri
-    (fun i v ->
-      if v <> seq.(i) then Alcotest.failf "pool verdict %d diverges from sequential" i)
-    verdicts
+  let plan = (Maestro.Pipeline.parallelize_exn ~request w.Sim.Workload.nf).Maestro.Pipeline.plan in
+  let shape = Test_differential.shape 4 in
+  Test_differential.with_pool shape @@ fun pool ->
+  let stats =
+    Test_differential.check_run ~fault:Test_differential.Crash shape pool "fw" plan
+      w.Sim.Workload.trace
+  in
+  Alcotest.(check bool) "at least one restart" true (stats.Runtime.Pool.restarts >= 1)
 
 (* The interp runner honours the dispatch switch: with [?compiled:false]
    the runner is the interpreter itself. *)

@@ -7,19 +7,9 @@
 
 let rng seed = Random.State.make [| seed |]
 
-let plan_of ?(cores = 4) name =
-  let request = { Maestro.Pipeline.default_request with cores } in
+let plan_of ?(cores = 4) ?(strategy = `Auto) name =
+  let request = { Maestro.Pipeline.default_request with cores; strategy } in
   (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn name)).Maestro.Pipeline.plan
-
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) -> pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
 
 let mixed_trace seed npkts nflows =
   let st = rng seed in
@@ -120,7 +110,7 @@ let test_crash_restart_preserves_equivalence () =
     let snap = Telemetry.snapshot () in
     (* the crashed batch was replayed inline before the respawn, so the
        per-core packet order — and therefore every verdict — is intact *)
-    Alcotest.(check bool) "verdicts == sequential across the crash" true (verdicts_equal seq v);
+    Alcotest.(check bool) "verdicts == sequential across the crash" true (seq = v);
     let s = Runtime.Pool.stats pool in
     Alcotest.(check int) "one restart" 1 s.Runtime.Pool.restarts;
     Alcotest.(check (list int)) "no permanent failure" [] s.Runtime.Pool.failed_cores;
@@ -151,7 +141,7 @@ let test_repeated_crashes_exhaust_restart_budget () =
   let v = Runtime.Pool.run pool plan trace in
   (* lossless: after the give-up the producer drained the ring inline *)
   Alcotest.(check bool) "verdicts == sequential across permanent failure" true
-    (verdicts_equal seq v);
+    (seq = v);
   let s = Runtime.Pool.stats pool in
   Alcotest.(check int) "restart budget spent" 2 s.Runtime.Pool.restarts;
   Alcotest.(check (list int)) "core 1 failed permanently" [ 1 ] s.Runtime.Pool.failed_cores;
@@ -163,36 +153,51 @@ let test_repeated_crashes_exhaust_restart_budget () =
 
 (* --- permanent failure -> indirection-table remap ---------------------------- *)
 
+(* fw's packets all hash; gre_peer keys on tunnel ids that no field set
+   matches, so its packets take the unhashed route, which must leave a
+   written-off core 0 as the hashed ones do *)
 let test_failed_core_buckets_migrate () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = mixed_trace 73 1500 150 in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let plan = plan_of ~cores:4 "fw" in
-  with_pool ~cores:4 ~supervisor:no_restart_supervisor @@ fun pool ->
-  (* run 1: core 1 dies on its first batch and is written off *)
-  (with_fault_plan "crash@1:0x1000000" @@ fun () ->
-   ignore (Runtime.Pool.run pool plan trace));
-  Alcotest.(check (list int)) "core 1 failed" [ 1 ] (Runtime.Pool.failed_cores pool);
-  (* run 2, faults cleared: the RETA is remapped, so every packet lands on
-     a live core — the dead core serves exactly zero packets *)
-  Telemetry.reset ();
-  Telemetry.enable ();
-  let v = Runtime.Pool.run pool plan trace in
-  Telemetry.disable ();
-  let snap = Telemetry.snapshot () in
-  let s = Runtime.Pool.stats pool in
-  Alcotest.(check int) "dead core serves nothing" 0 s.Runtime.Pool.last_per_core_pkts.(1);
-  Alcotest.(check int) "every packet on exactly one live core" (Array.length trace)
-    (Array.fold_left ( + ) 0 s.Runtime.Pool.last_per_core_pkts);
-  Array.iteri
-    (fun core n ->
-      if core <> 1 then
-        Alcotest.(check bool) (Printf.sprintf "live core %d used" core) true (n > 0))
-    s.Runtime.Pool.last_per_core_pkts;
-  Alcotest.(check bool) "remap counted" true (counter_value snap "pool.reta_remaps" >= 1);
-  (* flow state still shards correctly: the migrated flows behave as
-     sequentially (fw state is flow-local, and whole buckets moved) *)
-  Alcotest.(check bool) "verdicts == sequential after failover" true (verdicts_equal seq v)
+  List.iter
+    (fun (name, strategy, cores, dead, trace) ->
+      let label = Printf.sprintf "%s, core %d" name dead in
+      let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn name) trace in
+      let plan = plan_of ~cores ~strategy name in
+      with_pool ~cores ~supervisor:no_restart_supervisor @@ fun pool ->
+      (* run 1: the core dies on its first batch and is written off *)
+      (with_fault_plan (Printf.sprintf "crash@%d:0x1000000" dead) @@ fun () ->
+       ignore (Runtime.Pool.run pool plan trace));
+      Alcotest.(check (list int)) (label ^ " failed") [ dead ] (Runtime.Pool.failed_cores pool);
+      (* run 2, faults cleared: the RETA is remapped, so every packet lands
+         on a live core — the dead core serves exactly zero packets *)
+      Telemetry.reset ();
+      Telemetry.enable ();
+      let v = Runtime.Pool.run pool plan trace in
+      Telemetry.disable ();
+      let snap = Telemetry.snapshot () in
+      let s = Runtime.Pool.stats pool in
+      Alcotest.(check int) (label ^ ": dead core serves nothing") 0
+        s.Runtime.Pool.last_per_core_pkts.(dead);
+      Alcotest.(check int) (label ^ ": every packet on exactly one live core") (Array.length trace)
+        (Array.fold_left ( + ) 0 s.Runtime.Pool.last_per_core_pkts);
+      if name = "fw" then
+        Array.iteri
+          (fun core n ->
+            if core <> dead then
+              Alcotest.(check bool) (Printf.sprintf "live core %d used" core) true (n > 0))
+          s.Runtime.Pool.last_per_core_pkts;
+      Alcotest.(check bool) (label ^ ": remap counted") true
+        (counter_value snap "pool.reta_remaps" >= 1);
+      (* flow state still shards correctly: the migrated flows behave as
+         sequentially (fw state is flow-local, and whole buckets moved) *)
+      Alcotest.(check bool) (label ^ ": verdicts == sequential after failover") true (seq = v))
+    [
+      ("fw", `Auto, 4, 1, mixed_trace 73 1500 150);
+      ( "gre_peer",
+        `Force_locks,
+        2,
+        0,
+        Traffic.Gen.encapsulate Packet.Pkt.Gre (mixed_trace 73 2000 150) );
+    ]
 
 (* --- backpressure: full rings and dead consumers ----------------------------- *)
 
@@ -222,7 +227,7 @@ let test_stalled_consumer_terminates () =
       match bp with
       | Runtime.Pool.Block ->
           (* lossless: blocking waited the stall out *)
-          Alcotest.(check bool) "block: verdicts == sequential" true (verdicts_equal seq v);
+          Alcotest.(check bool) "block: verdicts == sequential" true (seq = v);
           Alcotest.(check int) "block: no drops" 0 s.Runtime.Pool.dropped_batches
       | Runtime.Pool.Drop _ | Runtime.Pool.Shed ->
           Alcotest.(check bool) (name ^ ": drops counted") true (s.Runtime.Pool.dropped_batches > 0);
@@ -278,7 +283,7 @@ let test_dead_consumer_terminates () =
       Alcotest.(check bool) (name ^ ": drained inline") true (s.Runtime.Pool.inline_batches >= 1);
       if bp = Runtime.Pool.Block then
         (* nothing was dropped on the way to the failover *)
-        Alcotest.(check bool) (name ^ ": verdicts == sequential") true (verdicts_equal seq v)
+        Alcotest.(check bool) (name ^ ": verdicts == sequential") true (seq = v)
       else begin
         (* detection is racy under drop/shed (batches can be shed before
            the death is noticed), so only the accounting is asserted *)
@@ -301,7 +306,7 @@ let test_stuck_worker_detected () =
   let v = Runtime.Pool.run pool plan trace in
   (* a stuck-but-live domain cannot be preempted: the supervisor flags it
      and the run completes once the stall clears *)
-  Alcotest.(check bool) "verdicts == sequential" true (verdicts_equal seq v);
+  Alcotest.(check bool) "verdicts == sequential" true (seq = v);
   Alcotest.(check bool) "stuck event recorded" true
     (List.exists
        (function Runtime.Supervisor.Stuck { core = 1; _ } -> true | _ -> false)
@@ -355,7 +360,7 @@ let test_too_many_cores_degrades_to_serial () =
   let seq = Runtime.Parallel.run_sequential nf trace in
   let par = Runtime.Parallel.run o.Maestro.Pipeline.plan trace in
   Alcotest.(check bool) "serial == sequential" true
-    (verdicts_equal seq par.Runtime.Parallel.verdicts)
+    (seq = par.Runtime.Parallel.verdicts)
 
 let test_undegraded_ladder_keeps_top_rung () =
   let o = Maestro.Pipeline.parallelize_exn (Nfs.Registry.find_exn "fw") in

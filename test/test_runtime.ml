@@ -1,5 +1,8 @@
-(* Semantic-equivalence tests: the heart of the paper's claim.  Generated
-   parallel NFs must behave like their sequential versions. *)
+(* The runtime's parts one by one: the deterministic model's statistics,
+   the pool's ring, producer, stats and errors, the reader-writer lock and
+   the supervisor's policy.  Whether a parallel run agrees with the
+   sequential NF is the differential harness's question; the equivalence
+   cases here are its checks on fixed plans and traces. *)
 
 let rng seed = Random.State.make [| seed |]
 
@@ -13,17 +16,6 @@ let plan_of ?(cores = 8) ?strategy name =
   in
   (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn name)).Maestro.Pipeline.plan
 
-let verdicts_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         match (x, y) with
-         | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> true
-         | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) ->
-             pa = pb && Packet.Pkt.equal oa ob
-         | _ -> false)
-       a b
-
 let mixed_trace seed npkts nflows =
   let st = rng seed in
   let flows = Traffic.Gen.flows st nflows in
@@ -31,70 +23,31 @@ let mixed_trace seed npkts nflows =
     ~spec:{ Traffic.Gen.default_spec with pkts = npkts }
     st ~flows
 
-(* --- shared-nothing equivalence ------------------------------------------ *)
+(* --- equivalence on the deterministic model ---------------------------------- *)
 
-let check_equivalence name trace =
-  let nf = Nfs.Registry.find_exn name in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let plan = plan_of name in
-  let par = Runtime.Parallel.run plan trace in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: parallel == sequential" name)
-    true
-    (verdicts_equal seq par.Runtime.Parallel.verdicts)
+let model_equivalence ?(cores = 8) ?strategy ~rung name trace () =
+  let plan = plan_of ~cores ?strategy name in
+  Alcotest.(check string)
+    (name ^ " rung") (Maestro.Plan.strategy_name rung)
+    (Maestro.Plan.strategy_name plan.Maestro.Plan.strategy);
+  ignore (Test_differential.check_model_run name plan trace : Runtime.Parallel.result)
 
-let test_fw_equivalence () = check_equivalence "fw" (mixed_trace 11 4000 300)
-let test_policer_equivalence () = check_equivalence "policer" (mixed_trace 12 4000 300)
-let test_psd_equivalence () = check_equivalence "psd" (mixed_trace 13 4000 300)
-let test_cl_equivalence () = check_equivalence "cl" (mixed_trace 14 4000 300)
-let test_nop_equivalence () = check_equivalence "nop" (mixed_trace 15 2000 100)
-let test_sbridge_lb_mode () = check_equivalence "sbridge" (mixed_trace 16 1000 50)
+let sharded name seed =
+  model_equivalence ~rung:Maestro.Plan.Shared_nothing name (mixed_trace seed 4000 300)
 
-(* Lock-based and TM plans serialize on shared state: equivalence holds for
-   every NF, including the ones that cannot shard. *)
-let test_lock_based_equivalence () =
-  List.iter
-    (fun name ->
-      let nf = Nfs.Registry.find_exn name in
-      let trace = mixed_trace 17 2000 200 in
-      let seq = Runtime.Parallel.run_sequential nf trace in
-      let plan = plan_of ~strategy:`Force_locks name in
-      let par = Runtime.Parallel.run plan trace in
-      Alcotest.(check bool) (name ^ " lock-based == sequential") true
-        (verdicts_equal seq par.Runtime.Parallel.verdicts))
-    [ "fw"; "dbridge"; "lb"; "nat"; "cl" ]
-
-let test_tm_equivalence () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = mixed_trace 18 2000 200 in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let plan = plan_of ~strategy:`Force_tm "fw" in
-  let par = Runtime.Parallel.run plan trace in
-  Alcotest.(check bool) "tm == sequential" true (verdicts_equal seq par.Runtime.Parallel.verdicts);
-  Alcotest.(check int) "rw sets recorded" (Array.length trace)
-    (List.length par.Runtime.Parallel.stats.Runtime.Parallel.tm_rw_sets)
+let test_fw_equivalence = sharded "fw" 11
+let test_policer_equivalence = sharded "policer" 12
+let test_psd_equivalence = sharded "psd" 13
+let test_cl_equivalence = sharded "cl" 14
+let test_nop_equivalence =
+  model_equivalence ~rung:Maestro.Plan.Load_balance "nop" (mixed_trace 15 2000 100)
+let test_sbridge_lb_mode =
+  model_equivalence ~rung:Maestro.Plan.Load_balance "sbridge" (mixed_trace 16 1000 50)
 
 (* NAT: ports may be allocated differently per core, so equivalence is
    behavioral: same forward/drop pattern and replies restored correctly. *)
-let test_nat_behavioral_equivalence () =
-  let nf = Nfs.Registry.find_exn "nat" in
-  let trace = mixed_trace 19 3000 250 in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let plan = plan_of "nat" in
-  let par = (Runtime.Parallel.run plan trace).Runtime.Parallel.verdicts in
-  Array.iteri
-    (fun i (a, b) ->
-      match (a, b) with
-      | Dsl.Interp.Dropped, Dsl.Interp.Dropped -> ()
-      | Dsl.Interp.Fwd (pa, oa), Dsl.Interp.Fwd (pb, ob) ->
-          Alcotest.(check int) "same direction" pa pb;
-          (* replies towards the LAN must restore identical client headers *)
-          if pa = 0 then begin
-            Alcotest.(check int) "client ip" oa.Packet.Pkt.ip_dst ob.Packet.Pkt.ip_dst;
-            Alcotest.(check int) "client port" oa.Packet.Pkt.dst_port ob.Packet.Pkt.dst_port
-          end
-      | _ -> Alcotest.fail (Printf.sprintf "verdict %d diverged" i))
-    (Array.map2 (fun a b -> (a, b)) seq par)
+let test_nat_behavioral_equivalence =
+  model_equivalence ~rung:Maestro.Plan.Shared_nothing "nat" (mixed_trace 19 3000 250)
 
 (* Write/read packet classification feeds the §6.4 performance stories. *)
 let test_lock_stats_read_heavy () =
@@ -138,59 +91,70 @@ let test_dispatch_spreads_over_cores () =
     (fun i c -> Alcotest.(check bool) (Printf.sprintf "core %d used" i) true (c > 0))
     counts
 
-let test_dynamic_rebalance_reduces_imbalance () =
-  let st = rng 31 in
-  let z = Traffic.Zipf.paper () in
-  let fs = Traffic.Gen.flows st 1000 in
-  let spec = { Traffic.Gen.default_spec with Traffic.Gen.pkts = 12_000; reply_fraction = 0.0 } in
-  let trace = Traffic.Zipf.trace ~spec st z ~flows:fs in
-  let plan = plan_of ~cores:8 "fw" in
-  let r = Runtime.Rebalance.study_exn plan trace ~epoch_pkts:3000 in
-  Alcotest.(check int) "epochs" 4 r.Runtime.Rebalance.epochs;
-  (* the first epoch has no observations yet: identical *)
-  Alcotest.(check (float 0.0001)) "epoch 0 identical"
-    r.Runtime.Rebalance.static_imbalance.(0)
-    r.Runtime.Rebalance.dynamic_imbalance.(0);
-  (* afterwards the rebalanced tables are at least as even *)
-  for e = 1 to r.Runtime.Rebalance.epochs - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "epoch %d no worse" e)
-      true
-      (r.Runtime.Rebalance.dynamic_imbalance.(e)
-      <= r.Runtime.Rebalance.static_imbalance.(e) +. 0.05)
-  done;
-  Alcotest.(check bool) "some epoch strictly better" true
-    (Array.exists2
-       (fun d s -> d < s -. 0.1)
-       r.Runtime.Rebalance.dynamic_imbalance r.Runtime.Rebalance.static_imbalance);
-  Alcotest.(check bool) "migrations counted" true (r.Runtime.Rebalance.migrated_buckets > 0)
+(* --- equivalence on worker domains ------------------------------------------ *)
 
-(* --- real domains ---------------------------------------------------------- *)
+(* L2 frames between 64 stations: the static bridge only reads its table,
+   so no order of lock acquisitions can change a verdict *)
+let l2_trace seed n =
+  let st = rng seed in
+  Array.init n (fun i ->
+      Packet.Pkt.make ~port:(i mod 2)
+        ~eth_src:(0x02_00_00_00_10_00 + Random.State.int st 64)
+        ~eth_dst:(0x02_00_00_00_10_00 + Random.State.int st 64)
+        ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4 ())
+
+(* [runs] traces of [name]'s plan, one after the other on one pool of
+   [shape], each checked by the differential harness: against the
+   sequential NF and, from the second on, against a pool spawned for it *)
+let pool_runs ?strategy ?order_free shape name traces =
+  let plan = plan_of ~cores:shape.Test_differential.cores ?strategy name in
+  Test_differential.with_pool shape (fun pool ->
+      List.iter
+        (fun trace ->
+          ignore
+            (Test_differential.check_run ?order_free shape pool name plan trace
+              : Runtime.Pool.stats))
+        traces)
 
 let test_domains_shared_nothing_equivalence () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = mixed_trace 24 1500 150 in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let plan = plan_of ~cores:4 "fw" in
-  let par = Runtime.Domains.run_shared_nothing plan trace in
-  Alcotest.(check bool) "domains == sequential" true (verdicts_equal seq par)
+  pool_runs (Test_differential.shape 4) "fw" [ mixed_trace 24 1500 150 ]
 
 let test_domains_lock_based_equivalence () =
-  (* dbridge writes on most packets: the conservative discipline serializes
-     them, so verdicts match the deterministic run *)
-  let nf = Nfs.Registry.find_exn "sbridge" in
-  let st = rng 25 in
-  let pkts =
-    Array.init 500 (fun i ->
-        Packet.Pkt.make ~port:(i mod 2)
-          ~eth_src:(0x02_00_00_00_10_00 + Random.State.int st 64)
-          ~eth_dst:(0x02_00_00_00_10_00 + Random.State.int st 64)
-          ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4 ())
+  pool_runs ~strategy:`Force_locks ~order_free:true (Test_differential.shape 4) "sbridge"
+    [ l2_trace 25 500 ]
+
+(* A persistent pool's second run of a trace returns what a pool spawned
+   for that run alone does, and what the sequential NF does. *)
+let test_pool_matches_spawning_shared_nothing () =
+  let trace = mixed_trace 41 1500 150 in
+  pool_runs (Test_differential.shape 4) "fw" [ trace; trace ]
+
+let test_pool_matches_spawning_lock_based () =
+  let trace = l2_trace 42 600 in
+  pool_runs ~strategy:`Force_locks ~order_free:true (Test_differential.shape 4) "sbridge"
+    [ trace; trace ]
+
+(* batch size must not change behavior: 1 (degenerate), 32 (default),
+   7 (odd, exercises the ragged final batch).  Under a one-slot ring the
+   producer stalls mid-stream and the index lanes wrap many times per
+   run; the harness checks that streaming cuts each core's packets into
+   ceil(n / batch) batches. *)
+let test_pool_batch_sizes () =
+  let trace = mixed_trace 44 900 120 in
+  List.iter
+    (fun (batch, ring) -> pool_runs (Test_differential.shape ~batch ~ring 3) "policer" [ trace ])
+    [ (1, 1024); (32, 1024); (7, 1024); (7, 1); (32, 1) ]
+
+(* Lanes are sized per run and reused across runs: a long run on a
+   one-slot ring (lanes wrap), a short one, a long one again, on both
+   lane executors (bare shared-nothing and the lock discipline). *)
+let test_pool_lanes_across_runs () =
+  let traces =
+    List.map (fun (seed, npkts) -> mixed_trace seed npkts 80) [ (47, 2000); (48, 37); (49, 1500) ]
   in
-  let seq = Runtime.Parallel.run_sequential nf pkts in
-  let plan = plan_of ~cores:4 ~strategy:`Force_locks "sbridge" in
-  let par = Runtime.Domains.run_lock_based plan pkts in
-  Alcotest.(check bool) "domain locks == sequential" true (verdicts_equal seq par)
+  let shape = Test_differential.shape ~batch:4 ~ring:1 3 in
+  pool_runs shape "fw" traces;
+  pool_runs ~strategy:`Force_locks ~order_free:true shape "sbridge" traces
 
 (* --- persistent domain pool ------------------------------------------------ *)
 
@@ -248,105 +212,6 @@ let test_pool_ring_spsc_stress () =
   done;
   Alcotest.(check int) "all values crossed in order" (n * (n - 1) / 2) (Domain.join consumer)
 
-(* The acceptance criterion: the pool produces identical verdicts to the
-   spawn-per-run path (and to sequential execution) for shared-nothing,
-   lock-based, and TM plans. *)
-let test_pool_matches_spawning_shared_nothing () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = mixed_trace 41 1500 150 in
-  let plan = plan_of ~cores:4 "fw" in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let spawning = Runtime.Domains.run_shared_nothing_spawning plan trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let pooled = Runtime.Pool.run pool plan trace in
-  Alcotest.(check bool) "pool == spawning" true (verdicts_equal spawning pooled);
-  Alcotest.(check bool) "pool == sequential" true (verdicts_equal seq pooled)
-
-let test_pool_matches_spawning_lock_based () =
-  let nf = Nfs.Registry.find_exn "sbridge" in
-  let st = rng 42 in
-  let pkts =
-    Array.init 600 (fun i ->
-        Packet.Pkt.make ~port:(i mod 2)
-          ~eth_src:(0x02_00_00_00_10_00 + Random.State.int st 64)
-          ~eth_dst:(0x02_00_00_00_10_00 + Random.State.int st 64)
-          ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4 ())
-  in
-  let plan = plan_of ~cores:4 ~strategy:`Force_locks "sbridge" in
-  let seq = Runtime.Parallel.run_sequential nf pkts in
-  let spawning = Runtime.Domains.run_lock_based_spawning plan pkts in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let pooled = Runtime.Pool.run pool plan pkts in
-  Alcotest.(check bool) "pool == spawning" true (verdicts_equal spawning pooled);
-  Alcotest.(check bool) "pool == sequential" true (verdicts_equal seq pooled)
-
-let test_pool_tm_equivalence () =
-  (* Real-domain lock/TM disciplines serialize writes in acquisition order,
-     which can differ from arrival order across cores (as on hardware), so
-     the comparison trace must be order-insensitive: LAN->WAN fw traffic is
-     always forwarded, whatever the flow table holds. *)
-  let nf = Nfs.Registry.find_exn "fw" in
-  let st = rng 43 in
-  let flows = Traffic.Gen.flows st 150 in
-  let trace =
-    Traffic.Gen.uniform
-      ~spec:{ Traffic.Gen.default_spec with pkts = 1200; reply_fraction = 0.0 }
-      st ~flows
-  in
-  let plan = plan_of ~cores:4 ~strategy:`Force_tm "fw" in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let spawning = Runtime.Domains.run_lock_based_spawning plan trace in
-  let pooled = Runtime.Domains.run_tm plan trace in
-  Alcotest.(check bool) "tm on pool == sequential" true (verdicts_equal seq pooled);
-  Alcotest.(check bool) "tm on pool == spawn-per-run" true (verdicts_equal spawning pooled)
-
-let test_pool_batch_sizes () =
-  (* batch size must not change behavior: 1 (degenerate), 32 (default),
-     7 (odd, exercises the ragged final batch).  Under a one-slot ring the
-     producer stalls mid-stream and the index lanes wrap many times per
-     run.  Streaming cuts each core's packets into the same batches as
-     chunking its whole queue would: ceil(n / batch) per core. *)
-  let nf = Nfs.Registry.find_exn "policer" in
-  let trace = mixed_trace 44 900 120 in
-  let plan = plan_of ~cores:3 "policer" in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  List.iter
-    (fun (bs, ring_capacity) ->
-      let pool = Runtime.Pool.create ~batch_size:bs ~ring_capacity ~cores:3 () in
-      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-      let v = Runtime.Pool.run pool plan trace in
-      let name = Printf.sprintf "batch=%d ring=%d" bs ring_capacity in
-      Alcotest.(check bool) (name ^ " == sequential") true (verdicts_equal seq v);
-      let s = Runtime.Pool.stats pool in
-      let batches n = (n + bs - 1) / bs in
-      Alcotest.(check int) (name ^ ": per-core batches")
-        (Array.fold_left (fun acc n -> acc + batches n) 0 s.Runtime.Pool.last_per_core_pkts)
-        s.Runtime.Pool.batches)
-    [ (1, 1024); (32, 1024); (7, 1024); (7, 1); (32, 1) ]
-
-(* Lanes are sized per run and reused across runs: a long run on a
-   one-slot ring (lanes wrap), a short one, a long one again, on both
-   lane executors (bare shared-nothing and the lock discipline). *)
-let test_pool_lanes_across_runs () =
-  List.iter
-    (fun (name, strategy) ->
-      let nf = Nfs.Registry.find_exn name in
-      let plan = plan_of ~cores:3 ?strategy name in
-      let pool = Runtime.Pool.create ~batch_size:4 ~ring_capacity:1 ~cores:3 () in
-      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-      List.iter
-        (fun (seed, npkts) ->
-          let trace = mixed_trace seed npkts 80 in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %d pkts == sequential" name npkts)
-            true
-            (verdicts_equal (Runtime.Parallel.run_sequential nf trace)
-               (Runtime.Pool.run pool plan trace)))
-        [ (47, 2000); (48, 37); (49, 1500) ])
-    [ ("fw", None); ("sbridge", Some `Force_locks) ]
-
 (* The producer hashes and enqueues without allocating: what it allocates
    on the minor heap per run does not grow with the trace. *)
 let test_pool_producer_allocation () =
@@ -378,7 +243,7 @@ let test_pool_reuse_and_stats () =
   (* same pool, many runs: domains are not respawned, results stay right *)
   for _ = 1 to 3 do
     let v = Runtime.Pool.run pool plan trace in
-    Alcotest.(check bool) "reused pool == sequential" true (verdicts_equal seq v)
+    Alcotest.(check bool) "reused pool == sequential" true (seq = v)
   done;
   let s = Runtime.Pool.stats pool in
   Alcotest.(check int) "runs counted" 3 s.Runtime.Pool.runs;
@@ -433,8 +298,7 @@ let test_pool_rejects_unknown_port () =
   List.iter
     (fun (label, run) ->
       Alcotest.check_raises label error (fun () -> ignore (run bad));
-      Alcotest.(check bool) (label ^ ": a clean run after it == sequential") true
-        (verdicts_equal seq (run trace)))
+      Alcotest.(check bool) (label ^ ": a clean run after it == sequential") true (seq = run trace))
     [
       ("static", Runtime.Pool.run pool plan);
       ( "rebalance",
@@ -578,12 +442,8 @@ let prop_shared_nothing_equivalence =
   QCheck.Test.make ~name:"fw shared-nothing equivalence on random traces" ~count:10
     QCheck.(pair (int_range 0 10000) (int_range 2 16))
     (fun (seed, cores) ->
-      let nf = Nfs.Registry.find_exn "fw" in
-      let trace = mixed_trace seed 800 100 in
-      let seq = Runtime.Parallel.run_sequential nf trace in
-      let plan = plan_of ~cores "fw" in
-      let par = Runtime.Parallel.run plan trace in
-      verdicts_equal seq par.Runtime.Parallel.verdicts)
+      model_equivalence ~cores ~rung:Maestro.Plan.Shared_nothing "fw" (mixed_trace seed 800 100) ();
+      true)
 
 let suite =
   [
@@ -593,15 +453,11 @@ let suite =
     Alcotest.test_case "cl shared-nothing equivalence" `Quick test_cl_equivalence;
     Alcotest.test_case "nop equivalence" `Quick test_nop_equivalence;
     Alcotest.test_case "sbridge load-balance equivalence" `Quick test_sbridge_lb_mode;
-    Alcotest.test_case "lock-based equivalence (all NFs)" `Quick test_lock_based_equivalence;
-    Alcotest.test_case "tm equivalence" `Quick test_tm_equivalence;
     Alcotest.test_case "nat behavioral equivalence" `Quick test_nat_behavioral_equivalence;
     Alcotest.test_case "fw lock stats are read-heavy" `Quick test_lock_stats_read_heavy;
     Alcotest.test_case "policer lock stats are write-heavy" `Quick
       test_policer_lock_stats_write_heavy;
     Alcotest.test_case "dispatch spreads over cores" `Quick test_dispatch_spreads_over_cores;
-    Alcotest.test_case "dynamic rebalance reduces imbalance" `Quick
-      test_dynamic_rebalance_reduces_imbalance;
     Alcotest.test_case "domains shared-nothing equivalence" `Quick
       test_domains_shared_nothing_equivalence;
     Alcotest.test_case "domains lock-based equivalence" `Quick
@@ -612,7 +468,6 @@ let suite =
       test_pool_matches_spawning_shared_nothing;
     Alcotest.test_case "pool == spawning (lock-based)" `Quick
       test_pool_matches_spawning_lock_based;
-    Alcotest.test_case "pool tm equivalence" `Quick test_pool_tm_equivalence;
     Alcotest.test_case "pool batch sizes 1/32/7" `Quick test_pool_batch_sizes;
     Alcotest.test_case "pool lanes across runs" `Quick test_pool_lanes_across_runs;
     Alcotest.test_case "pool producer allocation flat" `Quick test_pool_producer_allocation;

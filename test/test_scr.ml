@@ -1,11 +1,11 @@
 (* State-compute replication: the digest/replay machinery must be
-   observationally invisible.  Differential tests drive SCR execution —
-   manual lockstep, the deterministic {!Runtime.Parallel} model and the
-   real domain pool (including under an injected fault plan) — against
-   the sequential interpreter oracle, checking verdicts, op-event
-   streams AND final replica state on the NF's write set.  A qcheck
-   property pins the core algebra: digest-apply ∘ digest-derive is the
-   identity on the write set for every shipped NF. *)
+   observationally invisible.  A manual lockstep drives SCR replicas
+   against the sequential interpreter oracle, checking verdicts, op-event
+   streams AND final replica state on the NF's write set; the model and
+   the pool, crashes included, are the differential harness's cells, run
+   here on fixed hostile traces too.  A
+   qcheck property pins the core algebra: digest-apply ∘ digest-derive is
+   the identity on the write set for every shipped NF. *)
 
 let ops_pp fmt (e : Dsl.Interp.op_event) =
   Format.fprintf fmt "%s(%b,%d)" e.Dsl.Interp.obj e.Dsl.Interp.write e.Dsl.Interp.expired
@@ -21,8 +21,6 @@ let hostile_trace ~seed n =
         ~dst_port:(Random.State.int rng 4)
         ~ts_ns:(i * Random.State.int rng 5_000_000)
         ())
-
-let verdicts_equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
 
 let writers () =
   List.filter
@@ -146,22 +144,19 @@ let scr_plan ?(cores = 4) name =
   let request = { Maestro.Pipeline.default_request with cores; strategy = `Force_scr } in
   Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn name)
 
+(* the harness's model check: verdicts equal the sequential NF's and the
+   round-robin spray balances the cores to within a packet *)
 let test_parallel_model_matches_oracle () =
   List.iter
     (fun name ->
-      let nf = Nfs.Registry.find_exn name in
-      let trace = hostile_trace ~seed:17 2_500 in
       let o = scr_plan name in
       Alcotest.(check string)
         (name ^ " strategy") "state-compute-replication"
         (Maestro.Plan.strategy_name o.Maestro.Pipeline.plan.Maestro.Plan.strategy);
-      let seq = Runtime.Parallel.run_sequential nf trace in
-      let par = Runtime.Parallel.run o.Maestro.Pipeline.plan trace in
-      Alcotest.(check bool)
-        (name ^ " verdicts == sequential")
-        true
-        (verdicts_equal seq par.Runtime.Parallel.verdicts);
-      (* round-robin spray: shares balanced by construction *)
+      let par =
+        Test_differential.check_model_run name o.Maestro.Pipeline.plan
+          (hostile_trace ~seed:17 2_500)
+      in
       Alcotest.(check bool)
         (name ^ " balanced")
         true
@@ -193,22 +188,6 @@ let test_auto_takes_scr_rung_for_blocked_nfs () =
 
 (* --- the real domain pool ----------------------------------------------------- *)
 
-let test_pool_scr_differential () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = hostile_trace ~seed:29 4_000 in
-  let o = scr_plan "fw" in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let verdicts = Runtime.Pool.run pool o.Maestro.Pipeline.plan trace in
-  Alcotest.(check bool) "pool scr verdicts == sequential" true (verdicts_equal seq verdicts);
-  let s = Runtime.Pool.stats pool in
-  (* 125 batches broadcast to 3 non-owners each *)
-  Alcotest.(check int) "replays scheduled" (125 * 3) s.Runtime.Pool.scr_replays;
-  Alcotest.(check bool) "digest bytes accounted" true (s.Runtime.Pool.scr_digest_bytes > 0);
-  Alcotest.(check int) "no rebuilds without faults" 0 s.Runtime.Pool.scr_rebuilds;
-  Alcotest.(check int) "nothing dropped" 0 s.Runtime.Pool.dropped_batches
-
 (* Crash mid-epoch under an injected fault plan: the respawned worker
    must rebuild its replica from the digest stream before rejoining, and
    verdicts must still equal the sequential oracle. *)
@@ -217,19 +196,15 @@ let test_pool_scr_fault_plan () =
   | Ok plan -> Faults.install plan
   | Error e -> Alcotest.fail e);
   Fun.protect ~finally:Faults.clear @@ fun () ->
-  let nf = Nfs.Registry.find_exn "fw" in
-  let trace = hostile_trace ~seed:31 4_000 in
-  let o = scr_plan "fw" in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let verdicts = Runtime.Pool.run pool o.Maestro.Pipeline.plan trace in
-  let s = Runtime.Pool.stats pool in
+  let shape = Test_differential.shape 4 in
+  Test_differential.with_pool shape @@ fun pool ->
+  let s =
+    Test_differential.check_run ~fault:Test_differential.Crash shape pool "fw"
+      (scr_plan "fw").Maestro.Pipeline.plan (hostile_trace ~seed:31 4_000)
+  in
   Alcotest.(check bool) "at least one restart" true (s.Runtime.Pool.restarts >= 1);
   Alcotest.(check bool) "replicas rebuilt from the digest stream" true
-    (s.Runtime.Pool.scr_rebuilds >= 1);
-  Alcotest.(check bool) "pool scr verdicts == sequential under faults" true
-    (verdicts_equal seq verdicts)
+    (s.Runtime.Pool.scr_rebuilds >= 1)
 
 let suite =
   [
@@ -240,6 +215,5 @@ let suite =
       test_parallel_model_matches_oracle;
     Alcotest.test_case "auto takes the scr rung for blocked NFs" `Quick
       test_auto_takes_scr_rung_for_blocked_nfs;
-    Alcotest.test_case "pool scr differential" `Quick test_pool_scr_differential;
     Alcotest.test_case "pool scr under fault plan" `Quick test_pool_scr_fault_plan;
   ]
