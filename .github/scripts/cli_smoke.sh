@@ -28,7 +28,15 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
   fault)
     cli run fw --cores 4 --pkts 4000 --flows 200 --fault-plan 'crash@1:2' | tee cli-fault.txt
     grep -q 'pool sequential agreement: 4000/4000' cli-fault.txt
-    grep -q 'restarts' cli-fault.txt
+    grep -q 'pool recovery: 1 restarts' cli-fault.txt
+    # a shedding producer: the pool's batch count and its pool.batches
+    # counter come from one ledger call per batch, so they agree
+    cli run fw --cores 4 --pkts 4000 --flows 200 --backpressure shed --stats \
+      | tee cli-fault-shed.txt
+    batches=$(sed -nE 's/^pool: .*: ([0-9]+) batches, .*/\1/p' cli-fault-shed.txt)
+    counter=$(awk '$1 == "pool.batches" { print $2 }' cli-fault-shed.txt)
+    test -n "$batches"
+    test "$batches" = "$counter"
     ;;
 
   skew)

@@ -317,16 +317,16 @@ let ext_rsspp () =
   (* the pool with rebalancing off, then on at every epoch boundary *)
   let pool = Runtime.Pool.create ~cores:8 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let imbalance rebalance =
-    ignore (Runtime.Pool.run ~rebalance pool plan trace);
+  let imbalance policy =
+    ignore (Runtime.Pool.run ~policy pool plan trace);
     let s = Runtime.Pool.stats pool in
     ( Array.map Runtime.Balancer.imbalance_of
         (Runtime.Balancer.epoch_counts ~cores:8 ~epoch_pkts:6000 s.Runtime.Pool.last_assignment),
       s )
   in
-  let static, _ = imbalance Runtime.Balancer.Off in
+  let static, _ = imbalance Runtime.Pool.Static in
   let dynamic, s =
-    imbalance (Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 6000; threshold = 0.0 })
+    imbalance (Runtime.Pool.Rebalance { Runtime.Balancer.epoch_pkts = 6000; threshold = 0.0 })
   in
   printf "epoch | static imbalance | dynamic imbalance@.";
   Array.iteri (fun e s -> printf "%5d | %16.2f | %17.2f@." e s dynamic.(e)) static;

@@ -61,8 +61,8 @@ let phase_plan = "phase@0:calm;phase@4:skew;phase@12:calm;phase@16:skew"
 let total_epochs = 24
 let npkts = total_epochs * epoch_pkts
 
-let adaptive_mode =
-  Runtime.Adaptive.(On { epoch_pkts; up = 2.0; down = 1.3; cooldown = 1 })
+let adaptive =
+  Runtime.Pool.Adaptive { Runtime.Adaptive.epoch_pkts; up = 2.0; down = 1.3; cooldown = 1 }
 
 (* Build the trace from the installed plan's phase schedule.  The traffic
    is steady-state (established sessions, mostly LAN→WAN with a 15 %
@@ -147,9 +147,9 @@ let model_time ~plan_for ~profiles ~table_flows trace (s : Runtime.Pool.stats) ~
 
 (* wall clock of one run, reported for local reading but never gated on:
    CI hosts give the domains a single hardware thread *)
-let timed ?adaptive pool plan trace =
+let timed ?policy pool plan trace =
   let t0 = Unix.gettimeofday () in
-  let v = Runtime.Pool.run ?adaptive pool plan trace in
+  let v = Runtime.Pool.run ?policy pool plan trace in
   (v, Unix.gettimeofday () -. t0)
 
 let c_counter name doc v =
@@ -200,7 +200,7 @@ let run ?(out = "BENCH_adaptive.json") () =
 
   (* correctness first: one adaptive run on a fresh pool *)
   let pool = Runtime.Pool.create ~cores () in
-  let v_ad, t_ad = timed ~adaptive:adaptive_mode pool sn_plan trace in
+  let v_ad, t_ad = timed ~policy:adaptive pool sn_plan trace in
   let s = Runtime.Pool.stats pool in
   check "adaptive: verdicts identical to sequential" (seq = v_ad);
   check "adaptive: switched down and back at least twice" (s.Runtime.Pool.switches >= 3);
@@ -237,7 +237,7 @@ let run ?(out = "BENCH_adaptive.json") () =
   | Error e -> failwith e
   | Ok p -> Faults.install p);
   let pool = Runtime.Pool.create ~cores () in
-  let v_fault = Runtime.Pool.run ~adaptive:adaptive_mode pool sn_plan trace in
+  let v_fault = Runtime.Pool.run ~policy:adaptive pool sn_plan trace in
   let sf = Runtime.Pool.stats pool in
   Faults.clear ();
   check "fault plan: workers crashed and recovered" (sf.Runtime.Pool.restarts >= 1);

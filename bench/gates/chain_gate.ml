@@ -4,7 +4,7 @@
    Composes fw→nat→lb with [Dsl.Chain] and replays one warmed trace
    through
 
-   (a) the fused single-pass path: [Compile.stage] over the composed AST
+   (a) the fused single-pass path: [Compile.stage_runner] over the composed AST
        — one packet parse, every stage's layouts baked, verdicts
        threaded from stage to stage without leaving the closure tree —
        and
@@ -97,7 +97,7 @@ let run ?(out = "BENCH_chain.json") () =
   let npkts_f = float_of_int (Array.length trace) in
 
   let fused_bind () =
-    Dsl.Compile.bind (Dsl.Chain.stage_compiled chain) (Dsl.Instance.create composed)
+    Dsl.Compile.bind_runner (Dsl.Chain.stage_compiled chain) (Dsl.Instance.create composed)
   in
   (* back-to-back: every stage owns a full-capacity instance and its own
      RSS engines, exactly as separate NF processes would *)
@@ -113,7 +113,7 @@ let run ?(out = "BENCH_chain.json") () =
     List.map2
       (fun nf engines ->
         let info = Dsl.Check.check_exn nf in
-        (Dsl.Compile.bind (Dsl.Compile.stage nf info) (Dsl.Instance.create nf), engines))
+        (Dsl.Compile.make_runner nf info (Dsl.Instance.create nf), engines))
       stage_nfs stage_engines
   in
   let rec b2b_go stages pkt =
@@ -121,10 +121,10 @@ let run ?(out = "BENCH_chain.json") () =
     | [] -> assert false
     | [ (b, engines) ] ->
         ignore (Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt : int);
-        Dsl.Compile.process b pkt
+        Dsl.Compile.run b pkt
     | (b, engines) :: rest -> (
         ignore (Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt : int);
-        match Dsl.Compile.process b pkt with
+        match Dsl.Compile.run b pkt with
         | Dsl.Interp.Dropped -> Dsl.Interp.Dropped
         | Dsl.Interp.Fwd (_, pkt') -> b2b_go rest pkt')
   in
@@ -136,7 +136,7 @@ let run ?(out = "BENCH_chain.json") () =
   let agree_b2b = ref 0 and agree_oracle = ref 0 in
   Array.iter
     (fun pkt ->
-      let vf = Dsl.Compile.process fused_c pkt in
+      let vf = Dsl.Compile.run fused_c pkt in
       if verdict_equal vf (b2b_go b2b_c pkt) then incr agree_b2b;
       if verdict_equal vf (Dsl.Chain.oracle_process oracle pkt) then incr agree_oracle)
     trace;
@@ -145,7 +145,7 @@ let run ?(out = "BENCH_chain.json") () =
 
   (* timing: fresh state again, warm twice (fill tables, then steady
      state), then best-of-N per side *)
-  let fused_pass b = Array.iter (fun p -> ignore (Dsl.Compile.process b p : Dsl.Interp.action)) trace in
+  let fused_pass b = Array.iter (fun p -> ignore (Dsl.Compile.run b p : Dsl.Interp.action)) trace in
   let b2b_pass st = Array.iter (fun p -> ignore (b2b_go st p : Dsl.Interp.action)) trace in
   let fused_t = fused_bind () in
   fused_pass fused_t;
@@ -164,8 +164,8 @@ let run ?(out = "BENCH_chain.json") () =
     List.map
       (fun nf ->
         let info = Dsl.Check.check_exn nf in
-        let b = Dsl.Compile.bind (Dsl.Compile.stage nf info) (Dsl.Instance.create nf) in
-        let pass () = Array.iter (fun p -> ignore (Dsl.Compile.process b p : Dsl.Interp.action)) trace in
+        let b = Dsl.Compile.make_runner nf info (Dsl.Instance.create nf) in
+        let pass () = Array.iter (fun p -> ignore (Dsl.Compile.run b p : Dsl.Interp.action)) trace in
         pass ();
         let w0 = Gc.minor_words () in
         pass ();

@@ -1,7 +1,7 @@
 (* NF-path benchmark: tree-walking interpreter vs staged closures.
 
    For every NF in the corpus a steady-state workload is replayed through
-   (a) [Dsl.Interp.process] and (b) the closure from [Dsl.Compile.stage],
+   (a) [Dsl.Interp.process] and (b) the closure from [Dsl.Compile.stage_runner],
    both warmed over the establishment prefix, and the per-packet cost and
    the compiled path's minor-heap allocation rate are recorded to
    BENCH_nfpath.json (same schema as the per-NF telemetry documents, so
@@ -66,10 +66,10 @@ let bench_nf name nf ~warm ~body =
   interp_pass (body 0);
   let t_interp = time_pass interp_pass in
   (* compiled: stage once, bind, same warmup discipline *)
-  let b = Dsl.Compile.bind (Dsl.Compile.stage nf info) (Dsl.Instance.create nf) in
+  let b = Dsl.Compile.make_runner nf info (Dsl.Instance.create nf) in
   let compiled_pass arr =
     for i = 0 to Array.length arr - 1 do
-      ignore (Dsl.Compile.process b arr.(i))
+      ignore (Dsl.Compile.run b arr.(i))
     done
   in
   compiled_pass warm;
@@ -83,7 +83,7 @@ let bench_nf name nf ~warm ~body =
   (* flows expired per packet, from one more pass, observed *)
   let expired = ref 0 in
   let on_op (e : Dsl.Interp.op_event) = expired := !expired + e.Dsl.Interp.expired in
-  Array.iter (fun p -> ignore (Dsl.Compile.process ~on_op b p)) (body (passes + 2));
+  Array.iter (fun p -> ignore (Dsl.Compile.run ~on_op b p)) (body (passes + 2));
   let speedup = t_interp /. t_compiled in
   Format.printf
     "%-8s interp %8.1f ns/pkt   compiled %8.1f ns/pkt   %4.1fx   %6.2f words/pkt   %5.3f \

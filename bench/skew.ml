@@ -89,8 +89,8 @@ let () =
 
   (* dynamic dispatch: online rebalancing with quiesced state migration *)
   let pool = Runtime.Pool.create ~cores () in
-  let mode = Runtime.Balancer.On { Runtime.Balancer.epoch_pkts; threshold } in
-  let v_dyn = Runtime.Pool.run ~rebalance:mode pool plan trace in
+  let policy = Runtime.Pool.Rebalance { Runtime.Balancer.epoch_pkts; threshold } in
+  let v_dyn = Runtime.Pool.run ~policy pool plan trace in
   let s_dyn = Runtime.Pool.stats pool in
   Runtime.Pool.shutdown pool;
   check "dynamic: verdicts identical to sequential" (seq = v_dyn);

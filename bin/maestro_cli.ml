@@ -141,7 +141,7 @@ let rebalance_conv =
 let rebalance_arg =
   Arg.(
     value
-    & opt rebalance_conv Runtime.Balancer.Off
+    & opt rebalance_conv None
     & info [ "rebalance" ] ~docv:"SPEC"
         ~doc:
           "Online RSS++ rebalancing on the domain pool: $(b,off) (default), $(b,on), or a \
@@ -159,7 +159,7 @@ let adaptive_conv =
 let adaptive_arg =
   Arg.(
     value
-    & opt adaptive_conv Runtime.Adaptive.Off
+    & opt adaptive_conv None
     & info [ "adaptive" ] ~docv:"SPEC"
         ~doc:
           "Online discipline switching on the domain pool: $(b,off) (default), $(b,on), or a \
@@ -302,10 +302,15 @@ let run_cmd =
         Format.eprintf "%s@." e;
         exit 1
     | Ok target ->
-        if rebalance <> Runtime.Balancer.Off && adaptive <> Runtime.Adaptive.Off then begin
-          Format.eprintf "--adaptive and --rebalance are mutually exclusive@.";
-          exit 1
-        end;
+        let policy =
+          match (rebalance, adaptive) with
+          | Some _, Some _ ->
+              Format.eprintf "--adaptive and --rebalance are mutually exclusive@.";
+              exit 1
+          | Some cfg, None -> Runtime.Pool.Rebalance cfg
+          | None, Some cfg -> Runtime.Pool.Adaptive cfg
+          | None, None -> Runtime.Pool.Static
+        in
         let nf = target_nf target in
         (match fault_plan with
         | None -> Faults.clear ()
@@ -367,7 +372,7 @@ let run_cmd =
           Runtime.Pool.create ~batch_size ~backpressure ~cores:plan.Maestro.Plan.cores ()
         in
         Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-        let dv = Runtime.Pool.run ~rebalance ~adaptive pool plan trace in
+        let dv = Runtime.Pool.run ~policy pool plan trace in
         let ps = Runtime.Pool.stats pool in
         let dagree = ref 0 in
         Array.iteri (fun i v -> if v = seq.(i) then incr dagree) dv;
@@ -391,8 +396,8 @@ let run_cmd =
             (Runtime.Supervisor.events (Runtime.Pool.supervisor pool))
         end;
         (match rebalance with
-        | Runtime.Balancer.Off -> ()
-        | Runtime.Balancer.On _ ->
+        | None -> ()
+        | Some _ ->
             Format.printf
               "pool rebalancing (%s): %d rebalances (%d forced), %d buckets, %d flow states \
                moved, %d evicted@."
@@ -407,8 +412,8 @@ let run_cmd =
                        (fun s -> Printf.sprintf "%.3f" s)
                        ps.Runtime.Pool.last_core_share))));
         (match adaptive with
-        | Runtime.Adaptive.Off -> ()
-        | Runtime.Adaptive.On _ ->
+        | None -> ()
+        | Some _ ->
             Format.printf "pool adaptive (%s): %d switches, %d flap-suppressed@."
               (Runtime.Adaptive.to_string adaptive)
               ps.Runtime.Pool.switches ps.Runtime.Pool.flap_suppressed;
@@ -446,7 +451,7 @@ let run_cmd =
       [
         ("block", Runtime.Pool.Block);
         ("drop", Runtime.Pool.Drop { max_spins = Runtime.Pool.default_drop_spins });
-        ("shed", Runtime.Pool.Shed);
+        ("shed", Runtime.Pool.Drop { max_spins = 0 });
       ]
     in
     Arg.(
@@ -503,8 +508,8 @@ let rebalance_cmd =
         (* the same trace on one pool with rebalancing off, then on *)
         let pool = Runtime.Pool.create ~cores:plan.Maestro.Plan.cores () in
         Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-        let measure rebalance =
-          let v = Runtime.Pool.run ~rebalance pool plan trace in
+        let measure policy =
+          let v = Runtime.Pool.run ~policy pool plan trace in
           let s = Runtime.Pool.stats pool in
           let imbalance =
             Array.map Runtime.Balancer.imbalance_of
@@ -514,9 +519,9 @@ let rebalance_cmd =
           let agree = Array.fold_left ( + ) 0 (Array.map2 (fun a b -> Bool.to_int (a = b)) seq v) in
           (imbalance, s, agree)
         in
-        let static, _, static_agree = measure Runtime.Balancer.Off in
+        let static, _, static_agree = measure Runtime.Pool.Static in
         let dynamic, s, dynamic_agree =
-          measure (Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = epoch; threshold })
+          measure (Runtime.Pool.Rebalance { Runtime.Balancer.epoch_pkts = epoch; threshold })
         in
         Format.printf "strategy: %s on %d cores; Zipf(%.2f), %d flows, epoch %d@."
           (Maestro.Plan.strategy_name plan.Maestro.Plan.strategy)

@@ -33,7 +33,6 @@ module Json : sig
   (** Field lookup on an [Obj]; [None] on anything else. *)
 
   val to_string_opt : t -> string option
-  val to_float_opt : t -> float option
 end
 
 (** One parsed benchmark document: its identity and its counters. *)
@@ -56,16 +55,6 @@ val load : string -> (doc, string) result
 (** Read and parse a file. *)
 
 val counter : doc -> string -> int option
-
-val glob_matches : string -> string -> bool
-(** [glob_matches pattern name]: ['*'] in [pattern] matches any (possibly
-    empty) substring; every other character matches itself. *)
-
-val expand_patterns : string list -> string list -> string list
-(** Expand counter-name patterns against a list of known counter names.
-    Names without ['*'] pass through; a pattern matching nothing is kept
-    verbatim (so {!diff} reports it [missing] rather than silently gating
-    nothing). *)
 
 val is_timing_counter : string -> bool
 (** [true] for machine-dependent counters: wall-clock values — names
@@ -114,7 +103,9 @@ val diff :
     comparison to the named counters ([missing] then lists requested
     names absent from the baseline); names in [only] and [min_counters]
     may be ['*'] globs, expanded against the union of both documents'
-    counter names ({!expand_patterns}).  [include_timings] (default
+    counter names; a pattern matching nothing is kept verbatim, so it is
+    reported [missing] rather than silently gating nothing.
+    [include_timings] (default
     [false]) also compares {!is_timing_counter} counters.
     [min_counters] names counters with a {e floor}: they are always
     compared (even under [only]), shrinking below

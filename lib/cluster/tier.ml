@@ -173,8 +173,6 @@ let owner_of_hash table = function
   | Some h -> Maglev.lookup table h
   | None -> Maglev.slot_owner table 0 (* the default-queue convention, one level up *)
 
-let owner_of_pkt t pkt = owner_of_hash t.table (front_hash t pkt)
-
 (* flows currently resident on an instance = allocated chain cells (the
    NF's flow tables all hang off chains; lone read-mostly maps are not
    per-flow state worth counting twice) *)

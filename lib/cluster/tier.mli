@@ -66,11 +66,6 @@ val key_free_bits : t -> int
 val scr_admissible : t -> bool
 (** Whether machine failure can be survived by digest-log replay. *)
 
-val owner_of_pkt : t -> Packet.Pkt.t -> int
-(** The machine the front tier steers this packet to under the current
-    table (unmatched packets go to the machine owning slot 0, the
-    default-queue convention). *)
-
 (** What one churn event did, for the gate and the CLI. *)
 type event_log = {
   at_epoch : int;

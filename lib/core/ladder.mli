@@ -77,5 +77,4 @@ val make : step list -> t
 val degraded : t -> bool
 (** [true] when anything below the top rung was chosen. *)
 
-val pp_step : Format.formatter -> step -> unit
 val pp : Format.formatter -> t -> unit

@@ -107,9 +107,6 @@ let stateless t = t.clusters = []
 
 let writable_clusters t = List.filter (fun c -> not c.read_only) t.clusters
 
-let cluster_of_object t obj =
-  List.find_opt (fun c -> List.exists (String.equal obj) c.objects) t.clusters
-
 let pp_atom fmt = function
   | Symbex.Sym.A_field f -> Packet.Field.pp fmt f
   | Symbex.Sym.A_prefix (f, bits) -> Format.fprintf fmt "%a[0:%d]" Packet.Field.pp f bits

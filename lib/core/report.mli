@@ -38,8 +38,5 @@ val writable_clusters : t -> cluster list
 (** Clusters that are not read-only — the ones sharding must reason about
     (read-only objects are replicated and filtered out, paper §3.4). *)
 
-val cluster_of_object : t -> string -> cluster option
-(** The cluster containing the named state object, if any. *)
-
 val pp : Format.formatter -> t -> unit
 (** Renders the SR like the paper's Fig. 3 top half. *)

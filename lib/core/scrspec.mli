@@ -16,8 +16,8 @@
     contention model) and the runtime ([Runtime.Scr] stages the slice
     and applies digests):
 
-    - the {e write classification} ({!stmt_writes}, {!nf_writes}) the
-      pool's lock discipline also uses;
+    - the {e write classification} ({!nf_writes}) the pool's lock
+      discipline also uses;
     - the {e write-slice}: the NF's statement tree with every subtree
       that cannot reach a state write pruned to [Drop], and [Forward]
       leaves (a replica replays updates, it does not emit packets)
@@ -45,18 +45,10 @@ type t = {
   digest_bytes : int;  (** modeled wire size of one packet's digest *)
 }
 
-val default_max_bytes : int
-(** 64 — the replication budget {!admissible} enforces by default.  A
-    digest wider than this approaches header size, and replaying it
-    stops being cheaper than re-dispatching the packet. *)
-
-val stmt_writes : Dsl.Ast.stmt -> bool
-(** Conservative static write classification: [true] when any path of
-    the statement writes state.  Shared with the pool's lock/TM
-    disciplines. *)
-
 val nf_writes : Dsl.Ast.t -> bool
-(** {!stmt_writes} on the NF's packet handler. *)
+(** Conservative static write classification: [true] when any path of
+    the NF's packet handler writes state.  Shared with the pool's lock/TM
+    disciplines. *)
 
 val derive : Dsl.Ast.t -> t
 (** Compute the slice, digest spec and write set.  Total: every NF has
@@ -67,6 +59,8 @@ val admissible : ?max_bytes:int -> Dsl.Ast.t -> (t, string) result
 (** {!derive}, gated the way the ladder needs: [Error] with a
     developer-facing reason when the NF never writes state (read-only
     replication is free, SCR buys nothing) or when the digest exceeds
-    [max_bytes] (default {!default_max_bytes}). *)
+    [max_bytes] (default 64: a digest wider than this approaches header
+    size, and replaying it stops being cheaper than re-dispatching the
+    packet). *)
 
 val pp : Format.formatter -> t -> unit

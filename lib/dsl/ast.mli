@@ -118,6 +118,4 @@ val ( %. ) : expr -> expr -> expr
 
 val pp_expr : Format.formatter -> expr -> unit
 
-val pp_stmt : Format.formatter -> stmt -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -321,4 +321,4 @@ let oracle_process ?(on_op = fun _ -> ()) o pkt =
 
 (* --- staging ----------------------------------------------------------------- *)
 
-let stage_compiled t = Compile.stage t.composed (Check.check_exn t.composed)
+let stage_compiled t = Compile.stage_runner t.composed (Check.check_exn t.composed)

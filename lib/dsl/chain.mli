@@ -25,9 +25,10 @@
     {2 Fusion}
 
     Stage [i+1]'s statement tree is spliced in place of every [Forward]
-    leaf of stage [i], so {!Compile.stage} on the composed AST yields a
-    single closure tree: one packet parse, every stage's record layouts
-    baked at stage time, no allocation and no dispatch between stages.
+    leaf of stage [i], so {!Compile.stage_runner} on the composed AST
+    yields a single closure tree: one packet parse, every stage's record
+    layouts baked at stage time, no allocation and no dispatch between
+    stages.
     This requires every non-final stage to forward through a constant
     in-range port (all registry NFs do, via [Topo.fwd]); {!compose}
     rejects the chain otherwise. *)
@@ -93,6 +94,6 @@ val oracle : t -> oracle
 
 val oracle_process : ?on_op:(Interp.op_event -> unit) -> oracle -> Packet.Pkt.t -> Interp.action
 
-val stage_compiled : t -> Compile.t
-(** Stage the fused chain: [Compile.stage] over the composed AST — one
+val stage_compiled : t -> Compile.staged
+(** Stage the fused chain: [Compile.stage_runner] over the composed AST — one
     closure tree for the whole chain. *)

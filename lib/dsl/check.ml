@@ -9,9 +9,7 @@ type info = {
   layouts : (string, (string * int) list) Hashtbl.t; (* vector object -> layout *)
 }
 
-let var_width info x = Hashtbl.find info.widths x
 let record_layout info r = Hashtbl.find info.records r
-let key_width info obj = Hashtbl.find info.key_widths obj
 let layout_of_object info obj = Hashtbl.find info.layouts obj
 
 let rec expr_width info = function

@@ -14,17 +14,11 @@ val check : Ast.t -> (info, string list) result
 val check_exn : Ast.t -> info
 (** Raises [Invalid_argument] with the concatenated problems. *)
 
-val var_width : info -> string -> int
-(** Width of an int binding (raises [Not_found] for unknown names). *)
-
 val record_layout : info -> string -> (string * int) list
 (** Layout of a record binding. *)
 
 val expr_width : info -> Ast.expr -> int
 (** Width in bits of an expression's value. *)
-
-val key_width : info -> string -> int
-(** Total key width used with a map or sketch object. *)
 
 val layout_of_object : info -> string -> (string * int) list
 (** Layout of a vector object. *)

@@ -1,6 +1,6 @@
 (* Staged compilation of checked NF programs.
 
-   [stage] walks the AST once and emits a tree of closures — the
+   [stage_runner] walks the AST once and emits a tree of closures — the
    "compiled NF" — in which everything the interpreter re-derives per
    packet is already resolved: variable and record bindings are fixed
    slots in a preallocated frame, expression widths are baked-in mask
@@ -10,7 +10,7 @@
    14 bytes is read into a run of frame slots and packed into an int pair
    by one loop whose shifts and masks {!State.Key.geometry} worked out at
    stage time, feeding the allocation-free [_packed] container
-   operations.  [bind] then resolves the staged program against one
+   operations.  [bind_runner] then resolves the staged program against one
    {!Instance} and allocates the frame.
 
    Allocation contract: an unobserved call allocates only what the NF
@@ -24,7 +24,7 @@
    Observer contract: the frame's [observer] is [Some] only during a call
    made with [on_op].  An unobserved call tests it once per operation and
    never writes it, calls it or builds an event; an observed call sees
-   the interpreter's event stream, and [process] clears the observer
+   the interpreter's event stream, and [run] clears the observer
    even when the NF raises.
 
    The staging is semantics-preserving by construction and checked by
@@ -53,7 +53,7 @@ type ctx = {
   mutable observer : (Interp.op_event -> unit) option;
 }
 
-type t = {
+type staged = {
   entry : ctx -> Interp.action;
   n_ints : int;
   rec_lens : int array;
@@ -64,7 +64,7 @@ type t = {
   scratch_sizes : int array;
 }
 
-type bound = { b_ctx : ctx; b_entry : ctx -> Interp.action }
+type runner = { b_ctx : ctx; b_entry : ctx -> Interp.action }
 
 let fail fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
 
@@ -150,7 +150,7 @@ let mask_of w = if w >= 62 then -1 else (1 lsl w) - 1
 
 let stage_span = "compile.stage"
 
-let stage (nf : Ast.t) info =
+let stage_runner (nf : Ast.t) info =
   Telemetry.Span.with_span stage_span @@ fun () ->
   let reg =
     {
@@ -587,15 +587,15 @@ let stage (nf : Ast.t) info =
 
 let dummy_pkt = Packet.Pkt.make ~ip_src:0 ~ip_dst:0 ~src_port:0 ~dst_port:0 ()
 
-let bind t instance =
+let bind_runner t instance =
   let resolve kind name f =
     match Instance.find instance name with
     | o -> (
         match f o with
         | Some x -> x
-        | None -> invalid_arg (Printf.sprintf "Compile.bind: %s is not a %s" name kind))
+        | None -> invalid_arg (Printf.sprintf "Compile.bind_runner: %s is not a %s" name kind))
     | exception Not_found ->
-        invalid_arg (Printf.sprintf "Compile.bind: no object named %s" name)
+        invalid_arg (Printf.sprintf "Compile.bind_runner: no object named %s" name)
   in
   let b_ctx =
     {
@@ -626,7 +626,7 @@ let bind t instance =
   in
   { b_ctx; b_entry = t.entry }
 
-let process ?on_op b pkt =
+let run ?on_op b pkt =
   let c = b.b_ctx in
   c.pkt <- pkt;
   match on_op with
@@ -641,30 +641,4 @@ let process ?on_op b pkt =
           c.observer <- None;
           raise e)
 
-(* Compiled-vs-interpreter dispatch: every execution site (pool
-   workers, the deterministic runtime, the simulator) runs a runner, and
-   only a caller that asks for the interpreter gets it. *)
-
-type staged = S_compiled of t | S_interp of Ast.t * Check.info
-
-type runner =
-  | R_compiled of bound
-  | R_interp of Ast.t * Check.info * Instance.t
-
-let stage_runner ?(compiled = true) nf info =
-  if compiled then S_compiled (stage nf info) else S_interp (nf, info)
-
-let bind_runner s instance =
-  match s with
-  | S_compiled t -> R_compiled (bind t instance)
-  | S_interp (nf, info) -> R_interp (nf, info, instance)
-
-let make_runner ?compiled nf info instance =
-  bind_runner (stage_runner ?compiled nf info) instance
-
-let run ?on_op r pkt =
-  match r with
-  | R_compiled b -> process ?on_op b pkt
-  | R_interp (nf, info, instance) -> Interp.process ?on_op nf info instance pkt
-
-let is_compiled = function R_compiled _ -> true | R_interp _ -> false
+let make_runner nf info instance = bind_runner (stage_runner nf info) instance

@@ -1,6 +1,6 @@
 (** Staged compilation of NF programs to packet-processing closures.
 
-    {!stage} resolves, once per program, everything {!Interp.process}
+    {!stage_runner} resolves, once per program, everything {!Interp.process}
     re-derives per packet: variable and record bindings become fixed
     slots in a preallocated frame, expression widths become baked-in
     mask constants, record layouts become field indices, constants,
@@ -17,29 +17,31 @@
     {!Interp.Runtime_error} conditions — which the differential suite
     in [test/test_compile.ml] checks against every shipped NF.  The
     interpreter remains the reference semantics; the compiled path is
-    the per-core datapath the runtime uses by default (paper §7: the
-    per-core packet loop is what sharding leaves on the critical
-    path). *)
+    what every execution site runs — pool workers, the deterministic
+    runtime, the simulator (paper §7: the per-core packet loop is what
+    sharding leaves on the critical path). *)
 
-type t
+type staged
 (** A staged program: instance-independent, reusable across binds. *)
 
-type bound
+type runner
 (** A staged program bound to one {!Instance} with its own execution
-    frame.  A [bound] value is single-threaded — bind once per worker;
-    binds over the same instance share state but not frames. *)
+    frame.  A runner is single-threaded — bind once per worker; binds
+    over the same instance share state but not frames. *)
 
-val stage : Ast.t -> Check.info -> t
+val stage_runner : Ast.t -> Check.info -> staged
 (** One-time compilation, timed under the [compile.stage] telemetry
     span. *)
 
-val bind : t -> Instance.t -> bound
+val bind_runner : staged -> Instance.t -> runner
 (** Resolve container objects and preallocate the frame.  Raises
     [Invalid_argument] if the instance lacks an object the program
     uses or binds it to the wrong kind. *)
 
-val process :
-  ?on_op:(Interp.op_event -> unit) -> bound -> Packet.Pkt.t -> Interp.action
+val make_runner : Ast.t -> Check.info -> Instance.t -> runner
+(** [bind_runner (stage_runner nf info) instance]. *)
+
+val run : ?on_op:(Interp.op_event -> unit) -> runner -> Packet.Pkt.t -> Interp.action
 (** Run one packet.  Same contract as {!Interp.process}.
 
     Allocation: without [on_op], a call allocates only what the NF asks
@@ -52,26 +54,3 @@ val process :
     event is built.  With [on_op], it sees exactly the interpreter's event
     stream, and it is uninstalled when the call returns or raises, so a
     later unobserved call never reaches it. *)
-
-(** {1 Execution-path dispatch}
-
-    Every execution site (pool workers, the deterministic runtime, the
-    simulator, the CLI) runs the NF through a [runner].  {!stage_runner}
-    and {!make_runner} stage the compiled NF unless [~compiled:false]
-    asks for the tree-walking interpreter, which tests keep as the
-    reference semantics. *)
-
-type staged
-(** A runner before instance binding: stage once, bind per worker. *)
-
-type runner
-
-val stage_runner : ?compiled:bool -> Ast.t -> Check.info -> staged
-
-val bind_runner : staged -> Instance.t -> runner
-
-val make_runner : ?compiled:bool -> Ast.t -> Check.info -> Instance.t -> runner
-
-val run : ?on_op:(Interp.op_event -> unit) -> runner -> Packet.Pkt.t -> Interp.action
-
-val is_compiled : runner -> bool

@@ -151,11 +151,6 @@ let pp_event fmt = function
   | Machine_leave { epoch; machine } -> Format.fprintf fmt "leave@%d:%d" epoch machine
   | Machine_fail { epoch; machine } -> Format.fprintf fmt "fail@%d:%d" epoch machine
 
-let pp_plan fmt p =
-  Format.fprintf fmt "%s: %a" p.label
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ";") pp_event)
-    p.events
-
 let parse spec =
   let ( let* ) = Result.bind in
   let int_of tok what =

@@ -85,7 +85,6 @@ val parse : string -> (plan, string) result
     ["join@2:8;leave@4:0;fail@6:3"]. *)
 
 val pp_event : Format.formatter -> event -> unit
-val pp_plan : Format.formatter -> plan -> unit
 
 (** {1 Hooks} — called by the instrumented subsystems. *)
 

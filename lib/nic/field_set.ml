@@ -80,8 +80,6 @@ let inner_ipv4_tcp =
 let fields t = List.map fst t.ordered
 let slices t = t.ordered
 
-let is_sliced t = List.exists (fun (f, bits) -> bits < Field.width f) t.ordered
-
 let input_bits t = List.fold_left (fun acc (_, bits) -> acc + bits) 0 t.ordered
 
 let offset t f =
@@ -124,8 +122,6 @@ let field_plan t =
     Some
       (Array.of_list
          (List.map (fun (f, bits) -> (f, bits / 8, Field.width f - bits)) t.ordered))
-
-let applies_to_proto _t = function Pkt.Tcp | Pkt.Udp -> true | Pkt.Other _ -> false
 
 let equal a b = a.ordered = b.ordered
 let compare a b = Stdlib.compare a.ordered b.ordered

@@ -40,9 +40,6 @@ val fields : t -> Packet.Field.t list
 val slices : t -> (Packet.Field.t * int) list
 (** Field and contributed leading bits, in canonical order. *)
 
-val is_sliced : t -> bool
-(** Whether any field contributes fewer than its full bits. *)
-
 val slice_bits : t -> Packet.Field.t -> int option
 (** Contributed bits of a field, when selected. *)
 
@@ -70,11 +67,6 @@ val field_plan : t -> (Packet.Field.t * int * int) array option
 val hash_input : t -> Packet.Pkt.t -> Bitvec.t option
 (** The hash input bits for this packet, or [None] when {!matches} is
     false. *)
-
-val applies_to_proto : t -> Packet.Pkt.proto -> bool
-(** Which L4 protocol this set serves when installed: a ports-bearing set
-    built with TCP in mind still applies to UDP — sets are generic here and
-    selection is done by {!matches}. *)
 
 val equal : t -> t -> bool
 

@@ -4,15 +4,8 @@ let name = function E810 -> "Intel E810" | X710 -> "Intel X710" | Permissive -> 
 
 let key_bytes = function E810 -> 52 | X710 -> 40 | Permissive -> 52
 
-let all_hashable = [ Field_set.ipv4; Field_set.ipv4_tcp; Field_set.ipv4_udp ]
-
-(* Representative sets only; [supports] is the authority (the E810 accepts
-   any subset via the DPDK *_ONLY modifiers, and inner-header sets via
-   RSS_LEVEL_INNERMOST — the X710 has neither). *)
-let supported_sets = function
-  | E810 | Permissive -> all_hashable @ [ Field_set.inner_ipv4_tcp ]
-  | X710 -> all_hashable
-
+(* The E810 accepts any subset via the DPDK *_ONLY modifiers, and
+   inner-header sets via RSS_LEVEL_INNERMOST — the X710 has neither. *)
 let supports t set =
   match t with
   | E810 | Permissive -> Field_set.fields set <> []

@@ -21,8 +21,6 @@ val name : t -> string
 val key_bytes : t -> int
 (** RSS key length (52 for the E810, 40 for the X710). *)
 
-val supported_sets : t -> Field_set.t list
-
 val supports : t -> Field_set.t -> bool
 
 val reta_size : t -> int

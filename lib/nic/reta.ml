@@ -10,7 +10,6 @@ let create ?(size = 512) ~queues () =
 let size t = Array.length t.table
 let queues t = t.queues
 let lookup t hash = t.table.(hash land (Array.length t.table - 1))
-let lookup32 t h = lookup t (Int32.to_int h land 0xffffffff)
 let entries t = Array.copy t.table
 
 let queue_loads t ~bucket_load =

@@ -19,8 +19,6 @@ val queues : t -> int
 val lookup : t -> int -> int
 (** [lookup t hash] is the queue for a (non-negative) hash value. *)
 
-val lookup32 : t -> int32 -> int
-
 val entries : t -> int array
 (** A copy of the table. *)
 

@@ -74,7 +74,6 @@ let configure ?(nic = Model.E810) ?(compiled = true) ~key ~sets ~queues () =
 let random_key rng nic = Bitvec.random rng (8 * Model.key_bytes nic)
 
 let key t = t.key
-let compiled_key t = Lazy.force t.ckey
 let uses_compiled t = t.compiled
 let nic t = t.nic
 let sets t = t.sets

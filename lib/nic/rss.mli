@@ -36,10 +36,6 @@ val random_key : Random.State.t -> Model.t -> Bitvec.t
 
 val key : t -> Bitvec.t
 
-val compiled_key : t -> Toeplitz.Key.t
-(** The compiled lookup tables for this engine's key (forcing compilation
-    if it has not happened yet). *)
-
 val uses_compiled : t -> bool
 (** Whether {!hash} and {!dispatch} take the table-driven fast path. *)
 

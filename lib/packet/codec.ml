@@ -628,8 +628,6 @@ let accessor t path =
   | None -> invalid_arg ("Codec.accessor: unknown field path " ^ path)
 
 let getter t path = (accessor t path).get
-let setter t path = (accessor t path).set
-
 (* ---- typed errors (slow path) --------------------------------------- *)
 
 let error_of t b =

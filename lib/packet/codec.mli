@@ -80,10 +80,6 @@ module Checksum : sig
       words (odd tail high-padded) onto [acc].  Bounds-checked once at
       entry.  Raises [Invalid_argument] if the region escapes [b]. *)
 
-  val fold_value : int -> int -> int
-  (** [fold_value v acc] adds [v]'s 16-bit limbs onto [acc] (for
-      pseudo-header members already held as ints). *)
-
   val finish : int -> int
   (** Fold carries and complement: the wire checksum of an accumulated
       sum. *)
@@ -178,7 +174,6 @@ val accessor : t -> string -> accessor
     that contains the field. *)
 
 val getter : t -> string -> (bytes -> int) array
-val setter : t -> string -> (bytes -> int -> unit) array
 
 (** {1 Decode / encode} *)
 

@@ -69,9 +69,6 @@ val value : ?kind:kind -> string -> int -> field
 
 val record : string -> field list -> next -> t
 
-val fixed_bits : t -> int
-(** Total declared bits of the record's fixed part. *)
-
 val fixed_bytes : t -> int
 
 val find_field : t -> string -> field option

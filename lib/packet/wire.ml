@@ -144,8 +144,6 @@ let shape_for (p : Pkt.t) =
       | Pkt.Gre, Pkt.Udp -> Sid.gre_udp
       | Pkt.Gre, Pkt.Other _ -> Sid.gre_ip)
 
-let header_size p = Codec.encode_fixed_len c ~shape:(shape_for p)
-
 let serialize (p : Pkt.t) =
   let shape = shape_for p in
   let hdr = Codec.encode_fixed_len c ~shape in

@@ -20,8 +20,8 @@ val serialize : Pkt.t -> bytes
     is zero-filled) via the derived encoder for the packet's shape —
     including VXLAN/GRE encapsulation when [p.encap] is set.  Header
     checksums and lengths are fixed up by construction.  Raises
-    [Invalid_argument] when [p.size] cannot hold the headers
-    ({!header_size}). *)
+    [Invalid_argument] when [p.size] cannot hold the headers its shape
+    needs. *)
 
 val parse_typed : port:int -> ts_ns:int -> bytes -> (Pkt.t, Codec.error) result
 (** Decode a frame received on [port] at [ts_ns].  Tunnel frames (UDP
@@ -45,13 +45,6 @@ val parse : ?port:int -> ?ts_ns:int -> bytes -> (Pkt.t, string) result
     to 0.  Note the historical
     silent-zero behaviour is gone: a non-IPv4 ethertype is an [Error
     "unsupported …"], not an [Ok] packet with zeroed addresses. *)
-
-val header_size : Pkt.t -> int
-(** Exact header bytes [serialize] will emit for this packet's shape. *)
-
-val min_size : Pkt.proto -> int
-(** Smallest unencapsulated frame that [serialize] accepts for this
-    protocol. *)
 
 (** The pre-codec hand-written serializer/parser, kept as the
     differential-test oracle (IPv4-only, no tunnels). *)

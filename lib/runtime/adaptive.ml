@@ -7,8 +7,6 @@ type config = { epoch_pkts : int; up : float; down : float; cooldown : int }
 
 let default_config = { epoch_pkts = 4096; up = 1.5; down = 1.15; cooldown = 2 }
 
-type mode = Off | On of config
-
 let validate cfg =
   if cfg.epoch_pkts < 1 then Error "--adaptive: epochs must be a positive integer"
   else if cfg.cooldown < 0 then Error "--adaptive: cooldown must be non-negative"
@@ -42,13 +40,12 @@ let parse spec =
     Balancer.Kv.parse ~flag ~grammar:"off, on, epochs=N, up=F, down=F or cooldown=N"
       ~default:default_config ~field spec
   with
-  | Ok None -> Ok Off
-  | Ok (Some cfg) -> Result.map (fun c -> On c) (validate cfg)
-  | Error _ as e -> e
+  | Ok (Some cfg) -> Result.map Option.some (validate cfg)
+  | (Ok None | Error _) as r -> r
 
 let to_string = function
-  | Off -> "off"
-  | On { epoch_pkts; up; down; cooldown } ->
+  | None -> "off"
+  | Some { epoch_pkts; up; down; cooldown } ->
       Printf.sprintf "epochs=%d,up=%g,down=%g,cooldown=%d" epoch_pkts up down cooldown
 
 (* ------------------------------------------------------------------ *)

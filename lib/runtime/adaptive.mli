@@ -41,16 +41,14 @@ type config = {
 val default_config : config
 (** [epoch_pkts = 4096], [up = 1.5], [down = 1.15], [cooldown = 2]. *)
 
-type mode = Off | On of config
-
-val parse : string -> (mode, string) result
-(** Parse an [--adaptive] specification: ["off"], ["on"], or a
+val parse : string -> (config option, string) result
+(** Parse an [--adaptive] specification: ["off"] ([None]), ["on"], or a
     comma-separated list of [epochs=N], [up=F], [down=F], [cooldown=N]
-    (each implies [On]; missing fields take {!default_config} values).
+    (each implies "on"; missing fields take {!default_config} values).
     Built on {!Balancer.Kv} — the same parser shape, the same typed
     errors.  Rejects [up <= down] (no hysteresis band). *)
 
-val to_string : mode -> string
+val to_string : config option -> string
 
 (** {1 Admissibility} *)
 

@@ -5,8 +5,6 @@ type config = { epoch_pkts : int; threshold : float }
 
 let default_config = { epoch_pkts = 4096; threshold = 1.1 }
 
-type mode = Off | On of config
-
 (* The shared parser shape for mode flags: "off" | "on" | comma-separated
    key=value tokens (implying "on"), every malformed input a typed Error.
    [--rebalance] and [--adaptive] (see {!Adaptive.parse}) both build on
@@ -64,17 +62,11 @@ let parse spec =
         Ok { cfg with threshold = f }
     | _ -> Error (Printf.sprintf "%s: unknown key %S" flag key)
   in
-  match
-    Kv.parse ~flag ~grammar:"off, on, epoch=N or threshold=F" ~default:default_config ~field
-      spec
-  with
-  | Ok None -> Ok Off
-  | Ok (Some cfg) -> Ok (On cfg)
-  | Error _ as e -> e
+  Kv.parse ~flag ~grammar:"off, on, epoch=N or threshold=F" ~default:default_config ~field spec
 
 let to_string = function
-  | Off -> "off"
-  | On { epoch_pkts; threshold } -> Printf.sprintf "epoch=%d,threshold=%g" epoch_pkts threshold
+  | None -> "off"
+  | Some { epoch_pkts; threshold } -> Printf.sprintf "epoch=%d,threshold=%g" epoch_pkts threshold
 
 (* ------------------------------------------------------------------ *)
 (* Migration planning                                                  *)

@@ -32,8 +32,6 @@ type config = {
 val default_config : config
 (** [epoch_pkts = 4096], [threshold = 1.1]. *)
 
-type mode = Off | On of config
-
 (** The parser shape shared by every mode flag ([--rebalance] here,
     [--adaptive] in {!Adaptive}): ["off"], ["on"], or comma-separated
     [key=value] tokens implying "on", with every malformed input a typed
@@ -57,13 +55,13 @@ module Kv : sig
   (** A float [>= 1.0] — the shape of every imbalance threshold. *)
 end
 
-val parse : string -> (mode, string) result
-(** Parse a [--rebalance] specification: ["off"], ["on"], or a
+val parse : string -> (config option, string) result
+(** Parse a [--rebalance] specification: ["off"] ([None]), ["on"], or a
     comma-separated list of [epoch=N] and [threshold=F] (each implies
-    [On], missing fields take {!default_config} values).  [Error] (never
+    "on", missing fields take {!default_config} values).  [Error] (never
     an exception) on malformed input. *)
 
-val to_string : mode -> string
+val to_string : config option -> string
 
 (** {1 Migration planning}
 

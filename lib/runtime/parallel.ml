@@ -11,20 +11,6 @@ type stats = {
   tm_rw_sets : (int * int) list;
 }
 
-let empty_stats ~cores =
-  {
-    cores;
-    per_core_pkts = Array.make cores 0;
-    reads = 0;
-    writes = 0;
-    read_pkts = 0;
-    write_pkts = 0;
-    spec_restarts = 0;
-    expired_flows = 0;
-    rejuv_local = 0;
-    tm_rw_sets = [];
-  }
-
 let imbalance s = Balancer.imbalance_of s.per_core_pkts
 
 type result = { verdicts : Dsl.Interp.action array; stats : stats }

@@ -32,8 +32,6 @@ type stats = {
   tm_rw_sets : (int * int) list;  (** per-packet (reads, writes), newest first *)
 }
 
-val empty_stats : cores:int -> stats
-
 val imbalance : stats -> float
 (** {!Balancer.imbalance_of} the per-core packet counts (1.0 = perfectly
     even). *)

@@ -1,84 +1,88 @@
-(* Persistent worker-domain pool fed by bounded SPSC rings of packet
-   batches.  Spawning an OCaml domain costs tens of microseconds, which
-   would dominate short runs the way per-packet dispatch cost dominates
-   the stateful-NF studies this repo models.  The pool spawns [cores]
-   domains once and feeds them DPDK-burst-style batches (default 32
-   packets) through single-producer single-consumer rings, so repeated
-   runs pay only the enqueue/dequeue cost.
-
-   The pool is supervised (paper §4.4's failure story made executable):
-   every worker loop runs behind an exception barrier; the producer — the
-   only thread that can safely join and respawn a domain — detects deaths,
-   consults {!Supervisor} for a restart-with-backoff or give-up decision,
-   replays the crashed batch inline (BEFORE respawning: re-queueing it
-   would run it after later batches of the same core and break per-core
-   arrival order, i.e. sequential equivalence), and on permanent failure
-   drains the dead core's ring inline and remaps the NIC indirection
-   table so its RSS buckets migrate to live cores ({!Nic.Reta.remap}).
-   Full rings apply a configurable backpressure policy instead of the
-   unbounded producer spin that livelocked on a dead consumer. *)
+(* Persistent, supervised worker-domain pool fed by bounded SPSC rings of
+   packet batches (paper §4.4's failure story made executable).  See
+   pool.mli for the design. *)
 
 let default_batch_size = 32
 let default_ring_capacity = 1024
 
-let c_batches = Telemetry.Counter.make "pool.batches" ~doc:"packet batches pushed to pool rings"
-let c_pkts = Telemetry.Counter.make "pool.pkts" ~doc:"packets executed on the domain pool"
-let c_stalls =
-  Telemetry.Counter.make "pool.ring_full_stalls" ~doc:"producer stalls on a full pool ring"
+(* --- the ledger ------------------------------------------------------------ *)
+
+(* Every count {!stats} reports is an event of this table: one row of a
+   pool's ledger and, where there is one, the process-global [pool.*]
+   telemetry counter of the same name.  [count_on] is the only place
+   either moves, so the two cannot disagree.  A row has a slot per core: the
+   dropped batches are counted on the core that dropped them, every other
+   event on slot 0. *)
+module Event = struct
+  type t = { slot : int; counter : Telemetry.Counter.t option }
+
+  let n = ref 0
+
+  let make counter =
+    incr n;
+    { slot = !n - 1; counter }
+
+  let counted name ~doc = make (Some (Telemetry.Counter.make name ~doc))
+  let batches = counted "pool.batches" ~doc:"packet batches pushed to pool rings"
+  let pkts = counted "pool.pkts" ~doc:"packets executed on the domain pool"
+  let stalls = counted "pool.ring_full_stalls" ~doc:"producer stalls on a full pool ring"
+  let dropped_batches = counted "pool.dropped_batches" ~doc:"batches dropped by backpressure"
+  let dropped_pkts = counted "pool.dropped_pkts" ~doc:"packets dropped by backpressure"
+  let inline =
+    counted "pool.inline_batches"
+      ~doc:"batches the producer ran inline (crash replay and failed-core drains)"
+  let rebalances =
+    counted "pool.rebalances" ~doc:"online RSS++ rebalances applied at epoch boundaries"
+  let forced_rebalances =
+    counted "pool.rebalances_forced" ~doc:"rebalances forced by a permanent core failure"
+  let migrated_buckets =
+    counted "pool.migrated_buckets" ~doc:"indirection buckets moved by the online balancer"
+  let migrated_flows =
+    counted "pool.migrated_flows"
+      ~doc:"flow states handed between cores by the online balancer"
+  let migration_drops =
+    counted "pool.migration_drops"
+      ~doc:"flow states evicted during migration because the destination was full"
+  let scr_replays =
+    counted "pool.scr_replays"
+      ~doc:"foreign-batch digest replays scheduled by the SCR dispatcher"
+  let scr_rebuilds =
+    counted "pool.scr_rebuilds"
+      ~doc:"SCR replicas rebuilt from the digest stream after a worker death"
+  let scr_digest_bytes =
+    counted "pool.scr_digest_bytes" ~doc:"update-digest bytes broadcast by the SCR dispatcher"
+
+  (* the pool's alone: runs have no counter, and the {!Adaptive}
+     controller bumps its own [pool.adaptive.*] counters as it decides *)
+  let runs = make None
+  let switches = make None
+  let flap_suppressed = make None
+end
+
+(* Telemetry only, outside the ledger: crashes and lock acquisitions are
+   counted on worker domains, which never write the producer's ledger;
+   workers are spawned before their pool exists; and {!stats} reports no
+   remaps. *)
 let c_spawns = Telemetry.Counter.make "pool.domain_spawns" ~doc:"worker domains spawned by pools"
 
 let c_crashes =
   Telemetry.Counter.make "pool.worker_crashes" ~doc:"worker domains killed by an exception"
 
-let c_dropped_batches =
-  Telemetry.Counter.make "pool.dropped_batches" ~doc:"batches dropped by backpressure"
-
-let c_dropped_pkts =
-  Telemetry.Counter.make "pool.dropped_pkts" ~doc:"packets dropped by backpressure"
-
-let c_inline =
-  Telemetry.Counter.make "pool.inline_batches"
-    ~doc:"batches the producer ran inline (crash replay and failed-core drains)"
-
 let c_remaps =
   Telemetry.Counter.make "pool.reta_remaps"
     ~doc:"indirection-table remaps after permanent core failures"
 
-let c_rebalances =
-  Telemetry.Counter.make "pool.rebalances"
-    ~doc:"online RSS++ rebalances applied at epoch boundaries"
-
-let c_rebalances_forced =
-  Telemetry.Counter.make "pool.rebalances_forced"
-    ~doc:"rebalances forced by a permanent core failure"
-
-let c_moved_buckets =
-  Telemetry.Counter.make "pool.migrated_buckets"
-    ~doc:"indirection buckets moved by the online balancer"
-
-let c_moved_flows =
-  Telemetry.Counter.make "pool.migrated_flows"
-    ~doc:"flow states handed between cores by the online balancer"
-
-let c_migration_drops =
-  Telemetry.Counter.make "pool.migration_drops"
-    ~doc:"flow states evicted during migration because the destination was full"
-
-let c_scr_replays =
-  Telemetry.Counter.make "pool.scr_replays"
-    ~doc:"foreign-batch digest replays scheduled by the SCR dispatcher"
-
-let c_scr_rebuilds =
-  Telemetry.Counter.make "pool.scr_rebuilds"
-    ~doc:"SCR replicas rebuilt from the digest stream after a worker death"
-
-let c_scr_digest_bytes =
-  Telemetry.Counter.make "pool.scr_digest_bytes"
-    ~doc:"update-digest bytes broadcast by the SCR dispatcher"
-
 let c_lock_acquisitions =
   Telemetry.Counter.make "pool.lock_acquisitions"
     ~doc:"reader-writer lock acquisitions on the lock rung, one per batch executed"
+
+(* The least power of two that is at least [n]. *)
+let ceil_pow2 n =
+  let p = ref 1 in
+  while !p < n do
+    p := 2 * !p
+  done;
+  !p
 
 (* --- bounded SPSC ring ----------------------------------------------------- *)
 
@@ -99,11 +103,7 @@ module Ring = struct
 
   let create ~capacity =
     if capacity < 1 then invalid_arg "Pool.Ring.create: capacity";
-    let cap = ref 1 in
-    while !cap < capacity do
-      cap := !cap * 2
-    done;
-    { slots = [||]; mask = !cap - 1; head = Atomic.make 0; tail = Atomic.make 0 }
+    { slots = [||]; mask = ceil_pow2 capacity - 1; head = Atomic.make 0; tail = Atomic.make 0 }
 
   let capacity t = t.mask + 1
   let length t = Atomic.get t.tail - Atomic.get t.head
@@ -134,12 +134,10 @@ end
 type backpressure =
   | Block  (** spin until there is room (checking worker liveness while spinning) *)
   | Drop of { max_spins : int }  (** bounded spin, then drop the batch *)
-  | Shed  (** drop immediately when the ring is full *)
 
 let backpressure_name = function
   | Block -> "block"
   | Drop { max_spins } -> Printf.sprintf "drop(%d)" max_spins
-  | Shed -> "shed"
 
 let default_drop_spins = 4096
 
@@ -247,36 +245,23 @@ type binding = {
   mutable replayers : Scr.replayer array;  (* per plan core on the SCR rung, else empty *)
 }
 
+(* What {!stats} reports of the most recent run, written when it ends. *)
+type last_run = {
+  per_core : int array;  (* packets dispatched to each plan core *)
+  assignment : int array;  (* the core of each packet, in trace order *)
+  points : int list;  (* ascending packet offsets where the table or rung changed *)
+  switch_epochs : (int * Maestro.Ladder.rung) list;  (* of the last adaptive run *)
+  residency : (Maestro.Ladder.rung * int) list;  (* of the last adaptive run *)
+}
+
 type t = {
   cores : int;
   batch_size : int;
   backpressure : backpressure;
   supervisor : Supervisor.t;
   workers : worker array;
-  mutable runs : int;
-  mutable batches : int;
-  mutable total_pkts : int;
-  mutable stalls : int;
-  mutable dropped_batches : int;
-  mutable dropped_pkts : int;
-  per_core_drops : int array;
-  mutable inline_batches : int;
-  mutable last_per_core : int array;
-  mutable rebalances : int;
-  mutable forced_rebalances : int;
-  mutable migrated_buckets : int;
-  mutable migrated_flows : int;
-  mutable migration_drops : int;
-  mutable last_share : float array;
-  mutable last_assignment : int array;
-  mutable last_points : int list;
-  mutable scr_replays : int;
-  mutable scr_rebuilds : int;
-  mutable scr_digest_bytes : int;
-  mutable adaptive_switches : int;
-  mutable adaptive_flaps : int;
-  mutable adaptive_switch_epochs : (int * Maestro.Ladder.rung) list;
-  mutable adaptive_residency : (Maestro.Ladder.rung * int) list;
+  ledger : int array array;  (* one row per {!Event}, one slot per core *)
+  mutable last : last_run;
   mutable binding : binding option;  (* the one plan bound to this pool *)
 }
 
@@ -363,30 +348,8 @@ let create ?(batch_size = default_batch_size) ?(ring_capacity = default_ring_cap
     backpressure;
     supervisor = Supervisor.create ?config:supervisor ~cores ();
     workers;
-    runs = 0;
-    batches = 0;
-    total_pkts = 0;
-    stalls = 0;
-    dropped_batches = 0;
-    dropped_pkts = 0;
-    per_core_drops = Array.make cores 0;
-    inline_batches = 0;
-    last_per_core = [||];
-    rebalances = 0;
-    forced_rebalances = 0;
-    migrated_buckets = 0;
-    migrated_flows = 0;
-    migration_drops = 0;
-    last_share = [||];
-    last_assignment = [||];
-    last_points = [];
-    scr_replays = 0;
-    scr_rebuilds = 0;
-    scr_digest_bytes = 0;
-    adaptive_switches = 0;
-    adaptive_flaps = 0;
-    adaptive_switch_epochs = [];
-    adaptive_residency = [];
+    ledger = Array.init !Event.n (fun _ -> Array.make cores 0);
+    last = { per_core = [||]; assignment = [||]; points = []; switch_epochs = []; residency = [] };
     binding = None;
   }
 
@@ -395,13 +358,12 @@ let batch_size t = t.batch_size
 let backpressure t = t.backpressure
 let supervisor t = t.supervisor
 
-let live_cores t =
+let cores_where ~failed t =
   Array.to_list t.workers
-  |> List.filter_map (fun w -> if Atomic.get w.failed then None else Some w.core)
+  |> List.filter_map (fun w -> if Atomic.get w.failed = failed then Some w.core else None)
 
-let failed_cores t =
-  Array.to_list t.workers
-  |> List.filter_map (fun w -> if Atomic.get w.failed then Some w.core else None)
+let live_cores = cores_where ~failed:false
+let failed_cores = cores_where ~failed:true
 
 let shutdown t =
   Array.iter
@@ -418,41 +380,55 @@ let shutdown t =
     t.workers;
   t.binding <- None
 
+(* Count [n] more of event [e]: on [core]'s slot of the pool's ledger
+   and on the event's counter. *)
+let count_on t (e : Event.t) ~core n =
+  let row = t.ledger.(e.slot) in
+  row.(core) <- row.(core) + n;
+  match e.counter with Some c -> Telemetry.Counter.add c n | None -> ()
+
+let count t e n = count_on t e ~core:0 n
+let total t (e : Event.t) = Array.fold_left ( + ) 0 t.ledger.(e.slot)
+
 let stats t =
+  let n = total t and last = t.last in
+  let dispatched = Array.fold_left ( + ) 0 last.per_core in
   {
-    runs = t.runs;
-    batches = t.batches;
-    pkts = t.total_pkts;
-    ring_full_stalls = t.stalls;
-    last_per_core_pkts = Array.copy t.last_per_core;
-    dropped_batches = t.dropped_batches;
-    dropped_pkts = t.dropped_pkts;
-    per_core_drops = Array.copy t.per_core_drops;
+    runs = n Event.runs;
+    batches = n Event.batches;
+    pkts = n Event.pkts;
+    ring_full_stalls = n Event.stalls;
+    last_per_core_pkts = Array.copy last.per_core;
+    dropped_batches = n Event.dropped_batches;
+    dropped_pkts = n Event.dropped_pkts;
+    per_core_drops = Array.copy t.ledger.(Event.dropped_batches.slot);
     restarts = Supervisor.restarts t.supervisor;
     failed_cores = failed_cores t;
-    inline_batches = t.inline_batches;
-    rebalances = t.rebalances;
-    forced_rebalances = t.forced_rebalances;
-    migrated_buckets = t.migrated_buckets;
-    migrated_flows = t.migrated_flows;
-    migration_drops = t.migration_drops;
-    last_core_share = Array.copy t.last_share;
-    last_assignment = Array.copy t.last_assignment;
-    last_rebalance_points = t.last_points;
-    scr_replays = t.scr_replays;
-    scr_rebuilds = t.scr_rebuilds;
-    scr_digest_bytes = t.scr_digest_bytes;
-    switches = t.adaptive_switches;
-    flap_suppressed = t.adaptive_flaps;
-    switch_epochs = t.adaptive_switch_epochs;
-    rung_residency = t.adaptive_residency;
+    inline_batches = n Event.inline;
+    rebalances = n Event.rebalances;
+    forced_rebalances = n Event.forced_rebalances;
+    migrated_buckets = n Event.migrated_buckets;
+    migrated_flows = n Event.migrated_flows;
+    migration_drops = n Event.migration_drops;
+    last_core_share =
+      Array.map
+        (fun c -> if dispatched = 0 then 0. else float_of_int c /. float_of_int dispatched)
+        last.per_core;
+    last_assignment = Array.copy last.assignment;
+    last_rebalance_points = last.points;
+    scr_replays = n Event.scr_replays;
+    scr_rebuilds = n Event.scr_rebuilds;
+    scr_digest_bytes = n Event.scr_digest_bytes;
+    switches = n Event.switches;
+    flap_suppressed = n Event.flap_suppressed;
+    switch_epochs = last.switch_epochs;
+    rung_residency = last.residency;
   }
 
 (* --- supervision (producer side) -------------------------------------------- *)
 
 let run_inline t w tok =
-  t.inline_batches <- t.inline_batches + 1;
-  Telemetry.Counter.incr c_inline;
+  count t Event.inline 1;
   w.exec tok
 
 (* Complete, on the producer, a token that was pushed to [w] but that its
@@ -521,39 +497,25 @@ let wake w =
     Mutex.unlock w.mutex
   end
 
+(* Spin on [w]'s full ring at most [n] times until [tok] is in it. *)
+let rec drop_spin w tok n =
+  n > 0 && (Domain.cpu_relax (); Ring.try_push w.ring tok || drop_spin w tok (n - 1))
+
+(* Spin until [tok] is in [w]'s ring, rechecking liveness every 64th spin:
+   a full ring with a dead consumer must fail over, not livelock the
+   producer.  [false] once [w] has failed. *)
+let rec block_spin t w tok n =
+  Domain.cpu_relax ();
+  (n land 63 <> 0 || ensure_live t w = `Ok)
+  && (Ring.try_push w.ring tok || block_spin t w tok (n + 1))
+
 (* The producer's answer to a full ring under policy [bp]: [true] once
    [tok] is in the ring. *)
 let push_full t w bp tok =
-  t.stalls <- t.stalls + 1;
-  Telemetry.Counter.incr c_stalls;
+  count t Event.stalls 1;
   match bp with
-  | Shed -> false
-  | Drop { max_spins } ->
-      let spins = ref 0 in
-      let ok = ref false in
-      while (not !ok) && !spins < max_spins do
-        Domain.cpu_relax ();
-        incr spins;
-        ok := Ring.try_push w.ring tok
-      done;
-      !ok
-  | Block ->
-      (* spin, but recheck liveness: a full ring with a dead consumer must
-         fail over, not livelock the producer *)
-      let ok = ref false in
-      let gone = ref false in
-      let spins = ref 0 in
-      while (not !ok) && not !gone do
-        Domain.cpu_relax ();
-        incr spins;
-        if !spins land 63 = 0 then begin
-          match ensure_live t w with
-          | `Failed -> gone := true
-          | `Ok -> ok := Ring.try_push w.ring tok
-        end
-        else ok := Ring.try_push w.ring tok
-      done;
-      !ok
+  | Drop { max_spins } -> drop_spin w tok max_spins
+  | Block -> block_spin t w tok 1
 
 (* Hand token [tok], a batch of [npkts] packets, to [w], honoring the
    backpressure policy ([bp], defaulting to the pool's own — SCR runs
@@ -570,8 +532,7 @@ let submit ?bp t w ~npkts tok =
       let pushed = Ring.try_push w.ring tok || push_full t w bp tok in
       if pushed then begin
         w.pushed <- w.pushed + 1;
-        t.batches <- t.batches + 1;
-        Telemetry.Counter.incr c_batches;
+        count t Event.batches 1;
         wake w;
         `Pushed
       end
@@ -582,11 +543,8 @@ let submit ?bp t w ~npkts tok =
         `Inline
       end
       else begin
-        t.dropped_batches <- t.dropped_batches + 1;
-        t.dropped_pkts <- t.dropped_pkts + npkts;
-        t.per_core_drops.(w.core) <- t.per_core_drops.(w.core) + 1;
-        Telemetry.Counter.incr c_dropped_batches;
-        Telemetry.Counter.add c_dropped_pkts npkts;
+        count_on t Event.dropped_batches ~core:w.core 1;
+        count t Event.dropped_pkts npkts;
         `Dropped
       end
 
@@ -630,13 +588,7 @@ let reset_lanes t ~cores ~npkts =
   for c = 0 to cores - 1 do
     let w = t.workers.(c) in
     let need = max 1 (min npkts ((Ring.capacity w.ring + 2) * t.batch_size)) in
-    if Array.length w.lane < need then begin
-      let n = ref 1 in
-      while !n < need do
-        n := 2 * !n
-      done;
-      w.lane <- Array.make !n 0
-    end;
+    if Array.length w.lane < need then w.lane <- Array.make (ceil_pow2 need) 0;
     w.lane_fill <- 0;
     w.lane_sent <- 0;
     w.lane_done <- 0
@@ -769,15 +721,10 @@ let scr_stream t prog log ~lives ~rr ~assignment ~per_core ~pkts ~lo ~hi =
     per_core.(owner) <- per_core.(owner) + len;
     let digest = Scr.encode_batch prog pkts ~lo:blo ~len in
     let j = scr_log_push log ~digest ~lo:blo ~len ~owner in
-    let bytes = len * Scr.digest_wire_bytes prog in
-    t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
-    Telemetry.Counter.add c_scr_digest_bytes bytes;
+    count t Event.scr_digest_bytes (len * Scr.digest_wire_bytes prog);
     Array.iter
       (fun core ->
-        if core <> owner then begin
-          t.scr_replays <- t.scr_replays + 1;
-          Telemetry.Counter.incr c_scr_replays
-        end;
+        if core <> owner then count t Event.scr_replays 1;
         (* a dropped digest batch would silently diverge a replica *)
         ignore (submit ~bp:Block t t.workers.(core) ~npkts:len j))
       lives;
@@ -882,11 +829,7 @@ let bind_plan t (plan : Maestro.Plan.t) ~divide ~rung =
   end;
   b
 
-(* What a run does at its epoch barriers. *)
-type policy =
-  | Static  (** nothing: the whole trace is one epoch *)
-  | Rebalance of Balancer.config  (** RSS++ bucket moves *)
-  | Switch of Adaptive.t  (** discipline switches between ladder rungs *)
+type policy = Static | Rebalance of Balancer.config | Adaptive of Adaptive.config
 
 (* [run]'s body; its executors run a batch only while [running] holds.
 
@@ -899,7 +842,7 @@ type policy =
    FULL-capacity instances (divide 1), since a conversion must never lose
    entries to a smaller target, so the adaptive pool trades the static
    shards' memory savings for lossless switches. *)
-let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
+let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
   let cores = plan.Maestro.Plan.cores in
   if cores > t.cores then
     invalid_arg
@@ -909,12 +852,19 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
   if not (Array.exists Fun.id live) then
     invalid_arg "Pool.run: every core of the plan has failed permanently";
   let npkts = Array.length pkts in
-  let policy, epoch_pkts, divide, rung =
+  (* SCR dispatch sprays batches round-robin: it has no table to rebalance *)
+  let policy =
+    match policy with
+    | Rebalance _ when plan.Maestro.Plan.strategy = Maestro.Plan.Scr -> Static
+    | p -> p
+  in
+  (* [ctl], an adaptive run's controller, picks the rung it starts on *)
+  let epoch_pkts, divide, ctl =
     let own = Maestro.Plan.state_divisor plan in
-    match (adaptive, rebalance) with
-    | Adaptive.On _, Balancer.On _ ->
-        invalid_arg "Pool.run: --adaptive and --rebalance are mutually exclusive"
-    | Adaptive.On acfg, Balancer.Off ->
+    match policy with
+    | Static -> (max 1 npkts, own, None)
+    | Rebalance cfg -> (cfg.Balancer.epoch_pkts, own, None)
+    | Adaptive acfg ->
         let mplan = Balancer.migration_plan nf in
         (* shared-nothing participates only when the migration is exact AND
            skips nothing: shard merges/splits rebuild state in fresh
@@ -922,17 +872,11 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
            moves, which leave it in place) would be silently reset here *)
         let exact_migration = Balancer.exact mplan && Balancer.skipped_objects mplan = [] in
         let scr_ok = Result.is_ok (Maestro.Scrspec.admissible nf) in
-        let ctl =
-          match Adaptive.ladder ~strategy:plan.Maestro.Plan.strategy ~scr_ok ~exact_migration with
-          | Ok ladder -> Adaptive.create acfg ~ladder
-          | Error e -> invalid_arg ("Pool.run: " ^ e)
-        in
-        (Switch ctl, acfg.Adaptive.epoch_pkts, 1, Adaptive.rung ctl)
-    (* SCR dispatch sprays batches round-robin: it has no table to rebalance *)
-    | Adaptive.Off, Balancer.On cfg when plan.Maestro.Plan.strategy <> Maestro.Plan.Scr ->
-        (Rebalance cfg, cfg.Balancer.epoch_pkts, own, plan_rung plan)
-    | Adaptive.Off, (Balancer.On _ | Balancer.Off) -> (Static, max 1 npkts, own, plan_rung plan)
+        match Adaptive.ladder ~strategy:plan.Maestro.Plan.strategy ~scr_ok ~exact_migration with
+        | Ok ladder -> (acfg.Adaptive.epoch_pkts, 1, Some (Adaptive.create acfg ~ladder))
+        | Error e -> invalid_arg ("Pool.run: " ^ e)
   in
+  let rung = match ctl with Some ctl -> Adaptive.rung ctl | None -> plan_rung plan in
   (* state is reset and executors installed only at a quiesce point
      (a run that raised quiesced before it did, with its leftovers
      abandoned) *)
@@ -976,8 +920,7 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
   let applied = Array.make cores 0 in
   let seeded = ref None in
   let rebuild core =
-    t.scr_rebuilds <- t.scr_rebuilds + 1;
-    Telemetry.Counter.incr c_scr_rebuilds;
+    count t Event.scr_rebuilds 1;
     (match !seeded with
     | None ->
         (* the reset keeps the replica's containers, so its runner and
@@ -1009,10 +952,8 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
   (* hand flow state between [instances] along [dest], counting the moves *)
   let migrate ~hash ~mask ~dest instances =
     let o = Balancer.migrate (Lazy.force b.mplan) ~hash ~mask ~dest ~instances in
-    t.migrated_flows <- t.migrated_flows + o.Balancer.moved_flows;
-    t.migration_drops <- t.migration_drops + o.Balancer.dropped_flows;
-    Telemetry.Counter.add c_moved_flows o.Balancer.moved_flows;
-    Telemetry.Counter.add c_migration_drops o.Balancer.dropped_flows
+    count t Event.migrated_flows o.Balancer.moved_flows;
+    count t Event.migration_drops o.Balancer.dropped_flows
   in
   (* hand each flow's state to the core table [tab] sends its bucket to *)
   let follow tab instances =
@@ -1130,7 +1071,11 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
     table := candidate;
     if hi < npkts then points := hi :: !points
   in
-  let marks () = (t.dropped_batches, Supervisor.restarts t.supervisor, t.scr_digest_bytes) in
+  let marks () =
+    ( total t Event.dropped_batches,
+      Supervisor.restarts t.supervisor,
+      total t Event.scr_digest_bytes )
+  in
   let last = ref (marks ()) in
   let barrier ~hi =
     (* join any dead domain NOW, noting cores written off in the epoch:
@@ -1147,11 +1092,9 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
        run executes inline on the epoch's cores, whose state is current,
        as a static run does *)
     if any_live then unhashed := first_live live else Array.blit was_live 0 live 0 cores;
-    match policy with
+    match (policy, ctl) with
     | _ when not any_live -> ()
-    | Static -> ()
-    | Rebalance _ when hi >= npkts -> ()
-    | Rebalance cfg ->
+    | Rebalance cfg, _ when hi < npkts ->
         (* voluntary bucket moves need either no per-core flow state
            (lock/TM share one instance, load-balance replicates read-only
            state) or an exact migration; a partially-migratable
@@ -1174,16 +1117,11 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
           if moves > 0 then
             Telemetry.Span.with_span "pool/rebalance" (fun () ->
                 retable ~hi ~follow:(sharded && exact) candidate;
-                t.rebalances <- t.rebalances + 1;
-                Telemetry.Counter.incr c_rebalances;
-                if newly_dead then begin
-                  t.forced_rebalances <- t.forced_rebalances + 1;
-                  Telemetry.Counter.incr c_rebalances_forced
-                end;
-                t.migrated_buckets <- t.migrated_buckets + moves;
-                Telemetry.Counter.add c_moved_buckets moves)
+                count t Event.rebalances 1;
+                if newly_dead then count t Event.forced_rebalances 1;
+                count t Event.migrated_buckets moves)
         end
-    | Switch ctl -> (
+    | _, Some ctl -> (
         (* recovery ran before any switch is considered, so a
            mid-switch crash lands in the old rung's recovery path *)
         if newly_dead then begin
@@ -1228,6 +1166,7 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
               Adaptive.commit ctl target;
               points := hi :: !points
             end)
+    | _, None -> ()
   in
   enter ();
   let pos = ref 0 in
@@ -1244,33 +1183,28 @@ let execute ~running ~rebalance ~adaptive (t : t) (plan : Maestro.Plan.t) pkts =
     pos := hi;
     barrier ~hi
   done;
-  (match policy with
-  | Switch ctl ->
-      t.adaptive_switches <- t.adaptive_switches + Adaptive.switches ctl;
-      t.adaptive_flaps <- t.adaptive_flaps + Adaptive.flap_suppressed ctl;
-      t.adaptive_switch_epochs <- Adaptive.switch_epochs ctl;
-      t.adaptive_residency <- Adaptive.residency ctl
-  | Static | Rebalance _ -> ());
-  t.runs <- t.runs + 1;
-  t.total_pkts <- t.total_pkts + npkts;
-  t.last_per_core <- per_core;
-  t.last_assignment <- assignment;
-  t.last_points <- List.rev !points;
-  let total = Array.fold_left ( + ) 0 per_core in
-  t.last_share <-
-    (if total = 0 then Array.make cores 0.
-     else Array.map (fun c -> float_of_int c /. float_of_int total) per_core);
-  Telemetry.Counter.add c_pkts npkts;
+  (* an adaptive run's schedule stands until the next adaptive run's *)
+  let switch_epochs, residency =
+    match ctl with
+    | Some ctl ->
+        count t Event.switches (Adaptive.switches ctl);
+        count t Event.flap_suppressed (Adaptive.flap_suppressed ctl);
+        (Adaptive.switch_epochs ctl, Adaptive.residency ctl)
+    | None -> (t.last.switch_epochs, t.last.residency)
+  in
+  count t Event.runs 1;
+  count t Event.pkts npkts;
+  t.last <- { per_core; assignment; points = List.rev !points; switch_epochs; residency };
   verdicts
 
-let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) t plan pkts =
+let run ?(policy = Static) t plan pkts =
   Telemetry.Span.with_span "pool/run" @@ fun () ->
   let running = Atomic.make true in
   (* idle workers keep no reference to a finished run's packets, whether
      it returned or raised *)
   Fun.protect ~finally:(fun () -> Array.iter (fun w -> w.exec <- no_exec) t.workers)
   @@ fun () ->
-  match execute ~running ~rebalance ~adaptive t plan pkts with
+  match execute ~running ~policy t plan pkts with
   | verdicts -> verdicts
   | exception e ->
       (* the batches a raising run left queued retire without running,

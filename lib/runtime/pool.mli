@@ -40,8 +40,8 @@
     Full rings apply the pool's {!backpressure} policy; the old
     unbounded producer spin livelocked when a consumer died with a full
     ring.  [Block] keeps the lossless behavior but checks worker
-    liveness while spinning; [Drop]/[Shed] trade packets for bounded
-    producer latency and account every loss in {!stats} and telemetry.
+    liveness while spinning; [Drop] trades packets for bounded producer
+    latency and accounts every loss in {!stats} and telemetry.
 
     {2 State-compute replication}
 
@@ -73,9 +73,16 @@
     the TM discipline degrades to the lock discipline on real domains —
     the speculative/transactional behavior is modeled deterministically
     in {!Parallel.run}).  Verdicts equal sequential execution
-    ({!Parallel.run_sequential}) for every plan but sharded NAT, whose
-    cores allocate their own ports, and cores that write under one lock
-    in the order they win it.
+    ({!Parallel.run_sequential}) except in three cases: sharded NAT,
+    whose cores allocate their own ports; cores that write under one
+    lock, in the order they win it; and full shards.  A shared-nothing
+    shard holds 1/[cores] of each table, so once a shard fills, its
+    allocations fail where the sequential NF's would not, and its
+    verdicts leave {!Parallel.run_sequential} while still equalling
+    {!Parallel.run}, which splits capacity the same way (fw built with
+    capacity 64, on 4 cores over 60 flows and 4,000 uniform packets:
+    30 verdicts differ from the sequential NF's, none from
+    {!Parallel.run}'s).
 
     {2 Plan binding}
 
@@ -160,10 +167,10 @@ type backpressure =
           spinning (a dead consumer triggers failover, not livelock).
           Lossless; the default. *)
   | Drop of { max_spins : int }
-      (** Spin at most [max_spins] times, then drop the batch.  Losses
-          are counted per core in {!stats} and in the
+      (** Spin at most [max_spins] times, then drop the batch; with
+          [max_spins = 0] the batch is shed at once, for minimum producer
+          latency.  Losses are counted per core in {!stats} and in the
           [pool.dropped_*] telemetry counters. *)
-  | Shed  (** Drop immediately — minimum producer latency. *)
 
 val backpressure_name : backpressure -> string
 
@@ -264,20 +271,52 @@ val live_cores : t -> int list
 
 val failed_cores : t -> int list
 
+(** What a run does at its epoch barriers. *)
+type policy =
+  | Static  (** nothing: the whole trace is one epoch *)
+  | Rebalance of Balancer.config
+      (** online RSS++ rebalancing: the trace is processed in epochs of
+          {!Balancer.config.epoch_pkts} packets with per-bucket load
+          counted at dispatch; at each epoch boundary the pool quiesces
+          (every submitted batch has retired) and, when max/mean core
+          imbalance exceeds the threshold — or a core was written off
+          during the epoch, which counts as a {e forced} rebalance — hot
+          buckets move to underloaded queues on the single table shared
+          by all ports.  For exactly-migratable shared-nothing plans the
+          moved buckets' flow state is handed to the destination cores
+          ({!Balancer.migrate}) so verdicts stay equal to sequential
+          execution; lock/TM/load-balance plans only retarget the table,
+          and SCR plans, whose dispatch sprays batches round-robin, run as
+          static runs.  A rebalance never races a restart: dead domains
+          are joined at the boundary before any state moves. *)
+  | Adaptive of Adaptive.config
+      (** online discipline switching: the trace is processed in epochs of
+          {!Adaptive.config.epoch_pkts} packets, and at each epoch barrier
+          the {!Adaptive} hysteresis controller may switch the pool to an
+          adjacent admissible ladder rung — shared-nothing ↔ SCR ↔ lock ↔
+          serial.  All rungs run over full-capacity instances so the
+          quiesced state conversions are lossless: shard merges/splits
+          reuse {!Balancer.migrate}, SCR replicas are seeded with exact
+          structural copies ({!Dsl.Instance.copy}) so they evolve in
+          lockstep, and an SCR collapse first asserts
+          {!Scr.replica_equal} agreement across the live replicas.  Crash
+          safety: dead domains are joined at the barrier {e before} the
+          switch decision, so a worker crash in a switch epoch is
+          recovered by the {e old} rung's replay/rebuild path and the
+          switch is deferred to the next barrier ({!Adaptive.defer}); SCR
+          replica rebuilds restore from the seeded snapshot plus the
+          digest log since rung entry, not from initial state.  Raises
+          [Invalid_argument] for a load-balance plan, which has no rung
+          to switch to. *)
+
 val run :
-  ?rebalance:Balancer.mode ->
-  ?adaptive:Adaptive.mode ->
-  t ->
-  Maestro.Plan.t ->
-  Packet.Pkt.t array ->
-  Dsl.Interp.action array
+  ?policy:policy -> t -> Maestro.Plan.t -> Packet.Pkt.t array -> Dsl.Interp.action array
 (** Execute a plan over a trace on the pool's persistent workers, over
     the pool's binding of the plan (built by the plan's first run, reset
     in place by a later one at the same capacity and rung; see {e Plan
     binding} above).  A run is a loop of epochs: each epoch dispatches
     its packets, quiesces and joins dead workers, then the run's barrier
-    policy acts.  A static run is one epoch over the whole trace;
-    [rebalance] and [adaptive] are the two barrier policies.
+    [policy] (default [Static]) acts.
     Verdicts are returned in the original packet order; batches dropped
     by backpressure leave their packets' verdicts as [Dropped].  When
     cores have failed permanently, the RSS indirection table is
@@ -288,41 +327,15 @@ val run :
     plan core failed before the run, or when a packet to be
     RSS-dispatched arrived on a port the NF does not have
     ({!Parallel.port_error}).  Cores that fail during the run do not make
-    it raise: once none is left, the rest of the run executes inline.
-
-    [rebalance] (default [Off], the single-epoch path) turns on online
-    RSS++ rebalancing: the trace is processed in epochs
-    of {!Balancer.config.epoch_pkts} packets with per-bucket load counted
-    at dispatch; at each epoch boundary the pool quiesces (every
-    submitted batch has retired) and, when max/mean core imbalance
-    exceeds the threshold — or a core was written off during the epoch,
-    which counts as a {e forced} rebalance — hot buckets move to
-    underloaded queues on the single table shared by all ports.  For
-    exactly-migratable shared-nothing plans the moved buckets' flow state
-    is handed to the destination cores ({!Balancer.migrate}) so verdicts
-    stay equal to sequential execution; lock/TM/load-balance plans only
-    retarget the table, and SCR plans, whose dispatch sprays batches
-    round-robin, run as static runs.  A rebalance never races a restart:
-    dead domains are joined at the boundary before any state moves.
-
-    [adaptive] (default [Off]; mutually exclusive with [rebalance]) turns
-    on online discipline switching: the trace is processed in epochs of
-    {!Adaptive.config.epoch_pkts} packets, and at each epoch barrier the
-    {!Adaptive} hysteresis controller may switch the pool to an adjacent
-    admissible ladder rung — shared-nothing ↔ SCR ↔ lock ↔ serial.  All
-    rungs run over full-capacity instances so the quiesced state
-    conversions are lossless: shard merges/splits reuse
-    {!Balancer.migrate}, SCR replicas are seeded with exact structural
-    copies ({!Dsl.Instance.copy}) so they evolve in lockstep, and an
-    SCR collapse first asserts {!Scr.replica_equal} agreement across the
-    live replicas.  Crash safety: dead domains are joined at the barrier
-    {e before} the switch decision, so a worker crash in a switch epoch
-    is recovered by the {e old} rung's replay/rebuild path and the switch
-    is deferred to the next barrier ({!Adaptive.defer}); SCR replica
-    rebuilds restore from the seeded snapshot plus the digest log since
-    rung entry, not from initial state. *)
+    it raise: once none is left, the rest of the run executes inline. *)
 
 val stats : t -> stats
+(** The pool's ledger: every count since the pool was created and the
+    most recent run's dispatch record.  A count and the [pool.*]
+    telemetry counter of the same name (the adaptive ones under
+    [pool.adaptive.*]) are bumped by one call at each event, so they
+    agree whenever telemetry was reset and on since the pool was
+    created. *)
 
 val shutdown : t -> unit
 (** Stop and join every worker and drop the pool's plan binding.

@@ -18,7 +18,7 @@ let spec t = t.spec
 let ints_per_pkt t = t.ints_per_pkt
 let digest_wire_bytes t = t.spec.Maestro.Scrspec.digest_bytes
 
-let prepare ?compiled (spec : Maestro.Scrspec.t) =
+let prepare (spec : Maestro.Scrspec.t) =
   let slice = spec.Maestro.Scrspec.slice in
   let info =
     match Dsl.Check.check slice with
@@ -35,7 +35,7 @@ let prepare ?compiled (spec : Maestro.Scrspec.t) =
     + (if spec.Maestro.Scrspec.needs_len then 1 else 0)
     + if spec.Maestro.Scrspec.needs_ts then 1 else 0
   in
-  { spec; staged = Dsl.Compile.stage_runner ?compiled slice info; ints_per_pkt }
+  { spec; staged = Dsl.Compile.stage_runner slice info; ints_per_pkt }
 
 (* --- encoding ---------------------------------------------------------------- *)
 

@@ -24,12 +24,10 @@ type t
 (** A prepared SCR program: the staged write-slice plus its digest
     layout.  Instance-independent; bind once per replica. *)
 
-val prepare : ?compiled:bool -> Maestro.Scrspec.t -> t
+val prepare : Maestro.Scrspec.t -> t
 (** Stage the write-slice of an admissible spec ({!Maestro.Scrspec.admissible}).
-    [compiled] selects the compiled or interpreted runner, defaulting to
-    the compiled one.  Raises [Invalid_argument] if the slice
-    fails {!Dsl.Check.check} (impossible for a spec derived from a
-    checked NF). *)
+    Raises [Invalid_argument] if the slice fails {!Dsl.Check.check}
+    (impossible for a spec derived from a checked NF). *)
 
 val spec : t -> Maestro.Scrspec.t
 
@@ -65,7 +63,7 @@ val decode : t -> int array -> int -> Packet.Pkt.t
 
 type replayer
 (** The write-slice bound to one replica.  Single-threaded, like
-    {!Dsl.Compile.bound}: each core binds its own. *)
+    {!Dsl.Compile.runner}: each core binds its own. *)
 
 val bind : t -> Dsl.Instance.t -> replayer
 

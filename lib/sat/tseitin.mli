@@ -18,10 +18,6 @@ type formula =
 val atom : Lit.var -> formula
 (** Positive atom for a variable. *)
 
-val lit_of : Solver.t -> formula -> Lit.t
-(** A literal constrained (by added clauses) to be equivalent to the
-    formula. *)
-
 val assert_formula : Solver.t -> formula -> unit
 (** Add clauses forcing the formula to hold. *)
 

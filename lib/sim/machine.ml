@@ -32,6 +32,3 @@ let pcie_pps t ~frame_bytes =
   t.pcie_bytes_per_s /. float_of_int (frame_bytes + t.pcie_pkt_overhead)
 
 let peak_pps t ~frame_bytes = Float.min (line_rate_pps t ~frame_bytes) (pcie_pps t ~frame_bytes)
-
-let cluster_peak_pps t ~machines ~frame_bytes =
-  float_of_int (max 1 machines) *. peak_pps t ~frame_bytes

@@ -27,10 +27,3 @@ val pcie_pps : t -> frame_bytes:int -> float
 
 val peak_pps : t -> frame_bytes:int -> float
 (** min of the two NIC-side ceilings — what even a NOP cannot exceed. *)
-
-val cluster_peak_pps : t -> machines:int -> frame_bytes:int -> float
-(** Fleet-wide NIC-side ceiling: every machine brings its own NIC and
-    PCIe links, so ceilings sum — [machines * peak_pps].  This is the
-    scale-out headroom the cluster tier exists for: one box saturates
-    {!peak_pps} (~90 Mpps at 64 B over PCIe 3.0), a fleet moves the
-    ceiling linearly. *)

@@ -96,7 +96,7 @@ val shares_of_counts : int array -> float array
 val shares_of_pool_stats : Runtime.Pool.stats -> float array
 (** The most recent run's per-core shares from a persistent domain pool.
     When the run used online rebalancing ({!Runtime.Pool.run} with
-    [~rebalance]), these are the measured {e post-rebalance} shares
+    [~policy:(Rebalance _)]), these are the measured {e post-rebalance} shares
     ([stats.last_core_share]), so the model sees the load the balancer
     actually produced. *)
 

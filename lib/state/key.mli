@@ -5,7 +5,7 @@
     {!max_packed_bytes} bytes pack losslessly into two immediate OCaml
     ints.  Read the key as one big-endian number: [lo] holds its last 7
     bytes, and [hi] the bytes before them plus the byte length at bit
-    {!tag_shift}.  So a key of 7 bytes or less has [hi = tag
+    56.  So a key of 7 bytes or less has [hi = tag
     ~bytes:n], and the compiled per-packet path builds the pair from
     header fields and performs map and sketch operations on it without
     allocating.  [hi_of_string], [lo_of_string] and [to_string] are exact
@@ -15,13 +15,8 @@
 val max_packed_bytes : int
 (** 14: [lo] holds the last 7 bytes, [hi] the up to 7 before them. *)
 
-val tag_shift : int
-(** 56: the bit position of the length tag in [hi], and the width of
-    [lo]. *)
-
 val lo_mask : int
-(** [(1 lsl tag_shift) - 1]: the bits of [lo], and of the key bytes in
-    [hi]. *)
+(** [(1 lsl 56) - 1]: the bits of [lo], and of the key bytes in [hi]. *)
 
 val fits : string -> bool
 (** Whether a string key packs. *)

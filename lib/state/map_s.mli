@@ -52,16 +52,14 @@ val put_packed : t -> int -> int -> int -> bool
 
 val erase_packed : t -> int -> int -> bool
 
-val mem_wide : t -> string -> bool
+val find_wide : t -> string -> absent:int -> int
 (** Wide-view operations address the string-keyed fallback table directly,
     bypassing the [Key.fits] routing — the compiled datapath uses them for
-    keys over 14 bytes.  [mem_wide], [find_wide] and [erase_wide] do not
-    retain the key, so a [Bytes.unsafe_to_string] alias of a reused
-    buffer is a sound argument; [put_wide] stores the key and must be given
-    a string the caller never mutates. *)
-
-val find_wide : t -> string -> absent:int -> int
-(** Allocation-free wide lookup; [absent] as in {!find_packed}. *)
+    keys over 14 bytes.  [find_wide] and [erase_wide] do not retain the
+    key, so a [Bytes.unsafe_to_string] alias of a reused buffer is a sound
+    argument; [put_wide] stores the key and must be given a string the
+    caller never mutates.  [find_wide] is allocation-free; [absent] as in
+    {!find_packed}. *)
 
 val put_wide : t -> string -> int -> bool
 

@@ -27,12 +27,6 @@ let calls s =
   fold (fun acc x -> match x with Call (i, _) | Record (i, _, _) -> i :: acc | _ -> acc) [] s
   |> List.sort_uniq Int.compare
 
-let is_packet_pure s =
-  fold
-    (fun acc x ->
-      acc && match x with Pkt_len | Now | Call _ | Record _ -> false | _ -> true)
-    true s
-
 type atom =
   | A_field of Packet.Field.t
   | A_prefix of Packet.Field.t * int

@@ -28,9 +28,6 @@ val fields : t -> Packet.Field.t list
 val calls : t -> int list
 (** All call ids appearing inside. *)
 
-val is_packet_pure : t -> bool
-(** No call results, records, time or length — only fields and constants. *)
-
 (** How a key part can be used for sharding. *)
 type atom =
   | A_field of Packet.Field.t

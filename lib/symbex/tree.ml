@@ -65,12 +65,6 @@ let kind_str = function
   | Dsl.Interp.Op_sketch_touch -> "sketch_touch"
   | Dsl.Interp.Op_sketch_query -> "sketch_query"
 
-let pp_path fmt path =
-  Format.pp_print_list
-    ~pp_sep:(fun f () -> Format.pp_print_string f " && ")
-    (fun f (c, b) -> if b then Sym.pp f c else Format.fprintf f "!(%a)" Sym.pp c)
-    fmt path
-
 let pp_action fmt = function
   | Drop -> Format.pp_print_string fmt "drop"
   | Forward (port, rewrites) ->

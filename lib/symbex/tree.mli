@@ -49,7 +49,3 @@ val leaf_action_set : t -> action list
 
 val pp : Format.formatter -> t -> unit
 (** Renders the tree with indentation, for diagnostics and the CLI. *)
-
-val pp_action : Format.formatter -> action -> unit
-
-val pp_path : Format.formatter -> path -> unit

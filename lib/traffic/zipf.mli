@@ -9,12 +9,9 @@ type t
 val make : ?exponent:float -> nflows:int -> unit -> t
 (** Explicit exponent; flows ranked 1 (heaviest) to [nflows]. *)
 
-val calibrate : ?top:int -> ?share:float -> nflows:int -> unit -> t
-(** Find the exponent such that the [top] (default 48) flows carry [share]
-    (default 0.8) of the probability mass. *)
-
 val paper : unit -> t
-(** [calibrate ~top:48 ~share:0.8 ~nflows:1000 ()]. *)
+(** 1 000 flows at the exponent that gives the 48 heaviest 80 % of the
+    probability mass. *)
 
 val exponent : t -> float
 

@@ -25,19 +25,19 @@ let skew_trace st ~flows ~pkts =
   let z = Traffic.Zipf.make ~exponent:2.5 ~nflows:(List.length flows) () in
   Traffic.Zipf.trace ~spec:(spec pkts) st z ~flows
 
-(* --- mode parsing ---------------------------------------------------------- *)
+(* --- spec parsing ---------------------------------------------------------- *)
 
-let mode_t =
+let spec_t =
   Alcotest.testable (fun fmt m -> Format.pp_print_string fmt (to_string m)) ( = )
 
 let test_parse () =
-  Alcotest.(check (result mode_t string)) "off" (Ok Off) (parse "off");
-  Alcotest.(check (result mode_t string)) "on" (Ok (On default_config)) (parse "on");
-  Alcotest.(check (result mode_t string)) "full spec"
-    (Ok (On { epoch_pkts = 512; up = 2.0; down = 1.2; cooldown = 3 }))
+  Alcotest.(check (result spec_t string)) "off" (Ok None) (parse "off");
+  Alcotest.(check (result spec_t string)) "on" (Ok (Some default_config)) (parse "on");
+  Alcotest.(check (result spec_t string)) "full spec"
+    (Ok (Some { epoch_pkts = 512; up = 2.0; down = 1.2; cooldown = 3 }))
     (parse "epochs=512,up=2,down=1.2,cooldown=3");
-  Alcotest.(check (result mode_t string)) "partial spec keeps defaults"
-    (Ok (On { default_config with up = 1.6 }))
+  Alcotest.(check (result spec_t string)) "partial spec keeps defaults"
+    (Ok (Some { default_config with up = 1.6 }))
     (parse "up=1.6");
   List.iter
     (fun bad ->
@@ -48,11 +48,11 @@ let test_parse () =
   (* to_string round-trips through parse *)
   List.iter
     (fun m ->
-      Alcotest.(check (result mode_t string))
+      Alcotest.(check (result spec_t string))
         (Printf.sprintf "round-trip %s" (to_string m))
         (Ok m)
         (parse (to_string m)))
-    [ Off; On default_config; On { epoch_pkts = 64; up = 3.0; down = 1.05; cooldown = 0 } ]
+    [ None; Some default_config; Some { epoch_pkts = 64; up = 3.0; down = 1.05; cooldown = 0 } ]
 
 (* --- admissibility --------------------------------------------------------- *)
 
@@ -178,7 +178,7 @@ let test_commit_rejects_inadmissible () =
 
 (* --- live pool ---------------------------------------------------------------- *)
 
-let pool_mode = On { epoch_pkts = 1024; up = 2.0; down = 1.3; cooldown = 1 }
+let pool_policy = Runtime.Pool.Adaptive { epoch_pkts = 1024; up = 2.0; down = 1.3; cooldown = 1 }
 
 (* calm → skew → calm: the pool steps down to SCR under the skew and
    climbs back; the differential harness checks the verdicts and the
@@ -227,7 +227,7 @@ let test_pool_calm_never_switches () =
   let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
   let pool = Runtime.Pool.create ~cores:4 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let v = Runtime.Pool.run ~adaptive:pool_mode pool plan trace in
+  let v = Runtime.Pool.run ~policy:pool_policy pool plan trace in
   let s = Runtime.Pool.stats pool in
   Alcotest.(check int) "no switches" 0 s.Runtime.Pool.switches;
   Alcotest.(check (list (pair (testable (Fmt.of_to_string Maestro.Ladder.rung_name) ( = )) int)))
@@ -251,7 +251,7 @@ let test_pool_crash_defers_switch () =
   Fun.protect ~finally:Faults.clear @@ fun () ->
   let pool = Runtime.Pool.create ~cores:4 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let v = Runtime.Pool.run ~adaptive:pool_mode pool plan trace in
+  let v = Runtime.Pool.run ~policy:pool_policy pool plan trace in
   let s = Runtime.Pool.stats pool in
   Alcotest.(check bool) "workers crashed and restarted" true (s.Runtime.Pool.restarts >= 1);
   Alcotest.(check bool) "the switch still happened" true (s.Runtime.Pool.switches >= 1);

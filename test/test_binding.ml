@@ -51,7 +51,7 @@ let test_reset_equals_create () =
       trace
   in
   let check label (nf : Dsl.Ast.t) trace =
-    let staged = Dsl.Compile.stage_runner ~compiled:true nf (Dsl.Check.check_exn nf) in
+    let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
     List.iter
       (fun divide ->
         let inst = Dsl.Instance.create ~divide nf in
@@ -227,7 +227,43 @@ let pinned_stats ?(batches = true) (s : Runtime.Pool.stats) =
     ]
 
 let pinned_rebalance =
-  Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 1024; threshold = 0.0 }
+  Runtime.Pool.Rebalance { Runtime.Balancer.epoch_pkts = 1024; threshold = 0.0 }
+
+(* The [pool.*] counters that count what a [Pool.stats] field counts. *)
+let paired_counters =
+  let open Runtime.Pool in
+  [
+    ("pool.batches", fun s -> s.batches);
+    ("pool.pkts", fun s -> s.pkts);
+    ("pool.ring_full_stalls", fun s -> s.ring_full_stalls);
+    ("pool.dropped_batches", fun s -> s.dropped_batches);
+    ("pool.dropped_pkts", fun s -> s.dropped_pkts);
+    ("pool.inline_batches", fun s -> s.inline_batches);
+    ("pool.rebalances", fun s -> s.rebalances);
+    ("pool.rebalances_forced", fun s -> s.forced_rebalances);
+    ("pool.migrated_buckets", fun s -> s.migrated_buckets);
+    ("pool.migrated_flows", fun s -> s.migrated_flows);
+    ("pool.migration_drops", fun s -> s.migration_drops);
+    ("pool.scr_replays", fun s -> s.scr_replays);
+    ("pool.scr_rebuilds", fun s -> s.scr_rebuilds);
+    ("pool.scr_digest_bytes", fun s -> s.scr_digest_bytes);
+    ("pool.adaptive.switches", fun s -> s.switches);
+    ("pool.adaptive.flap_suppressed", fun s -> s.flap_suppressed);
+  ]
+
+(* Run [f] with telemetry reset and on, then check that every paired
+   counter equals its field of the stats [f] returns: the counts of a pool
+   created inside [f] and the process-global counters agree. *)
+let counters_agree label f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let r, (s : Runtime.Pool.stats) = Fun.protect ~finally:Telemetry.disable f in
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check int) (label ^ ": " ^ name) (field s)
+        (Telemetry.Counter.value (Telemetry.Counter.make name)))
+    paired_counters;
+  (r, s)
 
 (* nf, strategy, mode, fault plan (["write-off"]: crash@1:8 with no
    restart budget), and the stats the run leaves on a fresh 4-core pool *)
@@ -417,11 +453,11 @@ let test_pinned_stats () =
                fault;
              ])
       in
-      let trace, rebalance, adaptive =
+      let trace, policy =
         match mode with
-        | `Static -> (zipf, None, None)
-        | `Rebalance -> (zipf, Some pinned_rebalance, None)
-        | `Adaptive -> (calm_skew, None, Some Test_adaptive.pool_mode)
+        | `Static -> (zipf, Runtime.Pool.Static)
+        | `Rebalance -> (zipf, pinned_rebalance)
+        | `Adaptive -> (calm_skew, Test_adaptive.pool_policy)
       in
       let write_off = fault = "write-off" in
       let supervisor =
@@ -434,9 +470,10 @@ let test_pinned_stats () =
         | Error e -> Alcotest.fail e);
       let v, stats =
         Fun.protect ~finally:Faults.clear @@ fun () ->
+        counters_agree label @@ fun () ->
         let pool = Runtime.Pool.create ?supervisor ~cores:4 () in
         Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-        let v = Runtime.Pool.run ?rebalance ?adaptive pool plan trace in
+        let v = Runtime.Pool.run ~policy pool plan trace in
         (v, Runtime.Pool.stats pool)
       in
       Alcotest.(check string) (label ^ ": stats") expect

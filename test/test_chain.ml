@@ -35,7 +35,7 @@ let differential3 label chain trace =
   let info = Dsl.Check.check_exn composed in
   let i_inst = Dsl.Instance.create composed in
   let bound =
-    Dsl.Compile.bind (Dsl.Chain.stage_compiled chain) (Dsl.Instance.create composed)
+    Dsl.Compile.bind_runner (Dsl.Chain.stage_compiled chain) (Dsl.Instance.create composed)
   in
   let oracle = Dsl.Chain.oracle chain in
   Array.iteri
@@ -44,7 +44,7 @@ let differential3 label chain trace =
       let a_i =
         Dsl.Interp.process ~on_op:(fun e -> i_ops := e :: !i_ops) composed info i_inst pkt
       in
-      let a_c = Dsl.Compile.process ~on_op:(fun e -> c_ops := e :: !c_ops) bound pkt in
+      let a_c = Dsl.Compile.run ~on_op:(fun e -> c_ops := e :: !c_ops) bound pkt in
       let a_o = Dsl.Chain.oracle_process ~on_op:(fun e -> o_ops := e :: !o_ops) oracle pkt in
       if a_i <> a_c then
         Alcotest.failf "%s: fused-compiled verdict diverges from fused-interp at packet %d (%a)"

@@ -20,15 +20,15 @@ let differential label nf trace =
   let i_inst = Dsl.Instance.create nf in
   let c_inst = Dsl.Instance.create nf in
   let u_inst = Dsl.Instance.create nf in
-  let staged = Dsl.Compile.stage nf info in
-  let bound = Dsl.Compile.bind staged c_inst in
-  let unobserved = Dsl.Compile.bind staged u_inst in
+  let staged = Dsl.Compile.stage_runner nf info in
+  let bound = Dsl.Compile.bind_runner staged c_inst in
+  let unobserved = Dsl.Compile.bind_runner staged u_inst in
   Array.iteri
     (fun i pkt ->
       let i_ops = ref [] and c_ops = ref [] in
       let a1 = Dsl.Interp.process ~on_op:(fun e -> i_ops := e :: !i_ops) nf info i_inst pkt in
-      let a2 = Dsl.Compile.process ~on_op:(fun e -> c_ops := e :: !c_ops) bound pkt in
-      let a3 = Dsl.Compile.process unobserved pkt in
+      let a2 = Dsl.Compile.run ~on_op:(fun e -> c_ops := e :: !c_ops) bound pkt in
+      let a3 = Dsl.Compile.run unobserved pkt in
       if a1 <> a2 || a1 <> a3 then
         Alcotest.failf "%s: verdict diverges at packet %d (%a)" label i Packet.Pkt.pp pkt;
       if !i_ops <> !c_ops then
@@ -182,14 +182,14 @@ let test_observer_cleared_on_raise () =
           { obj = "v"; index = Field Packet.Field.Ip_src; record = "r"; k = Nfs.Topo.fwd 0 };
     }
   in
-  let b = Dsl.Compile.bind (Dsl.Compile.stage nf (Dsl.Check.check_exn nf)) (Dsl.Instance.create nf) in
+  let b = Dsl.Compile.make_runner nf (Dsl.Check.check_exn nf) (Dsl.Instance.create nf) in
   let seen = ref 0 in
   let pkt ip_src = Packet.Pkt.make ~ip_src ~ip_dst:0 ~src_port:0 ~dst_port:0 () in
-  (match Dsl.Compile.process ~on_op:(fun _ -> incr seen) b (pkt 9) with
+  (match Dsl.Compile.run ~on_op:(fun _ -> incr seen) b (pkt 9) with
   | _ -> Alcotest.fail "vec_get out of range must raise"
   | exception Dsl.Interp.Runtime_error _ -> ());
   Alcotest.(check int) "observed call saw its event" 1 !seen;
-  ignore (Dsl.Compile.process b (pkt 1));
+  ignore (Dsl.Compile.run b (pkt 1));
   Alcotest.(check int) "unobserved call reached no observer" 1 !seen
 
 (* framebench's fw-churn-lock parameters: 1024 live flows, 0.4 flow
@@ -210,14 +210,14 @@ let churn_trace ~span_ns pkts =
 let second_half_cost name trace =
   let nf = Nfs.Registry.find_exn name in
   let info = Dsl.Check.check_exn nf in
-  let b = Dsl.Compile.bind (Dsl.Compile.stage nf info) (Dsl.Instance.create nf) in
+  let b = Dsl.Compile.make_runner nf info (Dsl.Instance.create nf) in
   let n = Array.length trace and half = Array.length trace / 2 in
   for i = 0 to half - 1 do
-    ignore (Dsl.Compile.process b trace.(i))
+    ignore (Dsl.Compile.run b trace.(i))
   done;
   let w0 = Gc.minor_words () in
   for i = half to n - 1 do
-    ignore (Dsl.Compile.process b trace.(i))
+    ignore (Dsl.Compile.run b trace.(i))
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int (n - half) in
   let inst = Dsl.Instance.create nf and expired = ref 0 in
@@ -254,7 +254,7 @@ let test_vpp_nat44_agrees_with_compiled () =
   let vpp_verdicts = Vpp.Nat44.run vpp w.Sim.Workload.trace in
   let info = Dsl.Check.check_exn w.Sim.Workload.nf in
   let runner =
-    Dsl.Compile.make_runner ~compiled:true w.Sim.Workload.nf info
+    Dsl.Compile.make_runner w.Sim.Workload.nf info
       (Dsl.Instance.create w.Sim.Workload.nf)
   in
   let compiled = Array.map (Dsl.Compile.run runner) w.Sim.Workload.trace in
@@ -289,23 +289,14 @@ let test_pool_fault_plan_differential () =
   in
   Alcotest.(check bool) "at least one restart" true (stats.Runtime.Pool.restarts >= 1)
 
-(* The interp runner honours the dispatch switch: with [?compiled:false]
-   the runner is the interpreter itself. *)
-let test_runner_dispatch () =
-  let nf = Nfs.Registry.find_exn "fw" in
-  let info = Dsl.Check.check_exn nf in
-  let mk c = Dsl.Compile.make_runner ?compiled:c nf info (Dsl.Instance.create nf) in
-  Alcotest.(check bool) "explicit on" true (Dsl.Compile.is_compiled (mk (Some true)));
-  Alcotest.(check bool) "explicit off" false (Dsl.Compile.is_compiled (mk (Some false)))
-
 (* Re-binding one staged program over independent instances keeps their
    state disjoint (the pool binds a fresh instance per core). *)
 let test_bind_isolates_state () =
   let nf = Nfs.Registry.find_exn "fw" in
   let info = Dsl.Check.check_exn nf in
-  let staged = Dsl.Compile.stage nf info in
-  let b1 = Dsl.Compile.bind staged (Dsl.Instance.create nf) in
-  let b2 = Dsl.Compile.bind staged (Dsl.Instance.create nf) in
+  let staged = Dsl.Compile.stage_runner nf info in
+  let b1 = Dsl.Compile.bind_runner staged (Dsl.Instance.create nf) in
+  let b2 = Dsl.Compile.bind_runner staged (Dsl.Instance.create nf) in
   let lan_pkt =
     Packet.Pkt.make ~port:0 ~ip_src:10 ~ip_dst:20 ~src_port:1 ~dst_port:2 ()
   in
@@ -313,13 +304,13 @@ let test_bind_isolates_state () =
     Packet.Pkt.make ~port:1 ~ip_src:20 ~ip_dst:10 ~src_port:2 ~dst_port:1 ()
   in
   (* open the session only on b1 *)
-  (match Dsl.Compile.process b1 lan_pkt with
+  (match Dsl.Compile.run b1 lan_pkt with
   | Dsl.Interp.Fwd _ -> ()
   | Dsl.Interp.Dropped -> Alcotest.fail "outbound dropped");
-  (match Dsl.Compile.process b1 wan_reply with
+  (match Dsl.Compile.run b1 wan_reply with
   | Dsl.Interp.Fwd _ -> ()
   | Dsl.Interp.Dropped -> Alcotest.fail "reply should be admitted on b1");
-  match Dsl.Compile.process b2 wan_reply with
+  match Dsl.Compile.run b2 wan_reply with
   | Dsl.Interp.Dropped -> ()
   | Dsl.Interp.Fwd _ -> Alcotest.fail "b2 must not see b1's session"
 
@@ -347,7 +338,6 @@ let suite =
       test_vpp_nat44_agrees_with_compiled;
     Alcotest.test_case "pool under fault plan matches oracle" `Quick
       test_pool_fault_plan_differential;
-    Alcotest.test_case "runner dispatch switch" `Quick test_runner_dispatch;
     Alcotest.test_case "bind isolates per-core state" `Quick test_bind_isolates_state;
     QCheck_alcotest.to_alcotest prop_differential;
   ]

@@ -343,25 +343,19 @@ let bucket_of (plan : Maestro.Plan.t) trace =
 let check_run ?(policy = Static) ?(fault = No_fault) ?(order_free = false) s pool name
     (plan : Maestro.Plan.t) trace =
   let rung = rung_of plan in
-  let rebalance =
+  let pool_policy =
     match policy with
+    | Static -> Runtime.Pool.Static
     | Rebalance ->
-        Some
-          (Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = s.epoch; threshold = s.threshold })
-    | Static | Adaptive -> None
-  in
-  let adaptive =
-    match policy with
+        Runtime.Pool.Rebalance { Runtime.Balancer.epoch_pkts = s.epoch; threshold = s.threshold }
     | Adaptive ->
-        Some
-          (Runtime.Adaptive.On
-             { Runtime.Adaptive.epoch_pkts = s.epoch; up = 2.0; down = 1.3; cooldown = 1 })
-    | Static | Rebalance -> None
+        Runtime.Pool.Adaptive
+          { Runtime.Adaptive.epoch_pkts = s.epoch; up = 2.0; down = 1.3; cooldown = 1 }
   in
   let npkts = Array.length trace in
   let s0 = Runtime.Pool.stats pool in
   let failed0 = s0.Runtime.Pool.failed_cores in
-  let run pool = Runtime.Pool.run ?rebalance ?adaptive pool plan trace in
+  let run pool = Runtime.Pool.run ~policy:pool_policy pool plan trace in
   if List.length failed0 = s.cores then begin
     match run pool with
     | _ -> fail "%s: a run on a pool whose every plan core failed returned" name

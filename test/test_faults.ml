@@ -97,10 +97,9 @@ let test_disabled_hooks_are_noops () =
 
 let test_crash_restart_preserves_equivalence () =
   let nf = Nfs.Registry.find_exn "fw" in
-  let trace = mixed_trace 71 1500 150 in
-  let seq = Runtime.Parallel.run_sequential nf trace in
   let plan = plan_of ~cores:4 "fw" in
-  let check (ring_capacity, batch_size) =
+  let check (trace, ring_capacity, batch_size) =
+    let seq = Runtime.Parallel.run_sequential nf trace in
     with_fault_plan "crash@1:2" @@ fun () ->
     Telemetry.reset ();
     Telemetry.enable ();
@@ -126,8 +125,10 @@ let test_crash_restart_preserves_equivalence () =
   in
   (* also on a two-slot ring with 4-packet batches: the producer keeps
      filling the crashed core's lane up to the ring's bound while the dead
-     worker's batch waits to be replayed *)
-  List.iter check [ (None, None); (Some 2, Some 4) ]
+     worker's batch waits to be replayed; and on a longer trace *)
+  let trace = mixed_trace 71 1500 150 in
+  List.iter check
+    [ (trace, None, None); (trace, Some 2, Some 4); (mixed_trace 0x5eed 4000 200, None, None) ]
 
 let test_repeated_crashes_exhaust_restart_budget () =
   let trace = mixed_trace 72 1200 120 in
@@ -163,10 +164,16 @@ let test_failed_core_buckets_migrate () =
       let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn name) trace in
       let plan = plan_of ~cores ~strategy name in
       with_pool ~cores ~supervisor:no_restart_supervisor @@ fun pool ->
-      (* run 1: the core dies on its first batch and is written off *)
-      (with_fault_plan (Printf.sprintf "crash@%d:0x1000000" dead) @@ fun () ->
-       ignore (Runtime.Pool.run pool plan trace));
+      (* run 1: the core dies on its first batch and is written off; the
+         producer runs its batches inline, in order *)
+      let v =
+        with_fault_plan (Printf.sprintf "crash@%d:0x1000000" dead) @@ fun () ->
+        Runtime.Pool.run pool plan trace
+      in
       Alcotest.(check (list int)) (label ^ " failed") [ dead ] (Runtime.Pool.failed_cores pool);
+      if name = "fw" then
+        Alcotest.(check bool) (label ^ ": verdicts == sequential across the write-off") true
+          (seq = v);
       (* run 2, faults cleared: the RETA is remapped, so every packet lands
          on a live core — the dead core serves exactly zero packets *)
       Telemetry.reset ();
@@ -192,6 +199,7 @@ let test_failed_core_buckets_migrate () =
       Alcotest.(check bool) (label ^ ": verdicts == sequential after failover") true (seq = v))
     [
       ("fw", `Auto, 4, 1, mixed_trace 73 1500 150);
+      ("fw", `Auto, 4, 1, mixed_trace 0x5eed 4000 200);
       ( "gre_peer",
         `Force_locks,
         2,
@@ -205,31 +213,36 @@ let backpressure_cases =
   [
     ("block", Runtime.Pool.Block);
     ("drop", Runtime.Pool.Drop { max_spins = 200 });
-    ("shed", Runtime.Pool.Shed);
+    ("shed", Runtime.Pool.Drop { max_spins = 0 });
   ]
 
 let test_stalled_consumer_terminates () =
   let nf = Nfs.Registry.find_exn "fw" in
-  let trace = mixed_trace 74 800 100 in
-  let seq = Runtime.Parallel.run_sequential nf trace in
-  let plan = plan_of ~cores:2 "fw" in
   List.iter
-    (fun (name, bp) ->
+    (fun ((cores, trace), (policy, bp)) ->
+      let seq = Runtime.Parallel.run_sequential nf trace in
+      let plan = plan_of ~cores "fw" in
+      let name = Printf.sprintf "%s, %d cores" policy cores in
       (* the consumer freezes before its first batch while the producer
          keeps submitting into a 2-slot ring: the ring fills and the
          backpressure policy decides.  The old unbounded spin livelocked
-         here for the drop/shed workloads' latency budget. *)
+         here for the drop/shed workloads' latency budget.  Stalls depend
+         on timing, so the pool's counts are checked against the
+         counters, not against literals. *)
       with_fault_plan "stall@1:0:2000000" @@ fun () ->
-      with_pool ~cores:2 ~ring_capacity:2 ~batch_size:8 ~backpressure:bp @@ fun pool ->
-      let v = Runtime.Pool.run pool plan trace in
-      let s = Runtime.Pool.stats pool in
+      let v, s =
+        Test_binding.counters_agree name @@ fun () ->
+        with_pool ~cores ~ring_capacity:2 ~batch_size:8 ~backpressure:bp @@ fun pool ->
+        let v = Runtime.Pool.run pool plan trace in
+        (v, Runtime.Pool.stats pool)
+      in
       Alcotest.(check bool) (name ^ ": stall observed") true (s.Runtime.Pool.ring_full_stalls >= 1);
       match bp with
       | Runtime.Pool.Block ->
           (* lossless: blocking waited the stall out *)
-          Alcotest.(check bool) "block: verdicts == sequential" true (seq = v);
-          Alcotest.(check int) "block: no drops" 0 s.Runtime.Pool.dropped_batches
-      | Runtime.Pool.Drop _ | Runtime.Pool.Shed ->
+          Alcotest.(check bool) (name ^ ": verdicts == sequential") true (seq = v);
+          Alcotest.(check int) (name ^ ": no drops") 0 s.Runtime.Pool.dropped_batches
+      | Runtime.Pool.Drop _ ->
           Alcotest.(check bool) (name ^ ": drops counted") true (s.Runtime.Pool.dropped_batches > 0);
           Alcotest.(check bool)
             (name ^ ": stalled core dropped")
@@ -239,7 +252,9 @@ let test_stalled_consumer_terminates () =
             (name ^ ": drop packets accounted")
             true
             (s.Runtime.Pool.dropped_pkts >= s.Runtime.Pool.dropped_batches))
-    backpressure_cases
+    (List.concat_map
+       (fun shape -> List.map (fun bp -> (shape, bp)) backpressure_cases)
+       [ (2, mixed_trace 74 800 100); (4, mixed_trace 0x5eed 4000 200) ])
 
 (* Under drop and shed, a dropped batch never runs: on nop, which forwards
    everything it sees, the Dropped verdicts are exactly the dropped

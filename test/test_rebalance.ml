@@ -133,15 +133,15 @@ let test_balancer_parse () =
     | Error e -> Alcotest.fail (Printf.sprintf "%S: %s" s e)
   in
   (match ok "off" with
-  | Runtime.Balancer.Off -> ()
+  | None -> ()
   | _ -> Alcotest.fail "off");
   (match ok "on" with
-  | Runtime.Balancer.On c ->
+  | Some c ->
       Alcotest.(check int) "default epoch" Runtime.Balancer.default_config.epoch_pkts
         c.Runtime.Balancer.epoch_pkts
   | _ -> Alcotest.fail "on");
   (match ok "epoch=512,threshold=1.5" with
-  | Runtime.Balancer.On c ->
+  | Some c ->
       Alcotest.(check int) "epoch" 512 c.Runtime.Balancer.epoch_pkts;
       Alcotest.(check (float 1e-9)) "threshold" 1.5 c.Runtime.Balancer.threshold
   | _ -> Alcotest.fail "epoch+threshold");

@@ -40,13 +40,13 @@ let test_all_stage_cleanly () =
       match Dsl.Check.check nf with
       | Error es -> Alcotest.failf "%s: Check fails: %s" name (String.concat "; " es)
       | Ok info ->
-          let staged = Dsl.Compile.stage nf info in
-          let bound = Dsl.Compile.bind staged (Dsl.Instance.create nf) in
+          let staged = Dsl.Compile.stage_runner nf info in
+          let bound = Dsl.Compile.bind_runner staged (Dsl.Instance.create nf) in
           let pkt =
             Packet.Pkt.make ~port:0 ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4 ()
           in
           (* the bound closure runs: any verdict will do *)
-          ignore (Dsl.Compile.process bound pkt : Dsl.Interp.action))
+          ignore (Dsl.Compile.run bound pkt : Dsl.Interp.action))
     Nfs.Registry.extended_names
 
 (* state-object names are distinct within each NF (what Chain's
@@ -88,8 +88,7 @@ let test_self_chains () =
               Alcotest.failf "%s: self-chain fails Check: %s" name (String.concat "; " es)
           | Ok info ->
               ignore
-                (Dsl.Compile.bind
-                   (Dsl.Compile.stage (Dsl.Chain.nf chain) info)
+                (Dsl.Compile.make_runner (Dsl.Chain.nf chain) info
                    (Dsl.Instance.create (Dsl.Chain.nf chain))))
       | Error e ->
           if not (contains e "constant") then

@@ -303,12 +303,12 @@ let test_pool_rejects_unknown_port () =
       ("static", Runtime.Pool.run pool plan);
       ( "rebalance",
         Runtime.Pool.run
-          ~rebalance:(Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 64; threshold = 0.0 })
+          ~policy:(Runtime.Pool.Rebalance { Runtime.Balancer.epoch_pkts = 64; threshold = 0.0 })
           pool plan );
       ( "adaptive",
         Runtime.Pool.run
-          ~adaptive:
-            (Runtime.Adaptive.On
+          ~policy:
+            (Runtime.Pool.Adaptive
                { Runtime.Adaptive.epoch_pkts = 64; up = 2.0; down = 1.3; cooldown = 1 })
           pool plan );
     ]

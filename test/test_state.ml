@@ -265,9 +265,9 @@ let test_corpus_keys_pack () =
   let fallback = Telemetry.Counter.make "state.key_string_fallback" in
   let packed = Telemetry.Counter.make "state.key_packed" in
   let run (nf : Dsl.Ast.t) trace =
-    let staged = Dsl.Compile.stage nf (Dsl.Check.check_exn nf) in
-    let b = Dsl.Compile.bind staged (Dsl.Instance.create nf) in
-    Array.iter (fun p -> ignore (Dsl.Compile.process b p)) trace
+    let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
+    let b = Dsl.Compile.bind_runner staged (Dsl.Instance.create nf) in
+    Array.iter (fun p -> ignore (Dsl.Compile.run b p)) trace
   in
   let fw_trace = (Sim.Workload.read_heavy ~pkts:2_000 ~flows:200 "fw").Sim.Workload.trace in
   Telemetry.reset ();
