@@ -37,6 +37,13 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
     counter=$(awk '$1 == "pool.batches" { print $2 }' cli-fault-shed.txt)
     test -n "$batches"
     test "$batches" = "$counter"
+    # a slow but live worker (~0.7 ms a batch): the producer naps while
+    # it drains, and --stats counts the naps
+    cli run fw --cores 1 --pkts 4000 --flows 200 --fault-plan 'slow@0:0:20000' --stats \
+      | tee cli-fault-slow.txt
+    grep -q 'pool sequential agreement: 4000/4000' cli-fault-slow.txt
+    naps=$(awk '$1 == "pool.producer_naps" { print $2 }' cli-fault-slow.txt)
+    test "${naps:-0}" -gt 0
     ;;
 
   skew)

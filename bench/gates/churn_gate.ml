@@ -145,7 +145,14 @@ let run ?(out = "BENCH_churn.json") () =
 
   Telemetry.disable ();
   let snap = Telemetry.snapshot () in
-  let timing_dependent = [ "pool.ring_full_stalls"; "supervisor.stuck_detected" ] in
+  let timing_dependent =
+    [
+      "pool.ring_full_stalls";
+      "pool.producer_naps";
+      "pool.producer_nap_us";
+      "supervisor.stuck_detected";
+    ]
+  in
   let snap =
     {
       snap with

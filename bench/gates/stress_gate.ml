@@ -212,10 +212,17 @@ let run ?(out = "BENCH_stress.json") () =
   c_counter "stress.pool_run_ms" "pool leg wall clock, ms" pool_ms;
 
   Telemetry.disable ();
-  (* drop the two timing-dependent pool counters so the committed
-     baseline diffs cleanly across machines (same policy as churn) *)
+  (* drop the timing-dependent pool counters so the committed baseline
+     diffs cleanly across machines (same policy as churn) *)
   let snap = Telemetry.snapshot () in
-  let timing_dependent = [ "pool.ring_full_stalls"; "supervisor.stuck_detected" ] in
+  let timing_dependent =
+    [
+      "pool.ring_full_stalls";
+      "pool.producer_naps";
+      "pool.producer_nap_us";
+      "supervisor.stuck_detected";
+    ]
+  in
   let snap =
     {
       snap with

@@ -129,10 +129,17 @@ let () =
 
   Telemetry.disable ();
   let snap = Telemetry.snapshot () in
-  (* ring-full stalls and stuck-worker detections depend on
-     producer/consumer timing, never on the workload — drop them so the
-     committed baseline is machine-independent *)
-  let timing_dependent = [ "pool.ring_full_stalls"; "supervisor.stuck_detected" ] in
+  (* ring-full stalls, producer naps and stuck-worker detections depend
+     on producer/consumer timing, never on the workload — drop them so
+     the committed baseline is machine-independent *)
+  let timing_dependent =
+    [
+      "pool.ring_full_stalls";
+      "pool.producer_naps";
+      "pool.producer_nap_us";
+      "supervisor.stuck_detected";
+    ]
+  in
   let snap =
     {
       snap with

@@ -51,6 +51,8 @@ module Event = struct
       ~doc:"SCR replicas rebuilt from the digest stream after a worker death"
   let scr_digest_bytes =
     counted "pool.scr_digest_bytes" ~doc:"update-digest bytes broadcast by the SCR dispatcher"
+  let naps = counted "pool.producer_naps" ~doc:"producer naps while its workers drained"
+  let nap_us = counted "pool.producer_nap_us" ~doc:"microseconds the producer napped"
 
   (* the pool's alone: runs have no counter, and the {!Adaptive}
      controller bumps its own [pool.adaptive.*] counters as it decides *)
@@ -108,6 +110,7 @@ module Ring = struct
   let capacity t = t.mask + 1
   let length t = Atomic.get t.tail - Atomic.get t.head
   let is_empty t = length t = 0
+  let is_full t = length t > t.mask
 
   let try_push t x =
     let tail = Atomic.get t.tail in
@@ -132,7 +135,7 @@ end
 (* --- backpressure ----------------------------------------------------------- *)
 
 type backpressure =
-  | Block  (** spin until there is room (checking worker liveness while spinning) *)
+  | Block  (** wait until there is room (supervising the worker while waiting) *)
   | Drop of { max_spins : int }  (** bounded spin, then drop the batch *)
 
 let backpressure_name = function
@@ -140,6 +143,24 @@ let backpressure_name = function
   | Drop { max_spins } -> Printf.sprintf "drop(%d)" max_spins
 
 let default_drop_spins = 4096
+
+(* --- run errors ------------------------------------------------------------- *)
+
+type invariant = Scr_admissible of { nf : string; reason : string } | Scr_replicas_agree
+
+exception Run_error of { invariant : invariant; epoch : int option; core : int option }
+
+let () =
+  Printexc.register_printer (function
+    | Run_error { invariant; epoch; core } ->
+        let at name = Option.fold ~none:"" ~some:(Printf.sprintf ", %s %d" name) in
+        Some
+          (Printf.sprintf "Pool.Run_error (%s%s%s)"
+             (match invariant with
+             | Scr_admissible { nf; reason } -> Printf.sprintf "SCR plan for %s but %s" nf reason
+             | Scr_replicas_agree -> "SCR replicas diverged at a discipline switch")
+             (at "epoch" epoch) (at "core" core))
+    | _ -> None)
 
 (* --- workers ---------------------------------------------------------------- *)
 
@@ -213,6 +234,8 @@ type stats = {
   scr_replays : int;  (** foreign-batch digest replays scheduled (SCR runs) *)
   scr_rebuilds : int;  (** replicas rebuilt from the digest stream after a death *)
   scr_digest_bytes : int;  (** update-digest bytes broadcast (SCR runs) *)
+  producer_naps : int;  (** naps the producer took while its workers drained *)
+  producer_nap_us : int;  (** microseconds those naps lasted *)
   switches : int;  (** adaptive discipline switches committed (lifetime) *)
   flap_suppressed : int;  (** adaptive switches suppressed by the cooldown (lifetime) *)
   switch_epochs : (int * Maestro.Ladder.rung) list;
@@ -245,7 +268,9 @@ type binding = {
   mutable replayers : Scr.replayer array;  (* per plan core on the SCR rung, else empty *)
 }
 
-(* What {!stats} reports of the most recent run, written when it ends. *)
+(* What {!stats} reports of the most recent run, written when it ends.
+   The run made its arrays and writes them no more, so {!stats} hands
+   them out without copying. *)
 type last_run = {
   per_core : int array;  (* packets dispatched to each plan core *)
   assignment : int array;  (* the core of each packet, in trace order *)
@@ -260,6 +285,10 @@ type t = {
   backpressure : backpressure;
   supervisor : Supervisor.t;
   workers : worker array;
+  seen : int array;
+      (* each worker's [retired] at the producer's last look: the
+         producer's alone, so it stays out of the worker records, whose
+         fields the workers write per batch *)
   ledger : int array array;  (* one row per {!Event}, one slot per core *)
   mutable last : last_run;
   mutable binding : binding option;  (* the one plan bound to this pool *)
@@ -348,6 +377,7 @@ let create ?(batch_size = default_batch_size) ?(ring_capacity = default_ring_cap
     backpressure;
     supervisor = Supervisor.create ?config:supervisor ~cores ();
     workers;
+    seen = Array.make cores 0;
     ledger = Array.init !Event.n (fun _ -> Array.make cores 0);
     last = { per_core = [||]; assignment = [||]; points = []; switch_epochs = []; residency = [] };
     binding = None;
@@ -398,7 +428,7 @@ let stats t =
     batches = n Event.batches;
     pkts = n Event.pkts;
     ring_full_stalls = n Event.stalls;
-    last_per_core_pkts = Array.copy last.per_core;
+    last_per_core_pkts = last.per_core;
     dropped_batches = n Event.dropped_batches;
     dropped_pkts = n Event.dropped_pkts;
     per_core_drops = Array.copy t.ledger.(Event.dropped_batches.slot);
@@ -414,11 +444,13 @@ let stats t =
       Array.map
         (fun c -> if dispatched = 0 then 0. else float_of_int c /. float_of_int dispatched)
         last.per_core;
-    last_assignment = Array.copy last.assignment;
+    last_assignment = last.assignment;
     last_rebalance_points = last.points;
     scr_replays = n Event.scr_replays;
     scr_rebuilds = n Event.scr_rebuilds;
     scr_digest_bytes = n Event.scr_digest_bytes;
+    producer_naps = n Event.naps;
+    producer_nap_us = n Event.nap_us;
     switches = n Event.switches;
     flap_suppressed = n Event.flap_suppressed;
     switch_epochs = last.switch_epochs;
@@ -501,21 +533,83 @@ let wake w =
 let rec drop_spin w tok n =
   n > 0 && (Domain.cpu_relax (); Ring.try_push w.ring tok || drop_spin w tok (n - 1))
 
-(* Spin until [tok] is in [w]'s ring, rechecking liveness every 64th spin:
-   a full ring with a dead consumer must fail over, not livelock the
-   producer.  [false] once [w] has failed. *)
-let rec block_spin t w tok n =
-  Domain.cpu_relax ();
-  (n land 63 <> 0 || ensure_live t w = `Ok)
-  && (Ring.try_push w.ring tok || block_spin t w tok (n + 1))
+(* --- the producer's wait ------------------------------------------------------ *)
+
+(* What the producer waits for from a worker: every batch handed to it
+   retired, or room in its full ring. *)
+type goal = Quiesce | Room
+
+(* [w] still owes the producer [goal].  A failed worker owes no room: its
+   ring was drained inline, and its batches run inline. *)
+let owes goal w =
+  match goal with
+  | Quiesce -> Atomic.get w.retired <> w.pushed
+  | Room -> Ring.is_full w.ring && not (Atomic.get w.failed)
+
+let rec owing t goal c hi = c < hi && (owes goal t.workers.(c) || owing t goal (c + 1) hi)
+
+(* Spins between two looks (the old quiesce's cadence), and the length
+   of a nap, chosen by a paired sweep (EXPERIMENTS.md, "Frame replay: a
+   napping producer"). *)
+let look_spins = 256
+let nap_s = 20e-6
+
+(* One look at workers [lo, hi): the producer plays supervisor.  It ticks
+   logical time, joins and restarts dead workers (running their crashed
+   batch and, on permanent failure, their whole ring inline) and notes
+   the live ones' heartbeats.  [true] when every worker that still owes
+   [goal] has retired a batch since the last look. *)
+let look t goal ~lo ~hi =
+  Supervisor.tick t.supervisor;
+  let draining = ref true in
+  for core = lo to hi - 1 do
+    let w = t.workers.(core) in
+    (match ensure_live t w with
+    | `Failed -> drain_inline t w
+    | `Ok ->
+        ignore
+          (Supervisor.note_heartbeat t.supervisor ~core ~heartbeat:(Atomic.get w.retired)
+             ~ring_len:(Ring.length w.ring)));
+    let retired = Atomic.get w.retired in
+    if retired = t.seen.(core) && owes goal w then draining := false;
+    t.seen.(core) <- retired
+  done;
+  !draining
+
+(* Sleep for [nap_s], counting the nap and how long it lasted. *)
+let nap t =
+  let t0 = Unix.gettimeofday () in
+  Unix.sleepf nap_s;
+  count t Event.naps 1;
+  count t Event.nap_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+
+(* The producer's one wait: until no worker of [lo, hi) owes [goal].  It
+   looks every [look_spins] spins, and naps when the look finds every
+   worker it waits on draining: their batches, not the producer, are what
+   the run waits for.  A worker that retires nothing between two looks
+   keeps the producer spinning, so it is supervised at spin cadence:
+   liveness, heartbeats, stuck detection, crash replay and restart
+   backoff. *)
+let wait t goal ~lo ~hi =
+  for c = lo to hi - 1 do
+    t.seen.(c) <- Atomic.get t.workers.(c).retired
+  done;
+  let spins = ref 0 in
+  while owing t goal lo hi do
+    incr spins;
+    if !spins mod look_spins = 0 && look t goal ~lo ~hi && owing t goal lo hi then nap t
+    else Domain.cpu_relax ()
+  done
 
 (* The producer's answer to a full ring under policy [bp]: [true] once
-   [tok] is in the ring. *)
+   [tok] is in the ring, [false] when it was dropped or [w] has failed. *)
 let push_full t w bp tok =
   count t Event.stalls 1;
   match bp with
   | Drop { max_spins } -> drop_spin w tok max_spins
-  | Block -> block_spin t w tok 1
+  | Block ->
+      wait t Room ~lo:w.core ~hi:(w.core + 1);
+      (not (Atomic.get w.failed)) && Ring.try_push w.ring tok
 
 (* Hand token [tok], a batch of [npkts] packets, to [w], honoring the
    backpressure policy ([bp], defaulting to the pool's own — SCR runs
@@ -548,34 +642,9 @@ let submit ?bp t w ~npkts tok =
         `Dropped
       end
 
-(* The producer waits until every batch handed over has retired.  Every
-   256 spins it plays supervisor: joins/restarts dead workers (running
-   their crashed batch and, on permanent failure, their whole ring
-   inline) and checks heartbeats of workers with queued work. *)
-let wait_quiesce t ~cores =
-  let rec busy c =
-    c < cores
-    &&
-    let w = t.workers.(c) in
-    Atomic.get w.retired <> w.pushed || busy (c + 1)
-  in
-  let iters = ref 0 in
-  while busy 0 do
-    incr iters;
-    if !iters land 255 = 0 then begin
-      Supervisor.tick t.supervisor;
-      for core = 0 to cores - 1 do
-        let w = t.workers.(core) in
-        match ensure_live t w with
-        | `Failed -> drain_inline t w
-        | `Ok ->
-            ignore
-              (Supervisor.note_heartbeat t.supervisor ~core
-                 ~heartbeat:(Atomic.get w.retired) ~ring_len:(Ring.length w.ring))
-      done
-    end;
-    Domain.cpu_relax ()
-  done
+(* Wait until every batch handed to the workers of cores [0, cores) has
+   retired. *)
+let wait_quiesce t ~cores = wait t Quiesce ~lo:0 ~hi:cores
 
 (* --- streamed dispatch ------------------------------------------------------ *)
 
@@ -794,9 +863,14 @@ let bind_plan t (plan : Maestro.Plan.t) ~divide ~rung =
               lazy
                 (match Maestro.Scrspec.admissible nf with
                 | Ok spec -> Scr.prepare spec
-                | Error e ->
-                    invalid_arg
-                      (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e));
+                | Error reason ->
+                    raise
+                      (Run_error
+                         {
+                           invariant = Scr_admissible { nf = nf.Dsl.Ast.name; reason };
+                           epoch = None;
+                           core = None;
+                         }));
             lock = Rwlock.create ~cores;
             (* conservative static write classification, shared by the
                lock and TM disciplines: OCaml has no transactional
@@ -967,7 +1041,7 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
       instances
   in
   (* convert the state to rung [target] and bind it there *)
-  let convert target =
+  let convert ~epoch target =
     (* collapse the current rung's state into ONE full instance *)
     let merged =
       match b.rung with
@@ -988,7 +1062,9 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
           let base = (lives ()).(0) in
           for c = 0 to cores - 1 do
             if live.(c) && c <> base && not (Scr.replica_equal spec b.insts.(base) b.insts.(c))
-            then invalid_arg "Pool.run: SCR replicas diverged at a discipline switch"
+            then
+              raise
+                (Run_error { invariant = Scr_replicas_agree; epoch = Some epoch; core = Some c })
           done;
           b.insts.(base)
       | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> b.insts.(0)
@@ -1077,7 +1153,7 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
       total t Event.scr_digest_bytes )
   in
   let last = ref (marks ()) in
-  let barrier ~hi =
+  let barrier ~epoch ~hi =
     (* join any dead domain NOW, noting cores written off in the epoch:
        crash recovery (inline replay, SCR replica rebuild) has run under
        the OLD table and rung, and a rebalance or switch never races a
@@ -1161,7 +1237,7 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
               Adaptive.defer ctl target
             else begin
               Telemetry.Span.with_span "pool/switch" (fun () ->
-                  convert target;
+                  convert ~epoch target;
                   enter ());
               Adaptive.commit ctl target;
               points := hi :: !points
@@ -1169,8 +1245,9 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
     | _, None -> ()
   in
   enter ();
-  let pos = ref 0 in
+  let pos = ref 0 and epoch = ref 0 in
   while !pos < npkts do
+    incr epoch;
     let hi = min (!pos + epoch_pkts) npkts in
     Array.fill loads 0 (mask + 1) 0;
     Array.fill counts 0 cores 0;
@@ -1181,7 +1258,7 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
        epoch) *)
     wait_quiesce t ~cores;
     pos := hi;
-    barrier ~hi
+    barrier ~epoch:!epoch ~hi
   done;
   (* an adaptive run's schedule stands until the next adaptive run's *)
   let switch_epochs, residency =

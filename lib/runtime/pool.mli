@@ -9,6 +9,18 @@
     idle pool burns no CPU — and the producer signals a worker only when
     it is blocked.
 
+    The producer waits in one place: for a run's batches to retire (at
+    every epoch barrier and at the end of a run), and for room in a full
+    ring under [Block].  It spins, and every 256 spins it {e looks}: it
+    plays supervisor over the workers it waits on and, when each of them
+    has retired a batch since the last look, naps for 20 µs
+    ([Unix.sleepf]; longer in practice, ~80 µs on an idle Linux host by
+    the timer's slack) instead of burning a core while they drain.  A worker that retires nothing
+    between two looks keeps the producer spinning, so supervision keeps
+    its spin cadence: liveness, {!Supervisor.tick} and heartbeats, stuck
+    detection, crash replay and restart backoff.  {!stats} counts the
+    naps and how long they lasted.
+
     {2 Streamed dispatch}
 
     The producer (the domain calling {!run}) hashes each packet in arrival
@@ -39,9 +51,9 @@
 
     Full rings apply the pool's {!backpressure} policy; the old
     unbounded producer spin livelocked when a consumer died with a full
-    ring.  [Block] keeps the lossless behavior but checks worker
-    liveness while spinning; [Drop] trades packets for bounded producer
-    latency and accounts every loss in {!stats} and telemetry.
+    ring.  [Block] keeps the lossless behavior but supervises the worker
+    while it waits; [Drop] trades packets for bounded producer latency
+    and accounts every loss in {!stats} and telemetry.
 
     {2 State-compute replication}
 
@@ -131,7 +143,12 @@
     A run that writes off the last live plan core finishes inline on the
     producer, static, rebalancing and adaptive alike: its later barriers
     do nothing.  The next run raises [Invalid_argument] ("every core of
-    the plan has failed permanently"). *)
+    the plan has failed permanently").
+
+    [Invalid_argument] is for the caller's mistakes.  A broken internal
+    invariant raises {!Run_error} instead, naming the invariant and,
+    where the pool knows them, the run's epoch and the core; the pool
+    stays usable, as after any raising run. *)
 
 val default_batch_size : int
 (** 32 — the DPDK burst size. *)
@@ -163,9 +180,11 @@ end
 (** What the producer does when a worker's ring is full. *)
 type backpressure =
   | Block
-      (** Spin until there is room, rechecking worker liveness while
-          spinning (a dead consumer triggers failover, not livelock).
-          Lossless; the default. *)
+      (** Wait until there is room, in the producer's one wait (see the
+          top of this page): spinning, and napping while the worker
+          drains.  The worker is supervised at spin cadence while it
+          makes no progress (a dead consumer triggers failover, not
+          livelock).  Lossless; the default. *)
   | Drop of { max_spins : int }
       (** Spin at most [max_spins] times, then drop the batch; with
           [max_spins = 0] the batch is shed at once, for minimum producer
@@ -179,12 +198,31 @@ val default_drop_spins : int
 
 type t
 
+(** The pool's internal invariants a {!Run_error} names. *)
+type invariant =
+  | Scr_admissible of { nf : string; reason : string }
+      (** a plan on the SCR rung has an NF whose update digest
+          {!Maestro.Scrspec.admissible} accepts; [reason] is why it
+          rejected [nf] *)
+  | Scr_replicas_agree
+      (** the live SCR replicas agree ({!Scr.replica_equal}) when an
+          adaptive switch collapses them *)
+
+exception Run_error of { invariant : invariant; epoch : int option; core : int option }
+(** A run broke an internal invariant.  [epoch] is the run's 1-based
+    epoch, [core] the core that broke it, each [None] where the pool
+    does not know it: an SCR plan with an inadmissible NF fails as the
+    run binds it, before any epoch; diverged replicas name the switch's
+    epoch and the first core that disagrees with the lowest live one. *)
+
 type stats = {
   runs : int;  (** plans executed since the pool was created *)
   batches : int;  (** batches pushed over the pool's lifetime *)
   pkts : int;  (** packets executed over the pool's lifetime *)
   ring_full_stalls : int;  (** producer stalls on a full ring *)
-  last_per_core_pkts : int array;  (** dispatch counts of the most recent run *)
+  last_per_core_pkts : int array;
+      (** dispatch counts of the most recent run; read-only, like
+          {!field-last_assignment} *)
   dropped_batches : int;  (** batches dropped by backpressure *)
   dropped_pkts : int;  (** packets dropped by backpressure *)
   per_core_drops : int array;  (** lifetime dropped batches per core *)
@@ -212,7 +250,9 @@ type stats = {
   last_assignment : int array;
       (** core each packet of the most recent run was dispatched to, in
           trace order — with {!field-last_rebalance_points} this lets a
-          caller verify per-flow ordering across rebalances *)
+          caller verify per-flow ordering across rebalances.  Read-only:
+          {!stats} returns the run's own array, uncopied, and the pool
+          never writes it again *)
   last_rebalance_points : int list;
       (** ascending packet offsets at which the most recent run changed
           the indirection table; between two consecutive points every
@@ -226,6 +266,12 @@ type stats = {
   scr_digest_bytes : int;
       (** update-digest bytes broadcast by SCR dispatch — what the digest
           stream would cost on a real wire *)
+  producer_naps : int;
+      (** naps the producer took while the workers it waited on drained
+          (the [pool.producer_naps] counter) *)
+  producer_nap_us : int;
+      (** microseconds those naps lasted, measured around each sleep (the
+          [pool.producer_nap_us] counter) *)
   switches : int;
       (** adaptive discipline switches committed over the pool's lifetime
           (the [pool.adaptive.switches] counter) *)
@@ -326,8 +372,9 @@ val run :
     (plans with fewer cores use a prefix of the workers), when every
     plan core failed before the run, or when a packet to be
     RSS-dispatched arrived on a port the NF does not have
-    ({!Parallel.port_error}).  Cores that fail during the run do not make
-    it raise: once none is left, the rest of the run executes inline. *)
+    ({!Parallel.port_error}).  Raises {!Run_error} when an internal
+    invariant breaks.  Cores that fail during the run do not make it
+    raise: once none is left, the rest of the run executes inline. *)
 
 val stats : t -> stats
 (** The pool's ledger: every count since the pool was created and the

@@ -247,6 +247,8 @@ let paired_counters =
     ("pool.scr_replays", fun s -> s.scr_replays);
     ("pool.scr_rebuilds", fun s -> s.scr_rebuilds);
     ("pool.scr_digest_bytes", fun s -> s.scr_digest_bytes);
+    ("pool.producer_naps", fun s -> s.producer_naps);
+    ("pool.producer_nap_us", fun s -> s.producer_nap_us);
     ("pool.adaptive.switches", fun s -> s.switches);
     ("pool.adaptive.flap_suppressed", fun s -> s.flap_suppressed);
   ]
@@ -483,6 +485,30 @@ let test_pinned_stats () =
           (Runtime.Parallel.run_sequential plan.Maestro.Plan.nf trace = v))
     pinned_cases
 
+(* [Pool.stats] hands out the last run's dispatch record without copying
+   it: after a 20,000-packet run, one call allocates a few words per core.
+   Minor and major words both count, since an array of the trace's length
+   would be allocated straight on the major heap.  The minor words come
+   from [Gc.minor_words]: [Gc.counters]' own count misses the words of
+   the current minor heap. *)
+let test_stats_allocation () =
+  let cores = 2 in
+  let plan = registry_plan ~cores "fw" in
+  let pool = Runtime.Pool.create ~cores () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  ignore (Runtime.Pool.run pool plan (mixed_trace 113 20_000 500));
+  let allocated f =
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    f ();
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  let words = allocated (fun () -> ignore (Sys.opaque_identity (Runtime.Pool.stats pool))) in
+  let bound = 64 + (16 * cores) in
+  if words > bound then Alcotest.failf "one stats call allocated %d words (bound %d)" words bound
+
 (* --- per-batch locking -------------------------------------------------------- *)
 
 let c_acquisitions = Telemetry.Counter.make "pool.lock_acquisitions"
@@ -576,6 +602,7 @@ let suite =
     Alcotest.test_case "adaptive runs on a bound pool" `Quick test_adaptive_on_bound_pool;
     Alcotest.test_case "two plans alternating" `Quick test_alternating_plans;
     Alcotest.test_case "stats pinned: every mode, rung and recovery path" `Quick test_pinned_stats;
+    Alcotest.test_case "stats: one call allocates O(cores)" `Quick test_stats_allocation;
     Alcotest.test_case "lock rung: one acquisition per batch" `Quick test_lock_once_per_batch;
     Alcotest.test_case "lock rung: a raise mid-batch frees the lock" `Quick
       test_raise_mid_batch_frees_lock;

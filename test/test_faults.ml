@@ -329,6 +329,28 @@ let test_stuck_worker_detected () =
   Alcotest.(check int) "no restarts for a live worker" 0
     (Runtime.Supervisor.restarts (Runtime.Pool.supervisor pool))
 
+(* A slow but live worker: every batch spins 20,000 [Domain.cpu_relax]
+   on the worker before it runs (~0.7 ms on a 2-vCPU x86 VM).  The
+   worker retires a batch between the producer's looks now and then, so
+   the producer naps while it drains; nothing is restarted, and the
+   verdicts are the sequential NF's. *)
+let test_slow_worker_producer_naps () =
+  let nf = Nfs.Registry.find_exn "fw" in
+  let trace = mixed_trace 79 1536 100 in
+  let seq = Runtime.Parallel.run_sequential nf trace in
+  let plan = plan_of ~cores:1 "fw" in
+  with_fault_plan "slow@0:0:20000" @@ fun () ->
+  let v, s =
+    Test_binding.counters_agree "slow worker" @@ fun () ->
+    with_pool ~cores:1 @@ fun pool ->
+    let v = Runtime.Pool.run pool plan trace in
+    (v, Runtime.Pool.stats pool)
+  in
+  Alcotest.(check bool) "verdicts == sequential" true (seq = v);
+  Alcotest.(check bool) "a few dozen batches" true (s.Runtime.Pool.batches >= 36);
+  Alcotest.(check bool) "the producer napped" true (s.Runtime.Pool.producer_naps >= 1);
+  Alcotest.(check int) "no restarts for a live worker" 0 s.Runtime.Pool.restarts
+
 (* --- solver budget -> degradation ladder ------------------------------------- *)
 
 let test_sat_budget_degrades_to_locks () =
@@ -399,6 +421,7 @@ let suite =
     Alcotest.test_case "dead consumer terminates (3 policies)" `Quick
       test_dead_consumer_terminates;
     Alcotest.test_case "stuck worker detected" `Quick test_stuck_worker_detected;
+    Alcotest.test_case "slow worker: the producer naps" `Quick test_slow_worker_producer_naps;
     Alcotest.test_case "sat budget degrades to scr" `Quick test_sat_budget_degrades_to_locks;
     Alcotest.test_case "fault plan forces solver budget" `Quick
       test_fault_plan_forces_solver_budget;

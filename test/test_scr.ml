@@ -206,6 +206,28 @@ let test_pool_scr_fault_plan () =
   Alcotest.(check bool) "replicas rebuilt from the digest stream" true
     (s.Runtime.Pool.scr_rebuilds >= 1)
 
+(* A broken internal invariant is a typed error, not [Invalid_argument]:
+   nop has no state to replicate, so [Maestro.Scrspec.admissible] rejects
+   it, and a nop plan forced onto the SCR rung fails as the pool binds
+   it, before any epoch.  The pool stays usable: its next run, of fw's
+   SCR plan, equals the sequential NF. *)
+let test_inadmissible_scr_plan_raises () =
+  let plan =
+    { (scr_plan ~cores:2 "nop").Maestro.Pipeline.plan with Maestro.Plan.strategy = Maestro.Plan.Scr }
+  in
+  let shape = Test_differential.shape 2 in
+  Test_differential.with_pool shape @@ fun pool ->
+  (match Runtime.Pool.run pool plan (hostile_trace ~seed:37 500) with
+  | _ -> Alcotest.fail "an inadmissible SCR plan ran"
+  | exception
+      Runtime.Pool.Run_error { invariant = Runtime.Pool.Scr_admissible { nf; _ }; epoch; core } ->
+      Alcotest.(check string) "names the NF" "nop" nf;
+      Alcotest.(check (option int)) "no epoch" None epoch;
+      Alcotest.(check (option int)) "no core" None core);
+  ignore
+    (Test_differential.check_run shape pool "fw"
+       (scr_plan ~cores:2 "fw").Maestro.Pipeline.plan (hostile_trace ~seed:41 2_000))
+
 let suite =
   [
     Alcotest.test_case "lockstep differential (all writers)" `Quick test_lockstep_all_writers;
@@ -216,4 +238,6 @@ let suite =
     Alcotest.test_case "auto takes the scr rung for blocked NFs" `Quick
       test_auto_takes_scr_rung_for_blocked_nfs;
     Alcotest.test_case "pool scr under fault plan" `Quick test_pool_scr_fault_plan;
+    Alcotest.test_case "inadmissible plan raises Run_error" `Quick
+      test_inadmissible_scr_plan_raises;
   ]
