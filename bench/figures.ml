@@ -333,28 +333,14 @@ let ext_rsspp () =
   printf "migrations: %d buckets, %d flow states moved across cores@."
     s.Runtime.Pool.migrated_buckets s.Runtime.Pool.migrated_flows
 
-let ext_churn () =
-  header "Extension: churn smoke — SCR vs lock rung on the domain pool (BENCH_churn.json)";
-  let failures = Gates.Churn_gate.run () in
-  if failures > 0 then printf "churn gate: %d violation(s) (non-fatal in the bench tour)@." failures
-
-let ext_adaptive () =
-  header
-    "Extension: adaptive smoke — discipline switching vs both static rungs (BENCH_adaptive.json)";
-  let failures = Gates.Adaptive_gate.run () in
-  if failures > 0 then
-    printf "adaptive gate: %d violation(s) (non-fatal in the bench tour)@." failures
-
 let ext_chain () =
-  header "Extension: service chain — fused single-pass vs back-to-back NFs (BENCH_chain.json)";
+  header "Extension: service chains — joint sharding over the composed AST";
   List.iter
     (fun chain ->
       let report = Maestro.Report.build (Symbex.Exec.run (Dsl.Chain.nf chain)) in
       printf "@[<v 2>%s:@ %a@]@." chain.Dsl.Chain.name Maestro.Sharding.pp_decision
         (Maestro.Sharding.decide report))
-    (Nfs.Scenarios.chains ());
-  let failures = Gates.Chain_gate.run () in
-  if failures > 0 then printf "chain gate: %d violation(s) (non-fatal in the bench tour)@." failures
+    (Nfs.Scenarios.chains ())
 
 let ablation_nic () =
   header "Ablation: NIC capability vs parallelization strategy (E810 subset/flex hashing vs rigid X710)";

@@ -21,8 +21,6 @@ let targets : (string * (unit -> unit)) list =
     ("ext-hhh", Figures.ext_hhh);
     ("ext-attack", Figures.ext_attack);
     ("ext-rsspp", Figures.ext_rsspp);
-    ("ext-churn", Figures.ext_churn);
-    ("ext-adaptive", Figures.ext_adaptive);
     ("ext-chain", Figures.ext_chain);
     ("ablation-nic", Figures.ablation_nic);
     ("ablation-rs3", Figures.ablation_rs3);

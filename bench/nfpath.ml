@@ -7,7 +7,9 @@
    BENCH_nfpath.json (same schema as the per-NF telemetry documents, so
    `check_regression` can diff it against bench/baseline/).  One more row,
    fw_churn, replays fw over framebench's churn trace, on which flows
-   expire, so the allocation gate covers expiry too.
+   expire, so the allocation gate covers expiry too.  The last row,
+   chain_fw_nat_lb, times the fw→nat→lb chain fused into one closure tree
+   against its three stages run back to back.
 
    Gated counters (machine-portable, compared by default):
      nfpath.<nf>.compiled_rel_cost_x100   100 * t_compiled / t_interp —
@@ -16,6 +18,9 @@
                                           compiled path lost ground
      nfpath.<nf>.alloc_words_per_pkt_x100 100 * minor words per packet on
                                           the unobserved compiled path
+     nfpath.chain_fw_nat_lb.fused_rel_cost_x100
+                                          100 * t_fused / t_back_to_back —
+                                          growth means fusion lost ground
    Timing counters (_ns/speedup, skipped by the default gate policy):
      nfpath.<nf>.interp_ns_x100, nfpath.<nf>.compiled_ns_x100,
      nfpath.<nf>.speedup_x100 *)
@@ -34,28 +39,30 @@ let x100 v = int_of_float (Float.round (100.0 *. v))
 let counter nf suffix doc =
   Telemetry.Counter.make (Printf.sprintf "nfpath.%s.%s" nf suffix) ~doc
 
-(* Best of [passes] timed runs of [f] — the minimum is the least
-   noise-contaminated estimate of the per-pass cost. *)
+(* Best of [passes] timed runs of [f] over [body 1 .. passes], in ns per
+   packet — the minimum is the least noise-contaminated estimate of the
+   per-pass cost.  [body k] is the trace of the k-th pass, built outside
+   the timing. *)
 let passes = 3
+
+let time_pass ~body f =
+  let best = ref infinity in
+  for k = 1 to passes do
+    let arr = body k in
+    let t0 = Unix.gettimeofday () in
+    f arr;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best /. float_of_int (Array.length (body 0)) *. 1e9
 
 (* One row: [nf] warmed over [warm] and one untimed pass over [body 0],
    then timed on both paths over [body 1 .. passes], and replayed once
-   more on the compiled path for its allocation rate.  [body k] is the
-   trace of the k-th pass over the row's body, built outside the timing. *)
+   more on the compiled path for its allocation rate. *)
 let bench_nf name nf ~warm ~body =
   let info = Dsl.Check.check_exn nf in
   let npkts = float_of_int (Array.length (body 0)) in
-  let time_pass f =
-    let best = ref infinity in
-    for k = 1 to passes do
-      let arr = body k in
-      let t0 = Unix.gettimeofday () in
-      f arr;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best /. npkts *. 1e9
-  in
+  let time_pass = time_pass ~body in
   let i_inst = Dsl.Instance.create nf in
   let interp_pass arr =
     for i = 0 to Array.length arr - 1 do
@@ -122,6 +129,53 @@ let bench_fw_churn () =
   in
   bench_nf "fw_churn" (Nfs.Registry.find_exn "fw") ~warm:[||] ~body
 
+(* fw→nat→lb fused into one closure tree against the same NFs run back to
+   back: each stage staged and bound on its own state, with its own RSS
+   dispatch before every hop, as separate NF processes on one core would
+   run them.  A uniform two-port trace with replies (512 flows), so the
+   LAN and WAN paths and nat's port allocation all run; both sides warmed
+   over two passes. *)
+let bench_chain () =
+  let stages = List.map Nfs.Registry.find_exn [ "fw"; "nat"; "lb" ] in
+  let chain = Dsl.Chain.compose_exn stages in
+  let rng = Random.State.make [| 0xcab1e |] in
+  let flows = Traffic.Gen.flows rng 512 in
+  let spec = { Traffic.Gen.default_spec with pkts = scaled 16_384; reply_fraction = 0.4 } in
+  let trace = Traffic.Gen.uniform ~spec rng ~flows in
+  let fused =
+    Dsl.Compile.bind_runner (Dsl.Chain.stage_compiled chain)
+      (Dsl.Instance.create (Dsl.Chain.nf chain))
+  in
+  let request = { Maestro.Pipeline.default_request with cores = 4 } in
+  let hops =
+    List.map
+      (fun (nf : Dsl.Ast.t) ->
+        let plan = (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan in
+        ( Array.init nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan),
+          Dsl.Compile.make_runner nf (Dsl.Check.check_exn nf) (Dsl.Instance.create nf) ))
+      stages
+  in
+  let rec back_to_back hops pkt =
+    match hops with
+    | [] -> invalid_arg "back_to_back: no stage"
+    | (engines, runner) :: rest -> (
+        ignore (Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt : int);
+        match (Dsl.Compile.run runner pkt, rest) with
+        | Dsl.Interp.Fwd (_, pkt'), _ :: _ -> back_to_back rest pkt'
+        | verdict, _ -> verdict)
+  in
+  let timed run =
+    let pass arr = Array.iter (fun p -> ignore (run p : Dsl.Interp.action)) arr in
+    pass trace;
+    pass trace;
+    time_pass ~body:(fun _ -> trace) pass
+  in
+  let t_fused = timed (Dsl.Compile.run fused) in
+  let t_b2b = timed (back_to_back hops) in
+  Format.printf "%-8s fused  %8.1f ns/pkt   back-to-back %8.1f ns/pkt   %4.2fx@." "chain" t_fused
+    t_b2b (t_b2b /. t_fused);
+  t_fused /. t_b2b
+
 let record (name, t_interp, t_compiled, words) =
   Telemetry.Counter.add (counter name "interp_ns_x100" "interp cost, 1/100 ns per packet")
     (x100 t_interp);
@@ -144,8 +198,13 @@ let () =
   Telemetry.disable ();
   let results = List.map bench_registry_nf Nfs.Registry.extended_names in
   let results = results @ [ bench_fw_churn () ] in
+  let chain_rel_cost = bench_chain () in
   Telemetry.enable ();
   List.iter record results;
+  Telemetry.Counter.add
+    (counter "chain_fw_nat_lb" "fused_rel_cost_x100"
+       "fused/back-to-back cost ratio, x100 (lower is better)")
+    (x100 chain_rel_cost);
   let snap = Telemetry.snapshot () in
   Telemetry.disable ();
   Telemetry.reset ();

@@ -56,8 +56,8 @@ let test_parse () =
 
 (* --- admissibility --------------------------------------------------------- *)
 
-let rungs_t =
-  Alcotest.(result (list (testable (Fmt.of_to_string Maestro.Ladder.rung_name) ( = ))) string)
+let rung_t = Alcotest.testable (Fmt.of_to_string Maestro.Ladder.rung_name) ( = )
+let rungs_t = Alcotest.(result (list rung_t) string)
 
 let test_ladder () =
   let open Maestro.Ladder in
@@ -121,7 +121,7 @@ let test_skew_steps_down_then_streak_up () =
   commit ctl Maestro.Ladder.Shared_nothing;
   Alcotest.(check int) "two switches" 2 (switches ctl);
   Alcotest.(check int) "nothing suppressed" 0 (flap_suppressed ctl);
-  Alcotest.(check (list (pair int (testable (Fmt.of_to_string Maestro.Ladder.rung_name) ( = )))))
+  Alcotest.(check (list (pair int rung_t)))
     "switch epochs in order"
     [ (3, Maestro.Ladder.Scr); (9, Maestro.Ladder.Shared_nothing) ]
     (switch_epochs ctl);
@@ -180,9 +180,88 @@ let test_commit_rejects_inadmissible () =
 
 let pool_policy = Runtime.Pool.Adaptive { epoch_pkts = 1024; up = 2.0; down = 1.3; cooldown = 1 }
 
+(* The calm|skew trace at scale: 24 epochs of 4,096 packets over one
+   population of 1,024 flows, calm 4 | skew 8 | calm 4 | skew 8, the skew
+   Zipf(3.5) so that one RSS bucket owns ~90% of a skewed epoch.  Skew
+   phases are twice the calm ones, as a switch pays for itself only over
+   enough epochs of the regime it bought.  The schedule is a fault-plan
+   [phase@E:PROFILE] string read back through [Faults.phases].  Sessions
+   are established (15% replies, no fresh flows): load moves, the flow
+   population does not. *)
+let phase_plan = "phase@0:calm;phase@4:skew;phase@12:calm;phase@16:skew"
+let phase_epochs = 24
+let phase_epoch_pkts = 4_096
+
+let phase_trace () =
+  let phases =
+    match Faults.parse phase_plan with
+    | Error e -> Alcotest.fail e
+    | Ok p ->
+        Faults.install p;
+        Fun.protect ~finally:Faults.clear Faults.phases
+  in
+  Alcotest.(check int) "phase schedule parsed" 4 (List.length phases);
+  let st = rng 0xada9 in
+  let flows = Traffic.Gen.flows st 1_024 in
+  let zipf = Traffic.Zipf.make ~exponent:3.5 ~nflows:1_024 () in
+  let rec go = function
+    | [] -> []
+    | (epoch, profile) :: rest ->
+        let until = match rest with (e, _) :: _ -> e | [] -> phase_epochs in
+        let spec =
+          {
+            Traffic.Gen.default_spec with
+            pkts = (until - epoch) * phase_epoch_pkts;
+            reply_fraction = 0.15;
+            fresh_fraction = 0.0;
+          }
+        in
+        let seg =
+          match profile with
+          | "calm" -> Traffic.Gen.uniform ~spec st ~flows
+          | "skew" -> Traffic.Zipf.trace ~spec st zipf ~flows
+          | p -> Alcotest.failf "unknown phase profile %s" p
+        in
+        seg :: go rest
+  in
+  Array.concat (go phases)
+
+(* Modelled time to serve [trace]: each epoch priced by the throughput
+   model under the rung the run ran it on (starting on [initial]), with
+   the per-core shares the run dispatched, plus the quiesce stall and
+   state conversion of every committed switch.  [profiles.(e)] profiles
+   epoch [e] after the epochs before it; [flows] is the table population
+   a switch converts. *)
+let model_seconds ~plan_for ~profiles ~flows trace ~initial (s : Runtime.Pool.stats) =
+  let counts =
+    Runtime.Balancer.epoch_counts ~cores:4 ~epoch_pkts:phase_epoch_pkts
+      s.Runtime.Pool.last_assignment
+  in
+  let serve = ref 0.0 in
+  Array.iteri
+    (fun e c ->
+      let rung = rung_of_epoch ~initial s.Runtime.Pool.switch_epochs (e + 1) in
+      let ev =
+        Sim.Throughput.evaluate ~measured_shares:(Sim.Throughput.shares_of_counts c)
+          (plan_for rung) profiles.(e)
+          (Array.sub trace (e * phase_epoch_pkts) phase_epoch_pkts)
+      in
+      serve := !serve +. (float_of_int phase_epoch_pkts /. (ev.Sim.Throughput.mpps *. 1e6)))
+    counts;
+  List.fold_left
+    (fun acc (_, target) ->
+      let replicas = if target = Maestro.Ladder.Scr then 4 else 1 in
+      acc
+      +. Sim.Cost.discipline_switch_cycles ~flows ~replicas ()
+         /. Sim.Machine.xeon_6226r.Sim.Machine.freq_hz)
+    !serve s.Runtime.Pool.switch_epochs
+
 (* calm → skew → calm: the pool steps down to SCR under the skew and
    climbs back; the differential harness checks the verdicts and the
-   per-bucket order across the switches *)
+   per-bucket order across the switches.  Two inputs: 14 epochs of 1,024
+   packets, and the 24-epoch calm|skew trace, run adaptive, adaptive under
+   crashes in its first switch epoch, and static on the shared-nothing and
+   lock rungs, where the model prices adaptive above both static rungs. *)
 let test_pool_switches_with_traffic () =
   let plan = plan_of ~cores:4 "fw" in
   let flows = Traffic.Gen.flows (rng 7) 1024 in
@@ -195,8 +274,8 @@ let test_pool_switches_with_traffic () =
       ]
   in
   let shape = Test_differential.shape 4 in
-  Test_differential.with_pool shape @@ fun pool ->
   let s =
+    Test_differential.with_pool shape @@ fun pool ->
     Test_differential.check_run ~policy:Test_differential.Adaptive shape pool "fw" plan trace
   in
   Alcotest.(check bool) "switched down and back" true (s.Runtime.Pool.switches >= 2);
@@ -218,7 +297,93 @@ let test_pool_switches_with_traffic () =
      in
      asc s.Runtime.Pool.switch_epochs);
   Alcotest.(check int) "one rebalance point per switch" s.Runtime.Pool.switches
-    (List.length s.Runtime.Pool.last_rebalance_points)
+    (List.length s.Runtime.Pool.last_rebalance_points);
+  let nf = Nfs.Registry.find_exn "fw" in
+  Alcotest.(check bool) "auto plan is shared-nothing" true
+    (plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing);
+  let scr_plan = plan_of ~cores:4 ~strategy:`Force_scr "fw" in
+  let lock_plan = plan_of ~cores:4 ~strategy:`Force_locks "fw" in
+  let trace = phase_trace () in
+  Alcotest.(check int) "trace covers every epoch" (phase_epochs * phase_epoch_pkts)
+    (Array.length trace);
+  let shape = Test_differential.shape ~epoch:phase_epoch_pkts 4 in
+  let run ?(policy = Test_differential.Static) ?(fault = Test_differential.No_fault) plan =
+    Test_differential.with_pool ~fault shape @@ fun pool ->
+    Test_differential.check_run ~policy ~fault shape pool "fw" plan trace
+  in
+  let switches = Alcotest.(list (pair int rung_t)) in
+  let counts (s : Runtime.Pool.stats) =
+    Runtime.Pool.
+      [ s.batches; s.scr_replays; s.scr_digest_bytes; s.migrated_flows; s.migration_drops;
+        s.dropped_batches; s.flap_suppressed; s.restarts; s.scr_rebuilds; s.inline_batches ]
+  in
+  let counted =
+    "batches, replays, digest bytes, migrated, evicted, dropped, suppressed, restarts, rebuilds, \
+     inline"
+  in
+  let s = run ~policy:Test_differential.Adaptive plan in
+  Alcotest.check switches "adaptive: down to SCR, back, down again"
+    Maestro.Ladder.[ (5, Scr); (14, Shared_nothing); (17, Scr) ]
+    s.Runtime.Pool.switch_epochs;
+  Alcotest.(check (list (pair rung_t int))) "adaptive: calm sharded, skew on SCR"
+    Maestro.Ladder.[ (Shared_nothing, 8); (Scr, 16); (Lock_based, 0); (Serial, 0) ]
+    s.Runtime.Pool.rung_residency;
+  Alcotest.(check (list int)) ("adaptive: " ^ counted)
+    [ 9_232; 6_144; 1_310_720; 2_812; 0; 0; 0; 0; 0; 0 ] (counts s);
+  let ordering =
+    Runtime.Balancer.ordering_violations
+      ~exempt:(fun i ->
+        rung_of_epoch ~initial:Maestro.Ladder.Shared_nothing s.Runtime.Pool.switch_epochs
+          (1 + (i / phase_epoch_pkts))
+        = Maestro.Ladder.Scr)
+      ~key:(fun i -> Packet.Flow.normalize (Packet.Flow.of_pkt trace.(i)))
+      ~points:s.Runtime.Pool.last_rebalance_points s.Runtime.Pool.last_assignment
+  in
+  Alcotest.(check int) "adaptive: zero flow-ordering violations off SCR" 0 ordering;
+  (* the calm opening feeds each core ~32 batches an epoch, so batch ~130
+     falls in the first skew epoch, whose barrier decides the first
+     switch: the hot core's crash and the switch meet at one barrier, and
+     the switch waits one epoch *)
+  (match Faults.parse "crash@0:130;crash@1:131;crash@2:132;crash@3:133" with
+  | Error e -> Alcotest.fail e
+  | Ok p -> Faults.install p);
+  let telemetry = [ "faults.injected_crashes"; "pool.domain_spawns"; "pool.adaptive.deferred" ] in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let sf =
+    Fun.protect ~finally:(fun () -> Telemetry.disable (); Faults.clear ()) @@ fun () ->
+    run ~policy:Test_differential.Adaptive ~fault:Test_differential.Crash plan
+  in
+  Alcotest.check switches "crashes: first switch deferred one epoch"
+    Maestro.Ladder.[ (6, Scr); (14, Shared_nothing); (17, Scr) ]
+    sf.Runtime.Pool.switch_epochs;
+  Alcotest.(check (list int)) ("crashes: " ^ counted)
+    [ 8_851; 5_760; 1_228_800; 2_812; 0; 0; 0; 4; 0; 4 ] (counts sf);
+  Alcotest.(check (list int)) ("crashes: " ^ String.concat ", " telemetry) [ 4; 8; 2 ]
+    (List.map (fun c -> Telemetry.Counter.value (Telemetry.Counter.make c)) telemetry);
+  let s_sn = run plan and s_lock = run lock_plan in
+  Alcotest.(check (pair int int)) "static batches: shared-nothing, lock" (3_073, 3_074)
+    (s_sn.Runtime.Pool.batches, s_lock.Runtime.Pool.batches);
+  let plan_for = function
+    | Maestro.Ladder.Shared_nothing -> plan
+    | Maestro.Ladder.Scr -> scr_plan
+    | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> lock_plan
+  in
+  let profiles =
+    Array.init phase_epochs (fun e ->
+        Sim.Profile.of_trace ~skip:(e * phase_epoch_pkts) nf
+          (Array.sub trace 0 ((e + 1) * phase_epoch_pkts)))
+  in
+  let flows = (Sim.Profile.of_trace nf trace).Sim.Profile.distinct_flows in
+  let model = model_seconds ~plan_for ~profiles ~flows trace in
+  let m_ad = model ~initial:Maestro.Ladder.Shared_nothing s in
+  let m_sn = model ~initial:Maestro.Ladder.Shared_nothing s_sn in
+  let m_lock = model ~initial:Maestro.Ladder.Lock_based s_lock in
+  Alcotest.(check (list (float 0.1))) "model: adaptive, static sn, static lock serve time (us)"
+    [ 5_865.4; 6_919.5; 6_960.1 ]
+    (List.map (fun m -> m *. 1e6) [ m_ad; m_sn; m_lock ]);
+  Alcotest.(check bool) "model: adaptive >= static shared-nothing" true (m_sn >= m_ad);
+  Alcotest.(check bool) "model: adaptive >= static lock" true (m_lock >= m_ad)
 
 let test_pool_calm_never_switches () =
   let plan = plan_of ~cores:4 "fw" in
@@ -230,7 +395,7 @@ let test_pool_calm_never_switches () =
   let v = Runtime.Pool.run ~policy:pool_policy pool plan trace in
   let s = Runtime.Pool.stats pool in
   Alcotest.(check int) "no switches" 0 s.Runtime.Pool.switches;
-  Alcotest.(check (list (pair (testable (Fmt.of_to_string Maestro.Ladder.rung_name) ( = )) int)))
+  Alcotest.(check (list (pair rung_t int)))
     "whole run on the plan's rung"
     Maestro.Ladder.[ (Shared_nothing, 4); (Scr, 0); (Lock_based, 0); (Serial, 0) ]
     s.Runtime.Pool.rung_residency;

@@ -68,11 +68,69 @@ let differential3 label chain trace =
           (List.rev !o_ops))
     trace
 
+(* fw→nat→lb over a uniform two-port trace with replies (512 flows,
+   16,384 packets), so that the LAN and WAN paths and the NAT's port
+   allocation all run *)
+let fw_nat_lb_stages () = List.map Nfs.Registry.find_exn [ "fw"; "nat"; "lb" ]
+
+let fw_nat_lb_trace () =
+  let st = Random.State.make [| 0xcab1e |] in
+  let flows = Traffic.Gen.flows st 512 in
+  Traffic.Gen.uniform
+    ~spec:{ Traffic.Gen.default_spec with pkts = 16_384; reply_fraction = 0.4 }
+    st ~flows
+
 let test_shipped_chains_differential () =
   List.iteri
     (fun i chain ->
       differential3 chain.Dsl.Chain.name chain (hostile_trace ~seed:(31 + i) 2_000))
-    (Nfs.Scenarios.chains ())
+    (Nfs.Scenarios.chains ());
+  differential3 "fw->nat->lb" (Dsl.Chain.compose_exn (fw_nat_lb_stages ())) (fw_nat_lb_trace ())
+
+(* Fusion changes how a chain runs, not what it does or what it
+   allocates: over the fw→nat→lb trace the fused runner returns, packet
+   for packet, the verdicts of the three stages compiled and run back to
+   back, each on its own state, and once warm it allocates no more minor
+   words per packet than the costliest stage run alone. *)
+let test_fused_vs_stages () =
+  let stages = fw_nat_lb_stages () in
+  let chain = Dsl.Chain.compose_exn stages in
+  let trace = fw_nat_lb_trace () in
+  let fused () =
+    Dsl.Compile.bind_runner (Dsl.Chain.stage_compiled chain) (Dsl.Instance.create (Dsl.Chain.nf chain))
+  in
+  let runner nf = Dsl.Compile.make_runner nf (Dsl.Check.check_exn nf) (Dsl.Instance.create nf) in
+  let rec back_to_back runners pkt =
+    match runners with
+    | [] -> invalid_arg "back_to_back: no stage"
+    | [ r ] -> Dsl.Compile.run r pkt
+    | r :: rest -> (
+        match Dsl.Compile.run r pkt with
+        | Dsl.Interp.Dropped -> Dsl.Interp.Dropped
+        | Dsl.Interp.Fwd (_, pkt') -> back_to_back rest pkt')
+  in
+  let f = fused () and b2b = List.map runner stages in
+  Array.iteri
+    (fun i pkt ->
+      if Dsl.Compile.run f pkt <> back_to_back b2b pkt then
+        Alcotest.failf "packet %d: fused verdict differs from the stages back to back" i)
+    trace;
+  (* minor words per packet of one pass after a warming one *)
+  let words r =
+    let pass () = Array.iter (fun p -> ignore (Dsl.Compile.run r p : Dsl.Interp.action)) trace in
+    pass ();
+    let w0 = Gc.minor_words () in
+    pass ();
+    Stdlib.((Gc.minor_words () -. w0) /. float_of_int (Array.length trace))
+  in
+  let fused_words = words (fused ()) in
+  let stage_words = List.map (fun nf -> words (runner nf)) stages in
+  let x100 w = Float.to_int (Float.round (Stdlib.( *. ) w 100.0)) in
+  Alcotest.(check bool) "fused allocates <= the costliest stage alone" true
+    (x100 fused_words <= x100 (List.fold_left Float.max 0.0 stage_words));
+  Alcotest.(check (float 0.01)) "fused minor words per packet" 17.68 fused_words;
+  Alcotest.(check (list (float 0.01))) "fw, nat, lb alone: minor words per packet"
+    [ 3.0; 17.68; 1.83 ] stage_words
 
 (* The same NF twice: namespacing keeps both stages' state disjoint. *)
 let test_self_chain_differential () =
@@ -301,6 +359,8 @@ let suite =
   [
     Alcotest.test_case "shipped chains: 3-way differential" `Slow
       test_shipped_chains_differential;
+    Alcotest.test_case "fw->nat->lb: fused equals its stages, allocates no more" `Quick
+      test_fused_vs_stages;
     Alcotest.test_case "self chain fw->fw: namespaced state stays disjoint" `Quick
       test_self_chain_differential;
     Alcotest.test_case "compose validation" `Quick test_compose_validation;

@@ -532,13 +532,38 @@ let check_model_cell rung =
 
 type event = Join | Leave | Fail
 
-(* fw on a tier of [machines] machines meets one churn event at epoch 1:
-   no flow is lost, evicted, split or sent to a dead machine, every
-   packet matches, the fleet ends as the event left it, and the event
-   moved or rebuilt flow state.  The tier counts a split per normalized
-   5-tuple, which only fw's keys tie: policer, psd and the scenarios
-   shard a flow's two directions over different fields, and a VXLAN
-   flow's outer tuple is shared by the inner flows of its tunnel. *)
+(* One run of a fresh [tier] of [nf] over [trace] under the installed
+   machine events, checked: verdicts equal the sequential NF's, no flow
+   is lost, evicted, split or sent to a dead machine, every packet
+   matches, the fleet ends as the events left it, and the joins and
+   leaves moved flow state and the failures rebuilt some; the tier's
+   stats.  The tier counts a split per normalized 5-tuple, which only
+   fw's keys tie: policer, psd and the scenarios shard a flow's two
+   directions over different fields, and a VXLAN flow's outer tuple is
+   shared by the inner flows of its tunnel. *)
+let check_tier_run tier (nf : Dsl.Ast.t) trace =
+  let events = Faults.machine_events () in
+  let expected =
+    List.fold_left
+      (fun fleet (_, action, m) ->
+        if action = Faults.Join then m :: fleet else List.filter (( <> ) m) fleet)
+      (Cluster.Tier.live_machines tier) events
+  in
+  let v, s = Cluster.Tier.run tier trace in
+  expect nf.Dsl.Ast.name ( = ) (Runtime.Parallel.run_sequential nf trace) v;
+  let open Cluster.Tier in
+  if s.lost_flows + s.dropped_flows + s.dead_hits + s.affinity_violations + s.unmatched > 0 then
+    fail "lost %d, dropped %d, dead hits %d, split flows %d, unmatched %d" s.lost_flows
+      s.dropped_flows s.dead_hits s.affinity_violations s.unmatched;
+  if List.sort compare (live_machines tier) <> List.sort compare expected then
+    fail "the fleet did not end as the events left it";
+  let happened p = List.exists (fun (_, action, _) -> p action) events in
+  if happened (( <> ) Faults.Fail) && s.moved_flows = 0 then
+    fail "a join or leave moved no flow state";
+  if happened (( = ) Faults.Fail) && s.rebuilt_flows = 0 then fail "a failure rebuilt no flow state";
+  s
+
+(* fw on a tier of [machines] machines meets one churn event at epoch 1 *)
 let check_tier_cell event =
   let event_name = match event with Join -> "join" | Leave -> "leave" | Fail -> "fail" in
   QCheck2.Test.make ~name:("tier " ^ event_name) ~count:2
@@ -564,20 +589,7 @@ let check_tier_cell event =
       in
       let tier = Result.get_ok (Cluster.Tier.build ~config nf) in
       let trace = trace_of "fw" (Cluster.Tier.plan tier) family ~seed ~pkts in
-      let v, s = Cluster.Tier.run tier trace in
-      expect "fw" ( = ) (Runtime.Parallel.run_sequential nf trace) v;
-      let open Cluster.Tier in
-      if s.lost_flows + s.dropped_flows + s.dead_hits + s.affinity_violations + s.unmatched > 0
-      then
-        fail "lost %d, dropped %d, dead hits %d, split flows %d, unmatched %d" s.lost_flows
-          s.dropped_flows s.dead_hits s.affinity_violations s.unmatched;
-      let fleet = List.init machines Fun.id in
-      let expected =
-        if event = Join then fleet @ [ victim ] else List.filter (( <> ) victim) fleet
-      in
-      if live_machines tier <> expected then fail "the fleet did not end as the event left it";
-      if (if event = Fail then s.rebuilt_flows else s.moved_flows) = 0 then
-        fail "the %s moved no flow state" event_name;
+      ignore (check_tier_run tier nf trace : Cluster.Tier.stats);
       true)
 
 let suite =

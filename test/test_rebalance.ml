@@ -5,32 +5,87 @@
 
 let rng seed = Random.State.make [| seed |]
 
+let fw_plan cores =
+  let request = { Maestro.Pipeline.default_request with cores } in
+  (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn "fw")).Maestro.Pipeline.plan
+
+(* packets whose flow was dispatched to another core earlier in the same
+   segment between two rebalance points; fw's keys tie a flow's two
+   directions *)
+let flow_ordering_violations trace (s : Runtime.Pool.stats) =
+  Runtime.Balancer.ordering_violations
+    ~key:(fun i -> Packet.Flow.normalize (Packet.Flow.of_pkt trace.(i)))
+    ~points:s.Runtime.Pool.last_rebalance_points s.Runtime.Pool.last_assignment
+
+(* mean excess imbalance (max/mean - 1) of a run's epochs after the first,
+   where the balancer has had a chance to act *)
+let mean_excess_imbalance ~cores ~epoch_pkts (s : Runtime.Pool.stats) =
+  let imbalances =
+    Array.map Runtime.Balancer.imbalance_of
+      (Runtime.Balancer.epoch_counts ~cores ~epoch_pkts s.Runtime.Pool.last_assignment)
+  in
+  let n = Array.length imbalances - 1 in
+  let sum = ref 0.0 in
+  for e = 1 to n do
+    sum := !sum +. (imbalances.(e) -. 1.0)
+  done;
+  !sum /. float_of_int n
+
 (* Between two consecutive rebalance points every flow's packets land on
    one core, the ordering guarantee of the quiesce protocol; the
    differential harness checks it per RSS bucket and the verdicts against
-   the sequential NF, and here per flow as well. *)
+   the sequential NF, and here per flow as well.  Two inputs: fw on 4
+   cores over Zipf(1.2), and the Fig. 5 workload family at scale, fw on 8
+   cores over Zipf(1.1) mice and elephants, run static and then
+   rebalancing, where the balancer leaves at most 0.6x the static run's
+   excess imbalance. *)
 let test_pool_rebalance_flow_ordering () =
-  let request = { Maestro.Pipeline.default_request with cores = 4 } in
-  let plan =
-    (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn "fw")).Maestro.Pipeline.plan
-  in
+  let plan = fw_plan 4 in
   let st = rng 41 in
   let z = Traffic.Zipf.make ~exponent:1.2 ~nflows:400 () in
   let flows = Traffic.Gen.flows st 400 in
   let spec = { Traffic.Gen.default_spec with pkts = 6144; reply_fraction = 0.3 } in
   let trace = Traffic.Zipf.trace ~spec st z ~flows in
   let shape = Test_differential.shape ~threshold:0.0 4 in
-  Test_differential.with_pool shape @@ fun pool ->
   let s =
+    Test_differential.with_pool shape @@ fun pool ->
     Test_differential.check_run ~policy:Test_differential.Rebalance shape pool "fw" plan trace
   in
   Alcotest.(check bool) "balancer engaged" true (s.Runtime.Pool.rebalances >= 1);
   Alcotest.(check int) "assignment covers the trace" (Array.length trace)
     (Array.length s.Runtime.Pool.last_assignment);
-  Alcotest.(check int) "zero flow-ordering violations" 0
-    (Runtime.Balancer.ordering_violations
-       ~key:(fun i -> Packet.Flow.normalize (Packet.Flow.of_pkt trace.(i)))
-       ~points:s.Runtime.Pool.last_rebalance_points s.Runtime.Pool.last_assignment)
+  Alcotest.(check int) "zero flow-ordering violations" 0 (flow_ordering_violations trace s);
+  let cores = 8 and epoch_pkts = 4096 in
+  let plan = fw_plan cores in
+  let st = rng 0x5ca1e in
+  let z = Traffic.Zipf.make ~exponent:1.1 ~nflows:1_000 () in
+  let flows = Traffic.Gen.flows st 1_000 in
+  let spec = { Traffic.Gen.default_spec with pkts = 8 * epoch_pkts; reply_fraction = 0.3 } in
+  let trace = Traffic.Zipf.trace ~spec st z ~flows in
+  let shape = Test_differential.shape ~epoch:epoch_pkts ~threshold:1.1 cores in
+  let run policy =
+    Test_differential.with_pool shape @@ fun pool ->
+    Test_differential.check_run ~policy shape pool "fw" plan trace
+  in
+  let static = run Test_differential.Static in
+  let dynamic = run Test_differential.Rebalance in
+  Alcotest.(check int) "skew static: zero flow-ordering violations" 0
+    (flow_ordering_violations trace static);
+  Alcotest.(check int) "skew dynamic: zero flow-ordering violations" 0
+    (flow_ordering_violations trace dynamic);
+  let counts (s : Runtime.Pool.stats) =
+    Runtime.Pool.[ s.batches; s.rebalances; s.migrated_buckets; s.migrated_flows; s.migration_drops ]
+  in
+  Alcotest.(check (list int)) "skew static: batches, rebalances, buckets, flows, evictions"
+    [ 1028; 0; 0; 0; 0 ] (counts static);
+  Alcotest.(check (list int)) "skew dynamic: batches, rebalances, buckets, flows, evictions"
+    [ 1055; 6; 111; 169; 0 ] (counts dynamic);
+  let imb_static = mean_excess_imbalance ~cores ~epoch_pkts static in
+  let imb_dynamic = mean_excess_imbalance ~cores ~epoch_pkts dynamic in
+  Alcotest.(check (float 0.005)) "skew static: mean excess imbalance" 0.78 imb_static;
+  Alcotest.(check (float 0.005)) "skew dynamic: mean excess imbalance" 0.45 imb_dynamic;
+  Alcotest.(check bool) "skew: dynamic excess imbalance <= 0.6x static" true
+    (imb_dynamic <= 0.6 *. imb_static)
 
 (* Reta.rebalance composed with Reta.remap never targets a written-off
    core, whatever the load profile and however many cores died *)

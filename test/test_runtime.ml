@@ -263,6 +263,40 @@ let test_pool_reuse_and_stats () =
     (Invalid_argument "Throughput.evaluate: measured_shares length") (fun () ->
       ignore (Sim.Throughput.evaluate ~measured_shares:[| 1.0 |] plan profile trace))
 
+(* The capacity split (pool.mli, "full shards"): a shared-nothing shard
+   holds 1/cores of each table, so fw built small fills its shards where
+   the sequential NF's one table does not, and allocations fail there.
+   fw's shared-nothing plan on 4 cores, 4,000 uniform packets (traffic
+   seed 5): the pool's verdicts equal [Parallel.run]'s, which splits
+   capacity the same way, and leave [run_sequential]'s on a fixed number
+   of packets. *)
+let test_pool_capacity_split () =
+  List.iter
+    (fun (capacity, nflows, differ) ->
+      let label what = Printf.sprintf "capacity %d, %d flows: %s" capacity nflows what in
+      let nf = Nfs.Fw.make ~capacity () in
+      let request = { Maestro.Pipeline.default_request with cores = 4 } in
+      let plan = (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan in
+      Alcotest.(check bool) (label "shared-nothing plan") true
+        (plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing);
+      let st = Random.State.make [| 5 |] in
+      let flows = Traffic.Gen.flows st nflows in
+      let trace =
+        Traffic.Gen.uniform ~spec:{ Traffic.Gen.default_spec with pkts = 4_000 } st ~flows
+      in
+      let pool = Runtime.Pool.create ~cores:4 () in
+      let v =
+        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        Runtime.Pool.run pool plan trace
+      in
+      Alcotest.(check bool) (label "verdicts == Parallel.run") true
+        ((Runtime.Parallel.run plan trace).Runtime.Parallel.verdicts = v);
+      let seq = Runtime.Parallel.run_sequential nf trace in
+      let n = ref 0 in
+      Array.iteri (fun i a -> if a <> seq.(i) then incr n) v;
+      Alcotest.(check int) (label "verdicts off run_sequential") differ !n)
+    [ (64, 60, 30); (128, 150, 164) ]
+
 let test_pool_rejects_oversized_plan () =
   let pool = Runtime.Pool.create ~cores:2 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
@@ -472,6 +506,7 @@ let suite =
     Alcotest.test_case "pool lanes across runs" `Quick test_pool_lanes_across_runs;
     Alcotest.test_case "pool producer allocation flat" `Quick test_pool_producer_allocation;
     Alcotest.test_case "pool reuse, stats, measured shares" `Quick test_pool_reuse_and_stats;
+    Alcotest.test_case "pool: full shards match the model" `Quick test_pool_capacity_split;
     Alcotest.test_case "pool rejects oversized plan" `Quick test_pool_rejects_oversized_plan;
     Alcotest.test_case "pool rejects a packet on an unknown port" `Quick
       test_pool_rejects_unknown_port;

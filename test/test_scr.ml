@@ -206,6 +206,63 @@ let test_pool_scr_fault_plan () =
   Alcotest.(check bool) "replicas rebuilt from the digest stream" true
     (s.Runtime.Pool.scr_rebuilds >= 1)
 
+(* High churn (paper Sec. 6.3): fw's SCR and lock plans on 4 cores over a
+   LAN trace that keeps 1,024 flows live and turns them over at 240,000
+   flows per Gbit.  Every churn packet arrives on the LAN port, so no
+   write can change a verdict and the harness checks the lock run's
+   verdicts too.  Every SCR batch is broadcast to the 3 other cores, and
+   the throughput model, priced on each run's own per-core shares, puts
+   SCR at or above the lock rung. *)
+let test_pool_scr_churn () =
+  let cores = 4 in
+  let spec =
+    { Traffic.Churn.default_spec with active_flows = 1_024; flows_per_gbit = 240_000.0; pkts = 49_152 }
+  in
+  let trace = Traffic.Churn.trace (Random.State.make [| 0xc40a9 |]) spec in
+  Alcotest.(check int) "flow generations" 6_040 (Traffic.Churn.generations spec);
+  let outcome strategy =
+    let request = { Maestro.Pipeline.default_request with cores; strategy } in
+    Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn "fw")
+  in
+  let scr = outcome `Force_scr and lock = outcome `Force_locks in
+  let rejected (o : Maestro.Pipeline.outcome) =
+    List.length
+      (List.filter (fun (st : Maestro.Ladder.step) -> not st.Maestro.Ladder.taken)
+         o.Maestro.Pipeline.ladder.Maestro.Ladder.steps)
+  in
+  Alcotest.(check string) "scr plan's rung" "state-compute-replication"
+    (Maestro.Ladder.rung_name scr.Maestro.Pipeline.ladder.Maestro.Ladder.chosen);
+  Alcotest.(check string) "lock plan's rung" "lock-based"
+    (Maestro.Ladder.rung_name lock.Maestro.Pipeline.ladder.Maestro.Ladder.chosen);
+  Alcotest.(check (pair int int)) "rungs rejected on the way down" (1, 2)
+    (rejected scr, rejected lock);
+  let shape = Test_differential.shape cores in
+  let run (o : Maestro.Pipeline.outcome) =
+    Test_differential.with_pool shape @@ fun pool ->
+    Test_differential.check_run ~order_free:true shape pool "fw" o.Maestro.Pipeline.plan trace
+  in
+  let s_scr = run scr and s_lock = run lock in
+  let counts (s : Runtime.Pool.stats) =
+    Runtime.Pool.
+      [ s.batches; s.scr_replays; s.scr_digest_bytes; s.scr_rebuilds; s.dropped_batches ]
+  in
+  Alcotest.(check (list int)) "scr: batches, replays, digest bytes, rebuilds, drops"
+    [ 6_144; 4_608; 983_040; 0; 0 ] (counts s_scr);
+  Alcotest.(check (list int)) "lock: batches, replays, digest bytes, rebuilds, drops"
+    [ 1_538; 0; 0; 0; 0 ] (counts s_lock);
+  Alcotest.(check bool) "scr: every batch broadcast to every non-owner" true
+    (s_scr.Runtime.Pool.scr_replays > 0 && s_scr.Runtime.Pool.scr_replays mod (cores - 1) = 0);
+  let profile = Sim.Profile.of_trace (Nfs.Registry.find_exn "fw") trace in
+  let mpps (o : Maestro.Pipeline.outcome) s =
+    (Sim.Throughput.evaluate ~measured_shares:(Sim.Throughput.shares_of_pool_stats s)
+       o.Maestro.Pipeline.plan profile trace)
+      .Sim.Throughput.mpps
+  in
+  let m_scr = mpps scr s_scr and m_lock = mpps lock s_lock in
+  Alcotest.(check (float 0.005)) "model: scr mpps" 12.71 m_scr;
+  Alcotest.(check (float 0.005)) "model: lock mpps" 12.11 m_lock;
+  Alcotest.(check bool) "model: scr >= lock on churn" true (m_scr >= m_lock)
+
 (* A broken internal invariant is a typed error, not [Invalid_argument]:
    nop has no state to replicate, so [Maestro.Scrspec.admissible] rejects
    it, and a nop plan forced onto the SCR rung fails as the pool binds
@@ -238,6 +295,7 @@ let suite =
     Alcotest.test_case "auto takes the scr rung for blocked NFs" `Quick
       test_auto_takes_scr_rung_for_blocked_nfs;
     Alcotest.test_case "pool scr under fault plan" `Quick test_pool_scr_fault_plan;
+    Alcotest.test_case "pool: churn on the scr and lock rungs" `Slow test_pool_scr_churn;
     Alcotest.test_case "inadmissible plan raises Run_error" `Quick
       test_inadmissible_scr_plan_raises;
   ]
