@@ -29,12 +29,14 @@ counter=$(awk '$1 == "pool.batches" { print $2 }' cli-fault-shed.txt)
 test -n "$batches"
 test "$batches" = "$counter"
 # a slow but live worker (~0.7 ms a batch): the producer naps while it
-# drains, and --stats counts the naps
+# drains, and --stats counts the naps; the worker is not flagged stuck
 cli run fw --cores 1 --pkts 4000 --flows 200 --fault-plan 'slow@0:0:20000' --stats \
   | tee cli-fault-slow.txt
 grep -q 'pool sequential agreement: 4000/4000' cli-fault-slow.txt
 naps=$(awk '$1 == "pool.producer_naps" { print $2 }' cli-fault-slow.txt)
 test "${naps:-0}" -gt 0
+stuck=$(awk '$1 == "supervisor.stuck_detected" { print $2 }' cli-fault-slow.txt)
+test -z "$stuck"
 
 # Online rebalancing
 cli run fw --cores 8 --pkts 16384 --flows 1000 --rebalance epoch=4096 | tee cli-rebalance.txt

@@ -1,4 +1,5 @@
-(* Fast-path benchmark: table-driven vs bit-by-bit Toeplitz.  Timings are
+(* Fast-path benchmark: table-driven vs bit-by-bit Toeplitz, and the
+   staged per-packet RSS hash the pool's producer runs.  Timings are
    recorded as [_ns]-suffixed telemetry counters (machine-dependent,
    skipped by the regression gate's default policy) together with the
    speedup ratio, and written to BENCH_fastpath.json in the same schema as
@@ -15,6 +16,10 @@ let c_compiled_ns =
 let c_toeplitz_speedup =
   Telemetry.Counter.make "fastpath.toeplitz_speedup_x100"
     ~doc:"compiled-over-reference Toeplitz speedup, x100"
+
+let c_rss_ns =
+  Telemetry.Counter.make "fastpath.rss_hash_ns_x100"
+    ~doc:"Rss.hash on an ipv4_tcp engine, 1/100 ns per packet"
 
 let iters_scale () =
   match Sys.getenv_opt "MAESTRO_BENCH_ITERS" with
@@ -56,6 +61,39 @@ let bench_toeplitz () =
     t_compiled speedup;
   (t_ref, t_compiled, speedup)
 
+(* The hash the pool's producer runs per packet: [Rss.hash] of an
+   [ipv4_tcp] engine, the staged 12-byte 5-tuple, over 4096 distinct
+   flows so that no input is hashed twice in a row. *)
+let bench_rss () =
+  let rng = Random.State.make [| 0x7055 |] in
+  let rss =
+    Nic.Rss.configure ~key:(Nic.Rss.random_key rng Nic.Model.E810)
+      ~sets:[ Nic.Field_set.ipv4_tcp ] ~queues:4 ()
+  in
+  let pkts =
+    Array.init 4096 (fun _ ->
+        Packet.Pkt.make
+          ~ip_src:(Random.State.full_int rng 0x1_0000_0000)
+          ~ip_dst:(Random.State.full_int rng 0x1_0000_0000)
+          ~src_port:(Random.State.int rng 0x10000)
+          ~dst_port:(Random.State.int rng 0x10000)
+          ())
+  in
+  let hash = Nic.Rss.hash rss in
+  let sink = ref 0 in
+  let rounds = scaled 50 in
+  let t =
+    time_ns rounds (fun () ->
+        for i = 0 to Array.length pkts - 1 do
+          sink := !sink lxor hash (Array.unsafe_get pkts i)
+        done)
+    /. float_of_int (Array.length pkts)
+  in
+  ignore (Sys.opaque_identity !sink);
+  Format.printf "rss 5-tuple hash:      %8.1f ns/pkt (Rss.hash, ipv4_tcp, %d flows)@." t
+    (Array.length pkts);
+  t
+
 let x100 v = int_of_float (Float.round (100.0 *. v))
 
 let run () =
@@ -64,7 +102,9 @@ let run () =
   Telemetry.reset ();
   Telemetry.disable ();
   let t_ref, t_compiled, toeplitz_speedup = bench_toeplitz () in
+  let t_rss = bench_rss () in
   Telemetry.enable ();
+  Telemetry.Counter.add c_rss_ns (x100 t_rss);
   Telemetry.Counter.add c_ref_ns (x100 t_ref);
   Telemetry.Counter.add c_compiled_ns (x100 t_compiled);
   Telemetry.Counter.add c_toeplitz_speedup (x100 toeplitz_speedup);

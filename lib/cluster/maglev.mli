@@ -10,7 +10,7 @@
       granularity (within a factor ~2 even while machines churn), and
     - {e minimal disruption}: adding or removing one of [n] machines
       reassigns close to [1/n] of the slots — far less than the [2/n]
-      bound the cluster gate enforces — because every surviving machine
+      bound [test_cluster] asserts — because every surviving machine
       re-walks the {e same} permutation.
 
     Tables are value-semantics snapshots: churn builds a new table from

@@ -102,5 +102,6 @@ val run : t -> Packet.Pkt.t array -> Dsl.Interp.action array * stats
 (** Process a trace through the tier, consuming the installed
     {!Faults.machine_events} schedule at epoch boundaries.  Verdicts are
     positionally comparable with a sequential single-machine run of the
-    same trace — the cluster gate's oracle.  A tier is single-shot:
+    same trace — the oracle the differential harness's tier cells check
+    against.  A tier is single-shot:
     build a fresh one per run. *)

@@ -22,12 +22,17 @@ val configure :
     on the choice.  The lookup tables are compiled lazily on first hash. *)
 
 val hasher : Toeplitz.Key.t -> Field_set.t -> Packet.Pkt.t -> int
-(** [hasher ck s] is the per-set hash a compiled engine runs: the 32-bit
-    Toeplitz hash of the packet's [s] fields under [ck], or [-1] when the
-    packet lacks one of them ({!Field_set.matches}).  When every slice of
-    [s] is whole bytes it reads the fields straight from the packet and
-    allocates nothing; otherwise it hashes {!Field_set.hash_input}.  Build
-    it once per key and set: RS3 validates candidate keys with it. *)
+(** [hasher ck s] stages the per-set hash a compiled engine runs: the
+    32-bit Toeplitz hash of the packet's [s] fields under [ck], or [-1]
+    when the packet lacks one of them ({!Field_set.matches}).  When every
+    slice of [s] is whole bytes, [s]'s {!Field_set.field_plan} becomes one
+    closure that reads the fields straight from the packet, looks their
+    bytes up in [ck]'s tables inline, tests only what [s] needs of a
+    packet and allocates nothing; otherwise it hashes
+    {!Field_set.hash_input}.  Raises [Invalid_argument], here and not per
+    packet, when [s] is wider than [ck] can hash.  Staging costs a few
+    small arrays on top of {!Toeplitz.Key.compile}: RS3 builds one per
+    candidate key. *)
 
 val random_key : Random.State.t -> Model.t -> Bitvec.t
 (** A uniformly random key of the NIC's key size — what Maestro installs
@@ -50,7 +55,8 @@ val with_reta : t -> Reta.t -> t
 val hash : t -> Packet.Pkt.t -> int
 (** [hash t p] is the 32-bit Toeplitz hash the NIC computes, or [-1] when
     no configured field set matches the packet (it then goes to the
-    default queue).  On the fast path it allocates nothing and makes no
+    default queue).  On the fast path it is the set's {!hasher} (the first
+    matching set's, with several), allocates nothing and makes no
     polymorphic comparison.  The engine's tables are compiled on the first
     call. *)
 

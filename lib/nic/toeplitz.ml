@@ -1,9 +1,9 @@
 let key_bits_for_input n = n + 32
 
-let c_hashes = Telemetry.Counter.make "toeplitz.hashes" ~doc:"Toeplitz hashes computed"
+let hashes = Telemetry.Counter.make "toeplitz.hashes" ~doc:"Toeplitz hashes computed"
 
 let hash ~key d =
-  Telemetry.Counter.incr c_hashes;
+  Telemetry.Counter.incr hashes;
   let kn = Bitvec.length key and dn = Bitvec.length d in
   if kn < key_bits_for_input dn then invalid_arg "Toeplitz.hash: key too short for input";
   let acc = ref 0 in
@@ -69,9 +69,10 @@ module Key = struct
 
   let key t = t.key
   let max_input_bits t = t.max_input_bits
+  let tables t = t.tables
 
   let hash t d =
-    Telemetry.Counter.incr c_hashes;
+    Telemetry.Counter.incr hashes;
     let dn = Bitvec.length d in
     if dn > t.max_input_bits then invalid_arg "Toeplitz.Key.hash: key too short for input";
     let acc = ref 0 in
@@ -81,48 +82,6 @@ module Key = struct
     Int32.of_int !acc
 
   let hash_int t d = Int32.to_int (hash t d) land 0xffffffff
-
-  (* Allocation-free variant for the per-packet fast path: the input is
-     given as pieces, piece [j] being the [widths.(j)] big-endian low bytes
-     of [get.(j) x], instead of a materialized Bitvec.  The readers are
-     built once per field set and [x] is the packet, so nothing is
-     allocated per hash.  The common 1-, 2- and 4-byte pieces are
-     unrolled.  The width check precedes every piece's lookups, so the
-     unsafe reads stay inside the tables. *)
-  let hash_pieces t ~widths get x =
-    Telemetry.Counter.incr c_hashes;
-    if Array.length get <> Array.length widths then
-      invalid_arg "Toeplitz.Key.hash_pieces: one reader per piece";
-    let tb = t.tables in
-    let acc = ref 0 and pos = ref 0 in
-    for j = 0 to Array.length widths - 1 do
-      let w = widths.(j) in
-      if (!pos + w) * 8 > t.max_input_bits then
-        invalid_arg "Toeplitz.Key.hash_pieces: key too short for input";
-      let v = (Array.unsafe_get get j) x and b = 256 * !pos in
-      let part =
-        match w with
-        | 4 ->
-            Array.unsafe_get tb (b + ((v lsr 24) land 0xff))
-            lxor Array.unsafe_get tb (b + 256 + ((v lsr 16) land 0xff))
-            lxor Array.unsafe_get tb (b + 512 + ((v lsr 8) land 0xff))
-            lxor Array.unsafe_get tb (b + 768 + (v land 0xff))
-        | 2 ->
-            Array.unsafe_get tb (b + ((v lsr 8) land 0xff))
-            lxor Array.unsafe_get tb (b + 256 + (v land 0xff))
-        | 1 -> Array.unsafe_get tb (b + (v land 0xff))
-        | _ ->
-            let p = ref 0 in
-            for k = 0 to w - 1 do
-              let byte = (v lsr (8 * (w - 1 - k))) land 0xff in
-              p := !p lxor Array.unsafe_get tb (b + (256 * k) + byte)
-            done;
-            !p
-      in
-      acc := !acc lxor part;
-      pos := !pos + w
-    done;
-    !acc land 0xffffffff
 end
 
 (* Key published in the Microsoft RSS hash verification suite and used as

@@ -17,6 +17,10 @@ val hash_int : key:Bitvec.t -> Bitvec.t -> int
 val key_bits_for_input : int -> int
 (** Minimum key width for a given input width. *)
 
+val hashes : Telemetry.Counter.t
+(** The [toeplitz.hashes] counter, bumped once per hash computed: here,
+    and by {!Rss.hasher}'s staged hashers. *)
+
 (** Compiled keys: the table-driven fast path (DPDK [rte_thash] style).
 
     [compile] precomputes, for every input byte position, a 256-entry table
@@ -47,14 +51,12 @@ module Key : sig
   val hash_int : t -> Bitvec.t -> int
   (** Same as {!hash} with the result as a non-negative int. *)
 
-  val hash_pieces : t -> widths:int array -> ('a -> int) array -> 'a -> int
-  (** [hash_pieces t ~widths get x] hashes, without building a {!Bitvec},
-      the input made of pieces [j = 0, 1, ...], piece [j] being the
-      [widths.(j)] big-endian low-order bytes of [get.(j) x] — the
-      allocation-free inner loop of {!Rss.hash}'s fast path.  The result is
-      bit-exact with {!hash_int} on the equivalent big-endian
-      serialization.  Raises [Invalid_argument] when the input exceeds
-      [max_input_bits] or when [get] and [widths] differ in length. *)
+  val tables : t -> int array
+  (** The compiled tables themselves, read-only: entry [256 * i + b] is
+      the partial hash of byte value [b] at input byte [i], for [i] below
+      [ceil (max_input_bits / 8)].  {!Rss.hasher} stages its lookups into
+      them, after checking the set's width against [max_input_bits]
+      once. *)
 end
 
 val microsoft_test_key : Bitvec.t

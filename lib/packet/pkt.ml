@@ -84,15 +84,6 @@ let field_int p = function
   | Field.Inner_src_port -> ( match p.encap with Some e -> e.in_src_port | None -> 0)
   | Field.Inner_dst_port -> ( match p.encap with Some e -> e.in_dst_port | None -> 0)
 
-(* The outer 5-tuple fields, which every RSS hash reads, get a closure
-   that reads the record directly; the rest go through [field_int]. *)
-let field_reader = function
-  | Field.Ip_src -> fun p -> p.ip_src
-  | Field.Ip_dst -> fun p -> p.ip_dst
-  | Field.Src_port -> fun p -> p.src_port
-  | Field.Dst_port -> fun p -> p.dst_port
-  | f -> fun p -> field_int p f
-
 let get_field p f = Bitvec.of_int ~width:(Field.width f) (field_int p f)
 
 let set_field p f v =

@@ -75,10 +75,6 @@ val field_int : t -> Field.t -> int
 (** Inner fields and the tunnel id of a packet without an [encap] view
     read as zero (same convention as absent L4 ports). *)
 
-val field_reader : Field.t -> t -> int
-(** [field_reader f] is [fun p -> field_int p f] with the dispatch on [f]
-    done once, for loops that read the same field of many packets. *)
-
 val set_field : t -> Field.t -> int -> t
 (** Functional update of one header field.  Setting an inner field on a
     packet with no encapsulation materializes {!default_encap} first. *)

@@ -258,6 +258,11 @@ type binding = {
   staged : Dsl.Compile.staged;
   hashes : (Packet.Pkt.t -> int) array;  (* per port; -1 when no field set matches *)
   table : Nic.Reta.t;  (* the plan's indirection table, the same on every port *)
+  mutable reta : int array;
+      (* the entries of the table the producer dispatches with, which each
+         run sets before it dispatches and wherever it swaps tables: read
+         through the binding the dispatch already holds, it costs a run
+         no allocation *)
   mplan : Balancer.migration_plan Lazy.t;
   scr : Scr.t Lazy.t;  (* the staged write-slice, forced on the SCR rung *)
   lock : Rwlock.t;  (* the lock rung's *)
@@ -561,6 +566,7 @@ let nap_s = 20e-6
    [goal] has retired a batch since the last look. *)
 let look t goal ~lo ~hi =
   Supervisor.tick t.supervisor;
+  let now_ns = int_of_float (Unix.gettimeofday () *. 1e9) in
   let draining = ref true in
   for core = lo to hi - 1 do
     let w = t.workers.(core) in
@@ -569,7 +575,7 @@ let look t goal ~lo ~hi =
     | `Ok ->
         ignore
           (Supervisor.note_heartbeat t.supervisor ~core ~heartbeat:(Atomic.get w.retired)
-             ~ring_len:(Ring.length w.ring)));
+             ~ring_len:(Ring.length w.ring) ~now_ns));
     let retired = Atomic.get w.retired in
     if retired = t.seen.(core) && owes goal w then draining := false;
     t.seen.(core) <- retired
@@ -858,6 +864,7 @@ let bind_plan t (plan : Maestro.Plan.t) ~divide ~rung =
                every port with *)
             table =
               Nic.Reta.create ~size:(Nic.Model.reta_size plan.Maestro.Plan.nic) ~queues:cores ();
+            reta = [||];
             mplan = lazy (Balancer.migration_plan nf);
             scr =
               lazy
@@ -974,6 +981,7 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
     Telemetry.Counter.add c_remaps nports;
     table := Nic.Reta.remap !table ~live
   end;
+  b.reta <- Nic.Reta.entries !table;
   let mask = Nic.Reta.size !table - 1 in
   (* never empty: a barrier that writes off the last live core keeps the
      epoch's cores, which then run inline on the producer *)
@@ -1093,9 +1101,11 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
   in
   (* the epoch's per-bucket and per-core RSS load, counted on the producer
      next to the dispatch it already performs — zero worker-side cost,
-     and deterministic (a CI gate compares the resulting counters) *)
+     and deterministic (a CI gate compares the resulting counters) — for
+     the rebalancing and adaptive barriers, which read them *)
   let loads = Array.make (mask + 1) 0 in
   let counts = Array.make cores 0 in
+  let counted = policy <> Static in
   (* where packets that no field set matches go, moved on at a barrier
      that writes it off *)
   let unhashed = ref (first_live live) in
@@ -1103,17 +1113,16 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
     (* the rx port is checked where the producer reads it to pick the
        port's hash *)
     let port = pkts.(i).Packet.Pkt.port in
-    if port < 0 || port >= nports then Parallel.port_error ~devices:nports i port;
+    if port < 0 || port >= Array.length hashes then
+      Parallel.port_error ~devices:(Array.length hashes) i port;
     let h = hashes.(port) pkts.(i) in
-    let q =
-      if h < 0 then !unhashed
-      else begin
-        let bk = h land mask in
-        loads.(bk) <- loads.(bk) + 1;
-        Nic.Reta.lookup !table h
-      end
-    in
-    counts.(q) <- counts.(q) + 1;
+    let q = if h < 0 then !unhashed else Array.unsafe_get b.reta (h land mask) in
+    if counted then begin
+      (if h >= 0 then
+         let bk = h land mask in
+         loads.(bk) <- loads.(bk) + 1);
+      counts.(q) <- counts.(q) + 1
+    end;
     q
   in
   let rr = ref 0 in
@@ -1145,6 +1154,7 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
   let retable ~hi ~follow:f candidate =
     if f then follow candidate b.insts;
     table := candidate;
+    b.reta <- Nic.Reta.entries candidate;
     if hi < npkts then points := hi :: !points
   in
   let marks () =

@@ -10,29 +10,31 @@
     remaps the NIC indirection table so its RSS buckets migrate to live
     cores ({!Nic.Reta.remap}, paper §4.4).
 
-    Time is logical ([tick]): decisions are deterministic functions of
-    the observed event sequence, never of the wall clock, so seeded
-    fault-injection runs replay identically. *)
+    Restart time is logical ([tick]): restart decisions are
+    deterministic functions of the observed event sequence, so seeded
+    fault-injection runs replay identically.  Stalls are timed on the
+    clock readings the producer passes to {!note_heartbeat}; the
+    supervisor reads no clock itself. *)
 
 type config = {
   max_restarts : int;  (** restarts granted per core per sliding window *)
   window : int;  (** window length in {!tick}s *)
   backoff_base : int;  (** producer spins before the first respawn *)
   backoff_factor : int;  (** backoff multiplier per consecutive restart *)
-  stall_checks : int;
-      (** consecutive no-progress heartbeat observations (with work
-          queued) before a live worker is flagged stuck *)
+  stall_ns : int;
+      (** nanoseconds a live worker may go without heartbeat progress,
+          with work queued, before it is flagged stuck *)
 }
 
 val default_config : config
 (** 4 restarts per 4096-tick window, backoff 64 spins ×4 per attempt,
-    stuck after 512 stagnant checks (large enough that a healthy
-    in-flight batch is never flagged). *)
+    stuck after 10 ms without progress (a slow but healthy batch of
+    ~0.7 ms is never flagged). *)
 
 type event =
   | Restarted of { core : int; attempt : int; backoff_spins : int }
   | Gave_up of { core : int; restarts : int }
-  | Stuck of { core : int; checks : int }
+  | Stuck of { core : int; stalled_ns : int }
 
 type decision = [ `Restart of int  (** backoff, in producer spins *) | `Give_up ]
 
@@ -47,10 +49,13 @@ val on_death : t -> core:int -> decision
 (** Report a dead worker; grants a restart (with backoff) while the
     window budget lasts, [`Give_up] once it is exhausted. *)
 
-val note_heartbeat : t -> core:int -> heartbeat:int -> ring_len:int -> [ `Ok | `Stuck ]
-(** Report a liveness observation for a {e live} worker.  [`Stuck] fires
-    once per stall (reset by the next heartbeat progress): the worker
-    still holds its domain — it cannot be killed — but the event lets
+val note_heartbeat :
+  t -> core:int -> heartbeat:int -> ring_len:int -> now_ns:int -> [ `Ok | `Stuck ]
+(** Report a liveness observation for a {e live} worker, made when a
+    non-negative clock read [now_ns].  [`Stuck] fires once per stall,
+    [stall_ns] after the first observation that found work queued and no
+    heartbeat progress (reset by the next progress): the worker still
+    holds its domain — it cannot be killed — but the event lets
     backpressure and operators react. *)
 
 val events : t -> event list

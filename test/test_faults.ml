@@ -332,24 +332,26 @@ let test_stuck_worker_detected () =
 (* A slow but live worker: every batch spins 20,000 [Domain.cpu_relax]
    on the worker before it runs (~0.7 ms on a 2-vCPU x86 VM).  The
    worker retires a batch between the producer's looks now and then, so
-   the producer naps while it drains; nothing is restarted, and the
-   verdicts are the sequential NF's. *)
+   the producer naps while it drains; nothing is restarted or flagged
+   stuck, and the verdicts are the sequential NF's. *)
 let test_slow_worker_producer_naps () =
   let nf = Nfs.Registry.find_exn "fw" in
   let trace = mixed_trace 79 1536 100 in
   let seq = Runtime.Parallel.run_sequential nf trace in
   let plan = plan_of ~cores:1 "fw" in
   with_fault_plan "slow@0:0:20000" @@ fun () ->
-  let v, s =
+  let (v, events), s =
     Test_binding.counters_agree "slow worker" @@ fun () ->
     with_pool ~cores:1 @@ fun pool ->
     let v = Runtime.Pool.run pool plan trace in
-    (v, Runtime.Pool.stats pool)
+    ((v, Runtime.Supervisor.events (Runtime.Pool.supervisor pool)), Runtime.Pool.stats pool)
   in
   Alcotest.(check bool) "verdicts == sequential" true (seq = v);
   Alcotest.(check bool) "a few dozen batches" true (s.Runtime.Pool.batches >= 36);
   Alcotest.(check bool) "the producer napped" true (s.Runtime.Pool.producer_naps >= 1);
-  Alcotest.(check int) "no restarts for a live worker" 0 s.Runtime.Pool.restarts
+  Alcotest.(check int) "no restarts for a live worker" 0 s.Runtime.Pool.restarts;
+  Alcotest.(check bool) "a slow worker is not stuck" false
+    (List.exists (function Runtime.Supervisor.Stuck _ -> true | _ -> false) events)
 
 (* --- solver budget -> degradation ladder ------------------------------------- *)
 

@@ -262,13 +262,16 @@ let test_compiled_rejects_oversized_input () =
        ignore (Toeplitz.Key.compile (Bitvec.create 16));
        false
      with Invalid_argument _ -> true);
-  (* the piece-wise path checks widths before its unchecked table reads *)
+  (* the staged hasher checks the set's width once, when it is built,
+     before its unchecked table reads: a 64-bit key hashes 32 bits *)
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  let pieces widths get () = Toeplitz.Key.hash_pieces ck ~widths get 7 in
+  let staged set () = Rss.hasher ck set in
   Alcotest.(check bool) "pieces within the key" false
-    (raises (pieces [| 2; 2 |] [| Fun.id; Fun.id |]));
-  Alcotest.(check bool) "pieces past the key" true (raises (pieces [| 4; 1 |] [| Fun.id; Fun.id |]));
-  Alcotest.(check bool) "one reader per piece" true (raises (pieces [| 1; 1 |] [| Fun.id |]))
+    (raises (staged (Field_set.make [ Field.Src_port; Field.Dst_port ])));
+  Alcotest.(check bool) "pieces past the key" true
+    (raises (staged (Field_set.make [ Field.Ip_src; Field.Ip_proto ])));
+  Alcotest.(check bool) "ragged set past the key" true
+    (raises (staged (Field_set.make_sliced [ (Field.Ip_src, 20); (Field.Ip_dst, 13) ])))
 
 (* ... and on ≥1000 random (key, input) pairs across every supported
    field-set width, byte-aligned and ragged (sliced prefix sets). *)
@@ -363,6 +366,58 @@ let prop_compiled_equals_oracle =
       let d = Bitvec.random rng width in
       Toeplitz.hash ~key d = Toeplitz.Key.hash (Toeplitz.Key.compile key) d)
 
+(* The staged hasher against the reference engine on random byte-aligned
+   sets: one or two sets of RSS-capable fields, outer and inner, each cut
+   to 1 to 4 whole bytes (X710 takes its two fixed sets), under a random
+   key of the NIC's length, over TCP, UDP and other protocols on plain,
+   VXLAN and GRE packets.  The hash is -1 exactly when no set matches. *)
+let prop_staged_equals_reference =
+  let fields = Array.of_list (List.filter Field.rss_capable Field.all) in
+  QCheck.Test.make ~name:"staged hasher equals the reference engine" ~count:300
+    QCheck.(int_range 0 1000000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nic = [| Model.E810; Model.X710; Model.Permissive |].(Random.State.int rng 3) in
+      let random_set () =
+        if nic = Model.X710 then if Random.State.bool rng then Field_set.ipv4 else Field_set.ipv4_tcp
+        else
+          let chosen = Array.to_list fields |> List.filter (fun _ -> Random.State.int rng 3 = 0) in
+          let chosen =
+            if chosen = [] then [ fields.(Random.State.int rng (Array.length fields)) ] else chosen
+          in
+          Field_set.make_sliced
+            (List.map (fun f -> (f, 8 * (1 + Random.State.int rng (Field.width f / 8)))) chosen)
+      in
+      let sets = List.init (1 + Random.State.int rng 2) (fun _ -> random_set ()) in
+      let key = Rss.random_key rng nic in
+      let fast = Rss.configure ~nic ~key ~sets ~queues:4 () in
+      let slow = Rss.configure ~nic ~compiled:false ~key ~sets ~queues:4 () in
+      let proto () =
+        match Random.State.int rng 3 with
+        | 0 -> Pkt.Tcp
+        | 1 -> Pkt.Udp
+        | _ -> Pkt.Other (Random.State.int rng 256)
+      in
+      let plain =
+        Array.init 30 (fun _ ->
+            Pkt.make ~proto:(proto ())
+              ~ip_src:(Random.State.full_int rng 0x1_0000_0000)
+              ~ip_dst:(Random.State.full_int rng 0x1_0000_0000)
+              ~src_port:(Random.State.int rng 0x10000)
+              ~dst_port:(Random.State.int rng 0x10000)
+              ())
+      in
+      Array.for_all
+        (fun p ->
+          let h = Rss.hash fast p in
+          h = Rss.hash slow p && h >= 0 = List.exists (fun s -> Field_set.matches s p) sets)
+        (Array.concat
+           [
+             plain;
+             Traffic.Gen.encapsulate Pkt.Vxlan plain;
+             Traffic.Gen.encapsulate Pkt.Gre plain;
+           ]))
+
 let prop_same_flow_same_queue =
   QCheck.Test.make ~name:"packets of one flow always reach the same queue" ~count:100
     QCheck.(pair (int_range 0 1000000) (int_range 1 16))
@@ -428,4 +483,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_same_flow_same_queue;
     QCheck_alcotest.to_alcotest prop_toeplitz_linear_in_input;
     QCheck_alcotest.to_alcotest prop_compiled_equals_oracle;
+    QCheck_alcotest.to_alcotest prop_staged_equals_reference;
   ]

@@ -397,14 +397,15 @@ let test_rwlock_readers_disjoint () =
 
 let test_supervisor_policy () =
   (* pure-policy checks on logical time: backoff growth, the per-core
-     sliding restart window, and one-shot stuck reporting *)
+     sliding restart window; and one-shot stuck reporting on the clock
+     readings passed in *)
   let config =
     {
       Runtime.Supervisor.max_restarts = 2;
       window = 10;
       backoff_base = 3;
       backoff_factor = 5;
-      stall_checks = 2;
+      stall_ns = 100;
     }
   in
   let s = Runtime.Supervisor.create ~config ~cores:2 () in
@@ -427,13 +428,22 @@ let test_supervisor_policy () =
   | `Restart b -> Alcotest.(check int) "budget refilled, backoff reset" 3 b
   | `Give_up -> Alcotest.fail "the window should refill");
   (* stuck: fires once per stall, only with work queued, reset by progress *)
-  let hb h r = Runtime.Supervisor.note_heartbeat s ~core:1 ~heartbeat:h ~ring_len:r in
-  Alcotest.(check bool) "progress is ok" true (hb 5 3 = `Ok);
-  Alcotest.(check bool) "one stagnant check is ok" true (hb 5 3 = `Ok);
-  Alcotest.(check bool) "threshold reached -> stuck" true (hb 5 3 = `Stuck);
-  Alcotest.(check bool) "reported once per stall" true (hb 5 3 = `Ok);
-  Alcotest.(check bool) "progress rearms" true (hb 6 3 = `Ok);
-  Alcotest.(check bool) "empty ring never counts" true (hb 6 0 = `Ok && hb 6 0 = `Ok && hb 6 0 = `Ok);
+  let hb h r now_ns =
+    Runtime.Supervisor.note_heartbeat s ~core:1 ~heartbeat:h ~ring_len:r ~now_ns
+  in
+  Alcotest.(check bool) "progress is ok" true (hb 5 3 0 = `Ok);
+  Alcotest.(check bool) "one stagnant check is ok" true (hb 5 3 10 = `Ok);
+  (* any number of looks inside the threshold is not a stall *)
+  for now_ns = 11 to 109 do
+    if hb 5 3 now_ns <> `Ok then Alcotest.failf "stuck after %d ns" (now_ns - 10)
+  done;
+  Alcotest.(check bool) "threshold reached -> stuck" true (hb 5 3 110 = `Stuck);
+  Alcotest.(check bool) "reported once per stall" true (hb 5 3 500 = `Ok);
+  Alcotest.(check bool) "progress rearms" true (hb 6 3 600 = `Ok);
+  (* a stall starts at its first look, not at the last progress *)
+  Alcotest.(check bool) "a long gap is not a stall" true (hb 6 3 10_000 = `Ok);
+  Alcotest.(check bool) "empty ring never counts" true
+    (hb 6 0 20_000 = `Ok && hb 6 0 30_000 = `Ok && hb 6 0 40_000 = `Ok);
   let evs = Runtime.Supervisor.events s in
   Alcotest.(check int) "events recorded" 6 (List.length evs);
   Alcotest.(check int) "restarts counted" 4 (Runtime.Supervisor.restarts s)
