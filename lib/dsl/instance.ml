@@ -67,7 +67,8 @@ let copy t =
   { objs; divide = t.divide }
 
 (* Every container is emptied where it lives, so whatever was bound to
-   it — compiled runners, SCR replayers — stays bound across the reset. *)
+   it — compiled runners, SCR replayers — stays bound across the reset,
+   and a map keeps the table it grew to. *)
 let reset t (nf : Ast.t) =
   List.iter
     (fun (decl : Ast.state_decl) ->

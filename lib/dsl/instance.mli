@@ -54,10 +54,15 @@ val copy : t -> t
 
 val reset : t -> Ast.t -> unit
 (** [reset t nf] restores the start-up state of [t], an instance of [nf],
-    in place: maps are emptied back to their start-up table size and get
-    their [init] entries again, vector slots are zeroed, chains free every
-    index ({!State.Dchain.reset}) and sketches zero their counters.  The
-    result is structurally equal ([=]) to [create ~divide nf] for the
-    [divide] [t] was created with — table geometry included, since the
-    balancer's migration walks tables in slot order.  The containers are
-    the same ones, so runners and SCR replayers bound to [t] stay bound. *)
+    in place: maps are emptied and get their [init] entries again, vector
+    slots are zeroed, chains free every index ({!State.Dchain.reset}) and
+    sketches zero their counters.  A reset instance holds the bindings,
+    free lists, recency order, vector slots and sketch counters of
+    [create ~divide nf] for the [divide] [t] was created with, and answers
+    every packet as that fresh instance does.  Its maps keep the tables
+    they grew to ({!State.Map_s.clear}), as Maestro's generated NFs
+    allocate their maps once in [init()]: a warm run does not regrow
+    them.  So a map's slot order is its own history; walks that must not
+    see it use {!State.Map_s.entries}, in key order.  The containers are
+    the same ones, so runners and SCR replayers bound to [t] stay
+    bound. *)

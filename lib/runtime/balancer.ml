@@ -489,6 +489,9 @@ let migrate_group plan g ~hash ~owner ~instances ~moved ~dropped =
         (List.rev !entries))
     instances
 
+(* Keys are walked in key order ({!State.Map_s.entries}): when the
+   destination fills up, which keys move and which are dropped must not
+   depend on the size the source's table grew to. *)
 let migrate_lone_map (name, specs) ~hash ~owner ~instances ~moved ~dropped =
   Array.iteri
     (fun s inst ->

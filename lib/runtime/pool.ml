@@ -251,7 +251,8 @@ type stats = {
    per-core shards or replicas, or on the lock and serial rungs one shared
    instance in every slot.  A run at the capacity and rung the last run
    left resets them in place ({!Dsl.Instance.reset}), which keeps the
-   runners and SCR replayers bound to them valid. *)
+   runners and SCR replayers bound to them valid and the maps' grown
+   tables allocated. *)
 type binding = {
   plan : Maestro.Plan.t;
   mutable divide : int;  (* of [insts]' capacities: the plan's, 1 (adaptive), 0 (none) *)
@@ -1132,6 +1133,9 @@ let execute ~running ~policy (t : t) (plan : Maestro.Plan.t) pkts =
         (* dispatch on the producer, exactly what the NIC does in hardware *)
         stream t ~cores ~assignment ~per_core ~lo ~hi rss_core
     | Maestro.Ladder.Serial ->
+        (* {!plan_rung} never returns [Serial]: only an adaptive run
+           dispatches here, and its barriers read the counts [rss_core]
+           feeds, so every packet is hashed *)
         let core = (lives ()).(0) in
         stream t ~cores ~assignment ~per_core ~lo ~hi (fun i ->
             ignore (rss_core i);

@@ -107,16 +107,19 @@
     physical equality — reuses the staged NF; when it starts at the
     capacity and on the rung the last run left the state at, it waits for
     the pool to quiesce and resets those instances in place
-    ({!Dsl.Instance.reset}: a reset instance is structurally equal to a
-    fresh one), and otherwise it binds fresh ones.  Either way each run
-    starts from start-up state and returns what a run on a fresh pool
-    returns.  Static runs, with or without [rebalance], bind at the plan's
-    own capacity and rung; an [adaptive] run binds full-capacity
-    instances on its ladder's first rung, and its switches convert the
-    state and leave the binding on the rung the run ended on.  A pool
-    holds one binding: a run of another plan replaces it, and {!shutdown}
-    drops it.  Until then the binding keeps the plan's state alive between
-    runs (fw: a 65,536-slot chain and a 262,144-int key vector).
+    ({!Dsl.Instance.reset}: a reset instance holds a fresh one's
+    bindings, free lists, recency order, vector slots and sketch counters
+    and answers every packet as it does, but its maps keep the tables
+    they grew to, so a warm run does not regrow them), and otherwise it
+    binds fresh ones.  Either way each run starts from start-up state and
+    returns what a run on a fresh pool returns.  Static runs, with or
+    without [rebalance], bind at the plan's own capacity and rung; an
+    [adaptive] run binds full-capacity instances on its ladder's first
+    rung, and its switches convert the state and leave the binding on the
+    rung the run ended on.  A pool holds one binding: a run of another
+    plan replaces it, and {!shutdown} drops it.  Until then the binding
+    keeps the plan's state alive between runs (fw: a 65,536-slot chain
+    and a 262,144-int key vector).
 
     {2 Per-batch locking}
 

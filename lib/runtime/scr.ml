@@ -163,9 +163,7 @@ let chain_dump c =
 
 let obj_equal a b =
   match (a, b) with
-  | Dsl.Instance.O_map ma, Dsl.Instance.O_map mb ->
-      List.sort compare (State.Map_s.entries ma)
-      = List.sort compare (State.Map_s.entries mb)
+  | Dsl.Instance.O_map ma, Dsl.Instance.O_map mb -> State.Map_s.entries ma = State.Map_s.entries mb
   | Dsl.Instance.O_vector va, Dsl.Instance.O_vector vb ->
       va.Dsl.Instance.slots = vb.Dsl.Instance.slots
   | Dsl.Instance.O_chain ca, Dsl.Instance.O_chain cb -> chain_dump ca = chain_dump cb

@@ -80,6 +80,7 @@ val apply_batch : replayer -> int array -> npkts:int -> unit
 
 val replica_equal : Maestro.Scrspec.t -> Dsl.Instance.t -> Dsl.Instance.t -> bool
 (** Structural equality of two instances over the spec's written
-    objects: map entries (order-insensitive), vector slots, chain
-    allocation sets with last-touch times, sketch counters.  The
-    correctness oracle for digest replay and crash rebuilds. *)
+    objects: map bindings ({!State.Map_s.entries}, whatever the tables'
+    sizes), vector slots, chain allocation sets with last-touch times,
+    sketch counters.  The correctness oracle for digest replay and crash
+    rebuilds. *)

@@ -27,6 +27,10 @@ let initial_table = 16
 
 let make_cells n = Array.make (stride * n) empty
 
+let c_rebuilds =
+  Telemetry.Counter.make ~doc:"packed-map table rebuilds (growth or tombstone purge)"
+    "state.map_rebuilds"
+
 let create ~capacity =
   if capacity < 1 then invalid_arg "Intmap.create: capacity must be >= 1";
   { capacity; mask = initial_table - 1; cells = make_cells initial_table; size = 0; tombs = 0 }
@@ -87,6 +91,7 @@ and grow t =
      table is rebuilt in place instead of doubling without bound; load
      1/4 after a rebuild leaves >= n/4 operations before the next one,
      keeping inserts amortized O(1). *)
+  Telemetry.Counter.incr c_rebuilds;
   let n = ref initial_table in
   while !n < 4 * (t.size + 1) do
     n := !n * 2
@@ -160,8 +165,9 @@ let probe_stats t =
   let mean_x100 = if t.size = 0 then 0 else 100 * !total / t.size in
   (!max_p, mean_x100)
 
+(* Emptied where it is, keeping the table it grew to: a map allocated
+   once, as Vigor's are in [init()], is not regrown after every reset. *)
 let clear t =
-  t.cells <- make_cells initial_table;
-  t.mask <- initial_table - 1;
+  Array.fill t.cells 0 (Array.length t.cells) empty;
   t.size <- 0;
   t.tombs <- 0

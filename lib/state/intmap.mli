@@ -7,7 +7,9 @@
     non-negative [hi], as every {!Key} [hi] is.  The logical capacity is
     enforced the way the Vigor containers do it — {!put} of an absent key
     on a full map returns [false] — while the physical table grows on
-    demand to keep probe sequences short. *)
+    demand to keep probe sequences short.  Each rebuild of the table, a
+    growth or a purge of tombstones, bumps the [state.map_rebuilds]
+    telemetry counter once. *)
 
 type t
 
@@ -39,13 +41,16 @@ val copy : t -> t
     original stays structurally identical to it. *)
 
 val iter : t -> (int -> int -> int -> unit) -> unit
-(** [iter t f] calls [f hi lo v] on every binding, in slot order. *)
+(** [iter t f] calls [f hi lo v] on every binding, in slot order: an
+    order that depends on the map's history (its table size and
+    tombstones), not only on its bindings. *)
 
 val clear : t -> unit
-(** Drop every binding and return the table to its start-up 16 slots, so
-    the map is structurally equal to a fresh {!create} of the same
-    capacity.  Keeping a grown table would change the slot order {!iter}
-    walks. *)
+(** Drop every binding in place: the table keeps the size it grew to,
+    with no tombstones, and nothing is allocated.  A cleared map holds
+    what a fresh {!create} of the same capacity holds and answers every
+    operation as it does, but its {!table_slots} and so its {!iter}
+    order are its own. *)
 
 (** {1 Introspection} — read-only physical-layout stats, used by the
     capacity-boundary tests and the 1M-flow stress harness to gate probe

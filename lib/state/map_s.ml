@@ -107,14 +107,16 @@ let iter t f =
   Intmap.iter t.packed (fun hi lo v -> f (Key.to_string ~hi ~lo) v);
   Hashtbl.iter f t.wide
 
+(* In key order: slot order depends on how the table grew, and a walk
+   that moves or drops entries must not. *)
 let entries t =
   let acc = ref [] in
   iter t (fun k v -> acc := (k, v) :: !acc);
-  !acc
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let clear t =
   Intmap.clear t.packed;
-  Hashtbl.reset t.wide
+  Hashtbl.clear t.wide
 
 let copy t =
   { capacity = t.capacity; packed = Intmap.copy t.packed; wide = Hashtbl.copy t.wide }

@@ -67,16 +67,20 @@ val erase_wide : t -> string -> bool
 
 val iter : t -> (string -> int -> unit) -> unit
 (** Iterates packed entries (keys reconstructed as strings) then wide
-    entries; order within each group is unspecified. *)
+    entries, in slot order: an order that depends on the map's history,
+    not only on its bindings. *)
 
 val entries : t -> (string * int) list
-(** All [(key, value)] pairs, in unspecified order — a stable snapshot the
-    state-migration path can walk while erasing from the live map. *)
+(** All [(key, value)] pairs in key order ([String.compare]) — the one
+    canonical walk: two maps with equal bindings return equal lists
+    whatever their tables' sizes, and the state-migration path can walk
+    the snapshot while erasing from the live map. *)
 
 val clear : t -> unit
-(** Drop every binding; both tables return to their start-up size, so the
-    map is structurally equal to a fresh {!create} of the same capacity
-    ({!Intmap.clear}). *)
+(** Drop every binding in place.  Both tables keep the size they grew to
+    ({!Intmap.clear}, [Hashtbl.clear]), so a cleared map holds a fresh
+    {!create}'s bindings and answers as it does, but its {!packed_stats}
+    and {!iter} order are its own. *)
 
 val copy : t -> t
 (** Independent duplicate holding the same bindings.  The packed table is

@@ -2,10 +2,10 @@
    state and later runs of the same plan reset that state in place, so
    every run must still look like a run on a fresh pool: the differential
    harness compares every reused pool's run with a fresh pool's, here on
-   fixed sequences of plans, modes and crashes.  A reset instance equals a
-   fresh one, every stats field of every mode, rung and recovery path is
-   pinned, and the lock rung takes its lock once per batch and never
-   leaves it held. *)
+   fixed sequences of plans, modes and crashes.  A reset instance holds a
+   fresh one's state in the tables its maps grew to, every stats field of
+   every mode, rung and recovery path is pinned, and the lock rung takes
+   its lock once per batch and never leaves it held. *)
 
 let rng seed = Random.State.make [| seed |]
 
@@ -37,10 +37,26 @@ let hostile_trace ~seed n =
 
 (* --- Instance.reset ---------------------------------------------------------- *)
 
-(* After a trace, [reset] leaves an instance equal to a fresh one, table
-   geometry included, and a runner bound before the reset drives the reset
-   state: on a second trace it answers exactly as a runner over a fresh
-   instance. *)
+(* A reset instance against a fresh one: chains, vectors and sketches are
+   structurally equal, and a map holds the same bindings at the same
+   capacity with no tombstone, in whatever table it grew to. *)
+let same_start_state (nf : Dsl.Ast.t) a b =
+  List.for_all
+    (fun decl ->
+      let name = Dsl.Ast.decl_name decl in
+      match (Dsl.Instance.find a name, Dsl.Instance.find b name) with
+      | Dsl.Instance.O_map ma, Dsl.Instance.O_map mb ->
+          let _, _, _, tombs = State.Map_s.packed_stats ma in
+          State.Map_s.capacity ma = State.Map_s.capacity mb
+          && State.Map_s.size ma = State.Map_s.size mb
+          && State.Map_s.entries ma = State.Map_s.entries mb
+          && tombs = 0
+      | oa, ob -> oa = ob)
+    nf.Dsl.Ast.state
+
+(* After a trace, [reset] leaves an instance holding a fresh one's state,
+   and a runner bound before the reset drives the reset state: on a
+   second trace it answers exactly as a runner over a fresh instance. *)
 let test_reset_equals_create () =
   (* a packet may index past a quartered static table: a [Runtime_error]
      is an outcome like a verdict *)
@@ -58,7 +74,7 @@ let test_reset_equals_create () =
         let r = Dsl.Compile.bind_runner staged inst in
         ignore (outcomes r trace);
         Dsl.Instance.reset inst nf;
-        if inst <> Dsl.Instance.create ~divide nf then
+        if not (same_start_state nf inst (Dsl.Instance.create ~divide nf)) then
           Alcotest.failf "%s, divide %d: the reset instance differs from a fresh one" label divide;
         let fresh = Dsl.Compile.bind_runner staged (Dsl.Instance.create ~divide nf) in
         let again = outcomes r trace in
@@ -75,6 +91,49 @@ let test_reset_equals_create () =
   let fw = Array.append (workload "fw") hostile in
   List.iter (fun (nf : Dsl.Ast.t) -> check nf.Dsl.Ast.name nf fw) (Nfs.Scenarios.all ());
   List.iter (fun ch -> check ch.Dsl.Chain.name (Dsl.Chain.nf ch) fw) (Nfs.Scenarios.chains ())
+
+let c_rebuilds = Telemetry.Counter.make "state.map_rebuilds"
+
+(* What a reset keeps: nat over framebench's nat-64 shape (8,192 flows,
+   read-heavy) grows both of its maps from 16 to 65,536 slots, six
+   rebuilds each.  After a reset and a replay of the trace the maps hold
+   the same tables with no tombstone, no table was rebuilt, and the
+   runner bound before the reset answered as a fresh runner does. *)
+let test_reset_keeps_tables () =
+  let nf = Nfs.Registry.find_exn "nat" in
+  let trace =
+    (Sim.Workload.read_heavy ~flows:8_192 ~pkts:32_768 ~size:64 "nat").Sim.Workload.trace
+  in
+  let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
+  let inst = Dsl.Instance.create nf in
+  let r = Dsl.Compile.bind_runner staged inst in
+  let replay r = Array.map (Dsl.Compile.run r) trace in
+  let tables () =
+    List.map
+      (fun name ->
+        match Dsl.Instance.find inst name with
+        | Dsl.Instance.O_map m ->
+            let _, _, slots, tombs = State.Map_s.packed_stats m in
+            (slots, tombs)
+        | _ -> Alcotest.failf "%s is not a map" name)
+      [ "nat_flows"; "nat_ports" ]
+  in
+  let check_tables label =
+    Alcotest.(check (list (pair int int))) label [ (65_536, 0); (65_536, 0) ]
+  in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  ignore (replay r);
+  Alcotest.(check int) "cold pass: rebuilds" 12 (Telemetry.Counter.value c_rebuilds);
+  check_tables "cold pass: slots and tombstones" (tables ());
+  Dsl.Instance.reset inst nf;
+  check_tables "reset: slots and tombstones" (tables ());
+  let warm = replay r in
+  Alcotest.(check int) "warm replay: no rebuild" 12 (Telemetry.Counter.value c_rebuilds);
+  check_tables "warm replay: slots and tombstones" (tables ());
+  if warm <> replay (Dsl.Compile.bind_runner staged (Dsl.Instance.create nf)) then
+    Alcotest.fail "the runner bound before the reset diverges from a fresh one"
 
 (* --- runs on a bound pool ----------------------------------------------------- *)
 
@@ -606,4 +665,5 @@ let suite =
     Alcotest.test_case "lock rung: one acquisition per batch" `Quick test_lock_once_per_batch;
     Alcotest.test_case "lock rung: a raise mid-batch frees the lock" `Quick
       test_raise_mid_batch_frees_lock;
+    Alcotest.test_case "reset keeps grown map tables" `Quick test_reset_keeps_tables;
   ]

@@ -46,10 +46,8 @@ let differential label nf trace =
         (fun inst ->
           match (Dsl.Instance.find i_inst name, Dsl.Instance.find inst name) with
           | Dsl.Instance.O_map a, Dsl.Instance.O_map b ->
-              if
-                List.sort compare (State.Map_s.entries a)
-                <> List.sort compare (State.Map_s.entries b)
-              then Alcotest.failf "%s: map %s holds different bindings" label name
+              if State.Map_s.entries a <> State.Map_s.entries b then
+                Alcotest.failf "%s: map %s holds different bindings" label name
           | Dsl.Instance.O_vector a, Dsl.Instance.O_vector b ->
               if a.Dsl.Instance.slots <> b.Dsl.Instance.slots then
                 Alcotest.failf "%s: vector %s holds different slots" label name

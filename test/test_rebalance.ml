@@ -181,6 +181,61 @@ let prop_migration_conserves_entries =
           again.Runtime.Balancer.moved_flows again.Runtime.Balancer.dropped_flows;
       true)
 
+(* A lone map's migration walks its keys in key order, so it moves and
+   drops the same keys whatever size the map's table grew to.  Fig. 2's
+   per-flow counter (a written map with no chain) over 300 flows, once on
+   an instance reset after 4,000 flows grew its table and once on a fresh
+   instance; every bucket then goes to a 32-entry shard, which keeps 32
+   of the keys and drops the rest. *)
+let test_lone_map_migration_ignores_table_size () =
+  let nf = Nfs.Scenarios.key_equality () in
+  let request = { Maestro.Pipeline.default_request with cores = 2 } in
+  let plan = (Maestro.Pipeline.parallelize_exn ~request nf).Maestro.Pipeline.plan in
+  let engines = Array.init nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan) in
+  let staged = Dsl.Compile.stage_runner nf (Dsl.Check.check_exn nf) in
+  let feed inst seed nflows =
+    let st = rng seed in
+    let r = Dsl.Compile.bind_runner staged inst in
+    Array.iter
+      (fun p -> ignore (Dsl.Compile.run r p))
+      (Traffic.Gen.uniform ~spec:{ Traffic.Gen.default_spec with pkts = 2 * nflows } st
+         ~flows:(Traffic.Gen.flows st nflows))
+  in
+  let counter inst =
+    match Dsl.Instance.find inst "s1_counter" with
+    | Dsl.Instance.O_map m -> m
+    | _ -> Alcotest.fail "s1_counter is not a map"
+  in
+  let slots inst =
+    let _, _, slots, _ = State.Map_s.packed_stats (counter inst) in
+    slots
+  in
+  let grown = Dsl.Instance.create nf and fresh = Dsl.Instance.create nf in
+  feed grown 51 4_000;
+  Dsl.Instance.reset grown nf;
+  feed grown 52 300;
+  feed fresh 52 300;
+  Alcotest.(check bool) "the tables differ in size" true (slots grown > slots fresh);
+  let migrate src =
+    let insts = [| src; Dsl.Instance.create ~divide:2_048 nf |] in
+    let o =
+      Runtime.Balancer.migrate (Runtime.Balancer.migration_plan nf)
+        ~hash:(fun (p : Packet.Pkt.t) ->
+          let port = p.Packet.Pkt.port in
+          Nic.Rss.hash_of engines.(if port < nf.Dsl.Ast.devices then port else 0) p)
+        ~mask:(Nic.Reta.size (Nic.Rss.reta engines.(0)) - 1)
+        ~dest:(fun _ -> 1) ~instances:insts
+    in
+    ( (o.Runtime.Balancer.moved_flows, o.Runtime.Balancer.dropped_flows),
+      Array.map (fun inst -> State.Map_s.entries (counter inst)) insts )
+  in
+  let (moved, dropped), entries = migrate grown in
+  Alcotest.(check int) "moved: the shard's capacity" 32 moved;
+  Alcotest.(check bool) "some keys dropped" true (dropped > 0);
+  let counts, fresh_entries = migrate fresh in
+  Alcotest.(check (pair int int)) "fresh: moved, dropped" (moved, dropped) counts;
+  Alcotest.(check (array (list (pair string int)))) "entries per instance" fresh_entries entries
+
 let test_balancer_parse () =
   let ok s =
     match Runtime.Balancer.parse s with
@@ -219,4 +274,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rebalance_remap_avoids_dead;
     QCheck_alcotest.to_alcotest prop_migration_conserves_entries;
     Alcotest.test_case "balancer mode parsing" `Quick test_balancer_parse;
+    Alcotest.test_case "lone-map migration ignores table size" `Quick
+      test_lone_map_migration_ignores_table_size;
   ]

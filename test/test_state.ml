@@ -179,6 +179,45 @@ let test_map_capacity_spans_views () =
   Alcotest.(check bool) "overwrite wide ok" true (Map_s.put m wide 4);
   Alcotest.(check bool) "overwrite packed ok" true (Map_s.put m "ab" 5)
 
+(* A cleared map keeps the table it grew to, so its slot order is its
+   own history; [entries] is not: refilled with the same puts as a fresh
+   map, packed and wide keys alike, it returns the same list, in key
+   order. *)
+let test_map_entries_ignore_table_size () =
+  let key i = Printf.sprintf "k%06d" i and wide i = Printf.sprintf "%016d" i in
+  let grown = Map_s.create ~capacity:4_096 in
+  for i = 0 to 3_999 do
+    ignore (Map_s.put grown (key i) i)
+  done;
+  for i = 0 to 99 do
+    ignore (Map_s.erase grown (key i))
+  done;
+  let stats m =
+    let _, _, slots, tombs = Map_s.packed_stats m in
+    (Map_s.size m, slots, tombs)
+  in
+  Alcotest.(check (triple int int int)) "grown: size, slots, tombstones" (3_900, 16_384, 100)
+    (stats grown);
+  Map_s.clear grown;
+  Alcotest.(check (triple int int int)) "cleared in place" (0, 16_384, 0) (stats grown);
+  let fresh = Map_s.create ~capacity:4_096 in
+  List.iter
+    (fun m ->
+      for i = 99 downto 0 do
+        ignore (Map_s.put m (key (37 * i)) i);
+        if i mod 10 = 0 then ignore (Map_s.put m (wide i) i)
+      done)
+    [ grown; fresh ];
+  let slots m =
+    let _, s, _ = stats m in
+    s
+  in
+  Alcotest.(check (pair int int)) "slots: grown, fresh" (16_384, 256) (slots grown, slots fresh);
+  let entries = Map_s.entries fresh in
+  Alcotest.(check (list (pair string int))) "in key order"
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) entries) entries;
+  Alcotest.(check (list (pair string int))) "same entries" entries (Map_s.entries grown)
+
 (* A map driven through its string and packed views at random, over keys
    of 0 to 20 bytes (packed and wide) and a small capacity so puts hit a
    full map, agrees with a Hashtbl model on every answer. *)
@@ -223,8 +262,7 @@ let prop_map_views_vs_model =
       done;
       !ok
       && Map_s.size m = Hashtbl.length model
-      && List.sort compare (Map_s.entries m)
-         = List.sort compare (List.of_seq (Hashtbl.to_seq model)))
+      && Map_s.entries m = List.sort compare (List.of_seq (Hashtbl.to_seq model)))
 
 let test_sketch_packed_consistency () =
   let s = Sketch.create ~depth:3 ~width:64 () in
@@ -541,4 +579,5 @@ let suite =
     Alcotest.test_case "dchain expire full chain" `Quick test_dchain_expire_full_chain;
     QCheck_alcotest.to_alcotest prop_intmap_table_bound;
     QCheck_alcotest.to_alcotest prop_dchain_allocate_at_sorted;
+    Alcotest.test_case "map entries ignore table size" `Quick test_map_entries_ignore_table_size;
   ]
